@@ -20,6 +20,7 @@ import sys
 from . import textpipe
 from .benchmarks import BENCHMARKS
 from .harness import (
+    ConfigError,
     DataError,
     METHODS,
     child_rng,
@@ -149,6 +150,9 @@ def main(argv=None) -> int:
                 "tfidf": _cmd_tfidf, "metrics": _cmd_metrics}
     try:
         return handlers[args.command](args)
+    except ConfigError as e:
+        print(f"usage error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     except (DataError, FileNotFoundError, json.JSONDecodeError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA

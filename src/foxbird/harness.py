@@ -22,7 +22,7 @@ import numpy as np
 
 from . import textpipe
 from .baselines import run_baseline
-from .benchmarks import get_benchmark
+from .benchmarks import BENCHMARKS, get_benchmark
 from .core import SearchSpace, make_rng
 from .hraha import HrahaConfig, OptimizationResult
 from .hraha import run as run_hraha
@@ -35,6 +35,7 @@ __all__ = [
     "HyperparamSpace",
     "TrialReport",
     "DataError",
+    "ConfigError",
     "load_corpus",
     "default_tuning_space",
     "classifier_objective",
@@ -222,50 +223,69 @@ def predict_nb(X: np.ndarray, classes: list, log_prior, log_lik) -> list:
 
 
 class _PreparedCorpus:
-    """Token lists precomputed once per stemming variant so each objective
-    evaluation only rebuilds the vocabulary and count matrices."""
+    """Everything an evaluation needs that its hyperparameters do not change.
 
-    def __init__(self, corpus: LabeledCorpus):
-        self.corpus = corpus
-        self.tokens = {
-            False: [textpipe.preprocess(t, use_stemming=False) for t in corpus.texts],
-            True: [textpipe.preprocess(t, use_stemming=True) for t in corpus.texts],
-        }
+    Per stemming variant this holds the train and test count matrices and the
+    training document frequencies over the ``max_terms_cap`` most
+    document-frequent training terms (ties lexicographic), columns in
+    lexicographic order, plus the column order by (-df, term). The terms with
+    df >= ``min_doc_freq`` are a prefix of that order, so an evaluation only
+    selects columns: the same values in the same order as building its own
+    vocabulary and matrices would give."""
+
+    def __init__(self, corpus: LabeledCorpus, max_terms_cap: int | None):
+        plain = [textpipe.preprocess(t, use_stemming=False) for t in corpus.texts]
+        self.classes = corpus.label_set
+        self.train_labels = [corpus.labels[i] for i in corpus.train_idx]
+        self.test_labels = [corpus.labels[i] for i in corpus.test_idx]
+        self.counts = {}
+        for stemmed in (False, True):
+            tokens = [textpipe.stem_tokens(t) for t in plain] if stemmed else plain
+            train_tokens = [tokens[i] for i in corpus.train_idx]
+            test_tokens = [tokens[i] for i in corpus.test_idx]
+            vocab = textpipe.build_vocabulary(train_tokens, 1, max_terms_cap)
+            df = textpipe.doc_frequencies(train_tokens, vocab)
+            order = np.lexsort((np.arange(len(vocab)), -df))
+            self.counts[stemmed] = (textpipe.bow_vectorize(train_tokens, vocab).values,
+                                    textpipe.bow_vectorize(test_tokens, vocab).values,
+                                    df, order)
+
+
+def _max_terms_cap(space: HyperparamSpace) -> int | None:
+    """The largest ``max_terms`` the space decodes to; None if it has no bound."""
+    for d in space.dims:
+        if d.name == "max_terms" and d.kind != "categorical":
+            return max(1, math.floor(d.hi))
+    return None
 
 
 def _fit_score(prep: _PreparedCorpus, params: dict) -> tuple[float, float]:
     """Train on the train split, score on the test split.
 
     Returns (accuracy, macro_f); (0, 0) for degenerate hyperparameters."""
-    corpus = prep.corpus
-    tokens = prep.tokens[bool(params["use_stemming"])]
-    train_tokens = [tokens[i] for i in corpus.train_idx]
-    test_tokens = [tokens[i] for i in corpus.test_idx]
-    try:
-        vocab = textpipe.build_vocabulary(train_tokens,
-                                          min_doc_freq=int(params["min_doc_freq"]),
-                                          max_terms=int(params["max_terms"]))
-    except ValueError:
+    min_doc_freq = int(params["min_doc_freq"])
+    max_terms = int(params["max_terms"])
+    if min_doc_freq < 1 or max_terms < 1:
         return 0.0, 0.0
-    if len(vocab) == 0:
+    train, test, df, order = prep.counts[bool(params["use_stemming"])]
+    n_terms = min(int(np.count_nonzero(df >= min_doc_freq)), max_terms)
+    if n_terms == 0:
         return 0.0, 0.0
-    n_w = textpipe.doc_frequencies(train_tokens, vocab)
-    idf = np.log(len(train_tokens) / np.maximum(n_w, 1))
-    X_train = textpipe.bow_vectorize(train_tokens, vocab).values * idf
-    X_test = textpipe.bow_vectorize(test_tokens, vocab).values * idf
-    classes = corpus.label_set
-    train_labels = [corpus.labels[i] for i in corpus.train_idx]
-    test_labels = [corpus.labels[i] for i in corpus.test_idx]
-    log_prior, log_lik = train_nb(X_train, train_labels, classes, float(params["nb_smoothing"]))
-    pred = predict_nb(X_test, classes, log_prior, log_lik)
-    return accuracy_metric(pred, test_labels), f_score_metric(pred, test_labels)
+    cols = np.sort(order[:n_terms])
+    idf = np.log(train.shape[0] / np.maximum(df[cols], 1))
+    X_train = train[:, cols] * idf
+    X_test = test[:, cols] * idf
+    log_prior, log_lik = train_nb(X_train, prep.train_labels, prep.classes,
+                                  float(params["nb_smoothing"]))
+    pred = predict_nb(X_test, prep.classes, log_prior, log_lik)
+    return accuracy_metric(pred, prep.test_labels), f_score_metric(pred, prep.test_labels)
 
 
 def classifier_objective(corpus: LabeledCorpus, space: HyperparamSpace):
     """Objective over the encoded real box: 1 - test macro-F of the tuned
     TF-IDF/naive-Bayes classifier. Degenerate regions score worst (1.0)
     instead of raising."""
-    prep = _PreparedCorpus(corpus)
+    prep = _PreparedCorpus(corpus, _max_terms_cap(space))
     cache: dict[tuple, float] = {}
 
     def objective(x) -> float:
@@ -342,47 +362,79 @@ def _experiment_seeds(config: dict) -> list[int]:
     return [master + i for i in range(count)]
 
 
+class ConfigError(ValueError):
+    """An experiment config field is missing or invalid; the message names it."""
+
+
+def _check_int(section: dict, key: str, default: int, minimum: int, name: str) -> None:
+    value = section.get(key, default)
+    try:
+        n = int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name}: expected an integer, got {value!r}") from None
+    if n < minimum:
+        raise ConfigError(f"{name}: must be >= {minimum}, got {n}")
+
+
+def _check_config(config: dict) -> None:
+    """Raise ConfigError naming the first field run_experiment cannot use."""
+    task = config.get("task")
+    if not isinstance(task, dict):
+        raise ConfigError("task: missing or not an object")
+    kind = task.get("kind", "benchmark")
+    if kind == "benchmark":
+        if task.get("function") not in BENCHMARKS:
+            raise ConfigError(f"task.function: unknown benchmark {task.get('function')!r}; "
+                              f"choose from {sorted(BENCHMARKS)}")
+        _check_int(task, "dims", 10, 1, "task.dims")
+    elif kind == "classifier":
+        if "corpus" not in task:
+            raise ConfigError("task.corpus: missing")
+    else:
+        raise ConfigError(f"task.kind: unknown task kind {kind!r}; "
+                          f"choose from ('benchmark', 'classifier')")
+    for m in config.get("methods", METHODS):
+        if str(m).lower() not in METHODS:
+            raise ConfigError(f"methods: unknown method {m!r}; choose from {METHODS}")
+    # every method starts from init_population, which needs four members
+    _check_int(config.get("budget", {}), "pop_size", 20, 4, "budget.pop_size")
+
+
 def run_experiment(config: dict) -> TrialReport:
     """Race the configured methods on a benchmark or classifier-tuning task.
 
     Config sections: task, space (classifier only), methods, budget, seeds.
     Reported per method: median best fitness across runs, plus test accuracy
-    and macro-F of the best-found configuration for classifier tasks.
+    and macro-F of the best-found configuration for classifier tasks. Each
+    method gets its own classifier objective, so no method is timed on
+    another's cached evaluations. Raises ConfigError for an unusable config.
     """
+    _check_config(config)
     task = config["task"]
     methods = [m.lower() for m in config.get("methods", list(METHODS))]
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
     budget = config.get("budget", {})
     pop_size = int(budget.get("pop_size", 20))
     iterations = int(budget.get("iterations", 50))
     seeds = _experiment_seeds(config)
 
-    kind = task.get("kind", "benchmark")
-    hspace = None
-    obj = None
-    if kind == "benchmark":
-        bench = get_benchmark(task["function"])
-        dims = int(task.get("dims", 10))
-        space = bench.space(dims)
-        obj = bench
-    elif kind == "classifier":
+    classifier = task.get("kind", "benchmark") == "classifier"
+    if classifier:
         corpus = load_corpus(task["corpus"], task.get("format", "csv"),
                              float(task.get("split_ratio", 0.8)),
                              int(task.get("split_seed", 0)))
         hspace = _space_from_config(config.get("space"))
-        obj = classifier_objective(corpus, hspace)
         space = hspace.to_box()
     else:
-        raise ValueError(f"unknown task kind {kind!r}")
+        bench = get_benchmark(task["function"])
+        space = bench.space(int(task.get("dims", 10)))
 
     columns = ["best_fitness"]
-    if kind == "classifier":
+    if classifier:
         columns += ["accuracy", "f_score"]
     rows: dict[str, dict[str, float]] = {}
     wall_times: dict[str, float] = {}
     for mi, method in enumerate(methods):
+        obj = classifier_objective(corpus, hspace) if classifier else bench
         t0 = time.perf_counter()
         results = [run_method(method, obj, space, pop_size, iterations,
                               child_rng(seeds[ri], mi, ri))
@@ -390,7 +442,7 @@ def run_experiment(config: dict) -> TrialReport:
         wall_times[method] = time.perf_counter() - t0
         fits = [r.best_fitness for r in results]
         row = {"best_fitness": float(statistics.median(fits))}
-        if kind == "classifier":
+        if classifier:
             best = min(results, key=lambda r: r.best_fitness)
             acc, mf = obj.fit_score(best.best_position)
             row["accuracy"] = acc

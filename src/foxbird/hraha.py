@@ -118,7 +118,10 @@ class OptimizationResult:
 
 
 class _CountingObjective:
-    """Wraps an objective to count evaluations."""
+    """Wraps an objective to count evaluations.
+
+    A non-finite value is returned as +inf: a member that stores it is never
+    selected as the best, and the evaluation still counts."""
 
     def __init__(self, obj):
         self.obj = obj
@@ -126,7 +129,8 @@ class _CountingObjective:
 
     def __call__(self, x) -> float:
         self.count += 1
-        return float(self.obj(x))
+        f = float(self.obj(x))
+        return f if math.isfinite(f) else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +141,7 @@ def compute_alpha(pop: Population, omega: float, t: int, T: int) -> float:
     """Scaling factor blending normalized fitness spread with an iteration
     schedule; clamped to [0, 1]."""
     fits = pop.fitnesses()
+    fits = fits[np.isfinite(fits)]  # members stored at +inf take no part
     f_best = fits.min()
     f_worst = fits.max()
     f_mean = fits.mean()

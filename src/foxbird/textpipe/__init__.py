@@ -78,7 +78,14 @@ def default_contractions() -> dict[str, str]:
     return table
 
 
+def _contraction_pattern(table: dict[str, str]) -> re.Pattern:
+    # longest key first, so "she's" wins over "he's" inside it
+    keys = sorted(table, key=len, reverse=True)
+    return re.compile(r"\b(" + "|".join(re.escape(k) for k in keys) + r")\b")
+
+
 _DEFAULT_CONTRACTIONS = default_contractions()
+_DEFAULT_CONTRACTION_RE = _contraction_pattern(_DEFAULT_CONTRACTIONS)
 _DEFAULT_STOPWORDS = default_stopwords()
 
 
@@ -97,7 +104,8 @@ def clean_text(raw: str, contractions: dict[str, str] | None = None) -> str:
     text = raw.lower()
     table = _DEFAULT_CONTRACTIONS if contractions is None else contractions
     if table:
-        pattern = re.compile(r"\b(" + "|".join(re.escape(k) for k in sorted(table, key=len, reverse=True)) + r")\b")
+        pattern = (_DEFAULT_CONTRACTION_RE if contractions is None
+                   else _contraction_pattern(table))
         text = pattern.sub(lambda m: table[m.group(0)], text)
     text = _NON_ALNUM.sub(" ", text)
     return _WS.sub(" ", text).strip()

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from foxbird.cli import EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+from foxbird.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 
 
 def write_config(path, **over):
@@ -67,8 +67,22 @@ class TestRun:
         cfg = write_config(tmp_path / "cfg.json",
                            task={"kind": "benchmark", "function": "himmelblau"})
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert code == EXIT_RUNTIME
-        assert "runtime failure" in capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "task.function" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, over", [
+        ("budget.pop_size", {"budget": {"pop_size": 2, "iterations": 15}}),
+        ("task.dims", {"task": {"kind": "benchmark", "function": "sphere", "dims": 0}}),
+        ("methods", {"methods": ["hraha", "annealing"]}),
+    ])
+    def test_bad_field_is_usage_error(self, tmp_path, capsys, field, over):
+        cfg = write_config(tmp_path / "cfg.json", **over)
+        out = tmp_path / "o"
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {field}:")
+        assert not out.exists()
 
 
 class TestBench:

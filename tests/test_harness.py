@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from foxbird import textpipe
 from foxbird.core import make_rng
 from foxbird.harness import (
     METHODS,
@@ -22,8 +23,33 @@ from foxbird.harness import (
     run_random_search,
     train_nb,
 )
+from foxbird.metrics import accuracy, f_score
 
 from conftest import make_synthetic_corpus
+
+
+@pytest.fixture(scope="module")
+def graded_corpus_csv(tmp_path_factory):
+    """Three classes over made-up words whose document frequencies run from
+    1 to most documents; suffixed forms make stemming merge terms."""
+    rng = np.random.Generator(np.random.PCG64(5))
+    consonants, vowels = "bdfgklmnprstv", "aeiou"
+    stems = sorted({"".join(rng.choice(list(consonants)) + rng.choice(list(vowels))
+                            for _ in range(3)) for _ in range(120)})
+    words = [s + suffix for s in stems for suffix in ("", "s", "ing")]
+    weights = 1.0 / np.arange(1, len(words) + 1)
+    weights /= weights.sum()
+    path = tmp_path_factory.mktemp("graded") / "graded.csv"
+    lines = ["id,text,label"]
+    for i in range(90):
+        label = "abc"[i % 3]
+        own = words[(i % 3)::3][:40]
+        n = int(rng.integers(6, 14))
+        text = [words[j] for j in rng.choice(len(words), size=n, p=weights)]
+        text += [own[j] for j in rng.integers(0, len(own), size=n // 2)]
+        lines.append(f"d{i},{' '.join(text)},{label}")
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +252,64 @@ class TestClassifierObjective:
                           "use_stemming": True, "nb_smoothing": 1.0})
         _, macro_f = obj.fit_score(x)
         assert obj(x) == pytest.approx(1.0 - macro_f)
+
+    def test_fit_score_equals_per_evaluation_oracle(self, graded_corpus_csv):
+        # The objective selects columns of count matrices built once; the
+        # oracle builds its own vocabulary and matrices for every point. The
+        # corpus has document frequencies from 1 up, and the second space
+        # caps max_terms below its vocabulary.
+        corpus = load_corpus(graded_corpus_csv)
+        classes = corpus.label_set
+        train_labels = [corpus.labels[i] for i in corpus.train_idx]
+        test_labels = [corpus.labels[i] for i in corpus.test_idx]
+        tokens = {s: [textpipe.preprocess(t, use_stemming=s) for t in corpus.texts]
+                  for s in (False, True)}
+
+        def oracle(params):
+            train = [tokens[params["use_stemming"]][i] for i in corpus.train_idx]
+            test = [tokens[params["use_stemming"]][i] for i in corpus.test_idx]
+            try:
+                vocab = textpipe.build_vocabulary(train, params["min_doc_freq"],
+                                                  params["max_terms"])
+            except ValueError:
+                return 0.0, 0.0
+            if len(vocab) == 0:
+                return 0.0, 0.0
+            n_w = textpipe.doc_frequencies(train, vocab)
+            idf = np.log(len(train) / np.maximum(n_w, 1))
+            X_train = textpipe.bow_vectorize(train, vocab).values * idf
+            X_test = textpipe.bow_vectorize(test, vocab).values * idf
+            log_prior, log_lik = train_nb(X_train, train_labels, classes,
+                                          params["nb_smoothing"])
+            pred = predict_nb(X_test, classes, log_prior, log_lik)
+            return accuracy(pred, test_labels), f_score(pred, test_labels)
+
+        default = default_tuning_space()
+        capped = HyperparamSpace((
+            HyperparamDim("min_doc_freq", "integer", 0, 5),
+            HyperparamDim("max_terms", "integer", 0, 40),
+            default.dims[2],
+            default.dims[3],
+        ))
+        distinct = set()
+        for space in (default, capped):
+            obj = classifier_objective(corpus, space)
+            for use_stemming in (False, True):
+                n_vocab = len(textpipe.build_vocabulary(
+                    [tokens[use_stemming][i] for i in corpus.train_idx]))
+                assert n_vocab > 60
+                for min_doc_freq in range(0, 6):
+                    for max_terms in (0, 10, 11, 50, 500, n_vocab - 1, n_vocab,
+                                      n_vocab + 1, 2000):
+                        for nb_smoothing in (0.01, 1.0, 5.0):
+                            x = space.encode({"min_doc_freq": min_doc_freq,
+                                              "max_terms": max_terms,
+                                              "use_stemming": use_stemming,
+                                              "nb_smoothing": nb_smoothing})
+                            got = obj.fit_score(x)
+                            assert got == oracle(space.decode(x)), space.decode(x)
+                            distinct.add(got)
+        assert len(distinct) > 20  # the grid is not one flat plateau
 
 
 # ---------------------------------------------------------------------------

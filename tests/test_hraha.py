@@ -409,6 +409,23 @@ class TestRun:
         result = run(sphere, self.SPACE, HrahaConfig(max_iters=100), 10, 5)
         assert result.best_fitness <= result.history[0]
 
+    def test_nan_evaluations_never_become_the_incumbent(self):
+        # a NaN stored by migration or move-closer would win np.argmin and
+        # elitism would adopt it as the best-so-far
+        calls = 0
+
+        def flaky_sphere(x):
+            nonlocal calls
+            calls += 1
+            return math.nan if calls > 100 and calls % 37 == 0 else sphere(x)
+
+        space = make_search_space([-5.0] * 4, [5.0] * 4)
+        result = run(flaky_sphere, space, HrahaConfig(max_iters=300), 10, 0)
+        hist = np.array(result.history)
+        assert np.all(np.isfinite(hist))
+        assert np.all(np.diff(hist) <= 0)
+        assert result.evaluations == calls
+
 
 class TestConfigValidation:
     def test_bad_thresholds(self):
