@@ -20,7 +20,6 @@ from .core import (
     init_population,
     make_rng,
     make_search_space,
-    select_best,
 )
 from .hraha import HrahaConfig, OptimizationResult, run
 
@@ -32,7 +31,6 @@ __all__ = [
     "make_search_space",
     "init_population",
     "evaluate",
-    "select_best",
     "clamp",
     "HrahaConfig",
     "OptimizationResult",

@@ -2,8 +2,8 @@
 
 All three return the same result shape as the hybrid optimizer so the
 harness can put them in one comparison table. The fox baseline reuses the
-hybrid's stay-and-disguise, territorial-foraging, and reproduction
-operators; the hummingbird baseline reuses its flight masks and migration.
+hybrid's stay-and-disguise and reproduction operators; the hummingbird
+baseline reuses its flight masks and migration.
 """
 
 from __future__ import annotations
@@ -12,24 +12,29 @@ import math
 
 import numpy as np
 
-from .core import Individual, Population, SearchSpace, clamp, evaluate, init_population, make_rng
+from .core import (
+    CountingObjective,
+    Individual,
+    SearchSpace,
+    accept_if_better,
+    clamp,
+    evaluate,
+    init_population,
+    make_rng,
+)
 from .hraha import (
     AXIAL,
     DIAGONAL,
     OMNIDIRECTIONAL,
     HrahaConfig,
     OptimizationResult,
-    _CountingObjective,
     flight_mask,
     migrate_worst,
     move_closer_reproduce,
     stay_and_disguise,
-    territorial_foraging,
 )
 
-__all__ = ["BASELINE_KINDS", "run_baseline", "run_rfo", "run_aha", "run_pso"]
-
-BASELINE_KINDS = ("rfo", "aha", "pso")
+__all__ = ["run_rfo", "run_aha", "run_pso"]
 
 # canonical constriction-style PSO constants
 PSO_INERTIA = 0.729
@@ -47,16 +52,14 @@ def _result(best: Individual, history, evals) -> OptimizationResult:
     )
 
 
-def run_rfo(obj, space: SearchSpace, pop_size: int, max_iters: int, rng,
-            scaling_a: float = 0.2, worst_fraction: float = 0.05,
-            nomad_probability: float = 0.5) -> OptimizationResult:
+def run_rfo(obj, space: SearchSpace, pop_size: int, max_iters: int,
+            rng) -> OptimizationResult:
     """Red-fox search: greedy global move toward the best, a chance of a
-    local circling move, then reproduction replacing the worst share."""
+    local circling move, then reproduction replacing the worst share. The
+    step scale, worst share and nomad probability are the hybrid's."""
     rng = make_rng(rng)
-    counted = _CountingObjective(obj)
-    cfg = HrahaConfig(scaling_a=scaling_a, worst_fraction=worst_fraction,
-                      nomad_probability=nomad_probability,
-                      max_iters=max(1, max_iters))
+    counted = CountingObjective(obj)
+    cfg = HrahaConfig()
     pop = init_population(space, pop_size, rng)
     evaluate(pop, counted)
     incumbent = pop.best.copy()
@@ -66,21 +69,15 @@ def run_rfo(obj, space: SearchSpace, pop_size: int, max_iters: int, rng,
         for m in pop.members:
             kappa = rng.random()
             cand = clamp(m.position + kappa * (best_pos - m.position), space)
-            f = counted(cand)
-            if f <= m.fitness:
-                m.position = cand
-                m.fitness = f
+            accept_if_better(m, cand, counted(cand))
         for m in pop.members:
             mu = rng.random()
             if mu > 0.75:
                 theta = rng.random()
-                nr = scaling_a * theta
+                nr = cfg.scaling_a * theta
                 phis = rng.uniform(0.0, 2 * math.pi, space.dims)
                 cand = stay_and_disguise(m.position, nr, phis, space)
-                f = counted(cand)
-                if f <= m.fitness:
-                    m.position = cand
-                    m.fitness = f
+                accept_if_better(m, cand, counted(cand))
         move_closer_reproduce(pop, cfg, rng, space, counted)
         if pop.best.fitness < incumbent.fitness:
             incumbent = pop.best.copy()
@@ -88,13 +85,14 @@ def run_rfo(obj, space: SearchSpace, pop_size: int, max_iters: int, rng,
     return _result(incumbent, history, counted.count)
 
 
-def run_aha(obj, space: SearchSpace, pop_size: int, max_iters: int, rng,
-            migration_coefficient: int | None = None) -> OptimizationResult:
+def run_aha(obj, space: SearchSpace, pop_size: int, max_iters: int,
+            rng) -> OptimizationResult:
     """Hummingbird search: flight-masked guided or territorial foraging with
-    greedy acceptance, plus gated migration of the worst member."""
+    greedy acceptance, plus migration of the worst member at most once every
+    2 * pop_size iterations."""
     rng = make_rng(rng)
-    counted = _CountingObjective(obj)
-    M = migration_coefficient if migration_coefficient is not None else 2 * pop_size
+    counted = CountingObjective(obj)
+    M = 2 * pop_size
     pop = init_population(space, pop_size, rng)
     evaluate(pop, counted)
     incumbent = pop.best.copy()
@@ -120,10 +118,7 @@ def run_aha(obj, space: SearchSpace, pop_size: int, max_iters: int, rng,
                 # relative to the guiding source, not the origin, to avoid
                 # center-of-domain bias on symmetric benchmarks
                 cand = clamp(m.position + b * mask * (m.position - best_pos), space)
-            f = counted(cand)
-            if f <= m.fitness:
-                m.position = cand
-                m.fitness = f
+            accept_if_better(m, cand, counted(cand))
         migrated, _ = migrate_worst(pop, space, rng, last_migration, t, M, counted)
         if migrated:
             last_migration = t
@@ -133,13 +128,12 @@ def run_aha(obj, space: SearchSpace, pop_size: int, max_iters: int, rng,
     return _result(incumbent, history, counted.count)
 
 
-def run_pso(obj, space: SearchSpace, pop_size: int, max_iters: int, rng,
-            inertia: float = PSO_INERTIA, c1: float = PSO_COGNITIVE,
-            c2: float = PSO_SOCIAL) -> OptimizationResult:
+def run_pso(obj, space: SearchSpace, pop_size: int, max_iters: int,
+            rng) -> OptimizationResult:
     """Global-best PSO with the canonical constriction constants; the
     constriction factors make a separate velocity clamp unnecessary."""
     rng = make_rng(rng)
-    counted = _CountingObjective(obj)
+    counted = CountingObjective(obj)
     pop = init_population(space, pop_size, rng)
     evaluate(pop, counted)
     X = pop.positions()
@@ -154,7 +148,8 @@ def run_pso(obj, space: SearchSpace, pop_size: int, max_iters: int, rng,
     for _ in range(max_iters):
         r1 = rng.random(X.shape)
         r2 = rng.random(X.shape)
-        V = inertia * V + c1 * r1 * (pbest_X - X) + c2 * r2 * (gbest_x - X)
+        V = (PSO_INERTIA * V + PSO_COGNITIVE * r1 * (pbest_X - X)
+             + PSO_SOCIAL * r2 * (gbest_x - X))
         X = np.clip(X + V, space.lower, space.upper)
         for i in range(pop_size):
             f = counted(X[i])
@@ -166,15 +161,3 @@ def run_pso(obj, space: SearchSpace, pop_size: int, max_iters: int, rng,
                     gbest_x = X[i].copy()
         history.append(gbest_f)
     return _result(Individual(gbest_x, gbest_f), history, counted.count)
-
-
-def run_baseline(kind: str, obj, space: SearchSpace, pop_size: int,
-                 max_iters: int, rng) -> OptimizationResult:
-    kind = kind.lower()
-    if kind == "rfo":
-        return run_rfo(obj, space, pop_size, max_iters, rng)
-    if kind == "aha":
-        return run_aha(obj, space, pop_size, max_iters, rng)
-    if kind == "pso":
-        return run_pso(obj, space, pop_size, max_iters, rng)
-    raise ValueError(f"unknown baseline {kind!r}; choose from {BASELINE_KINDS}")

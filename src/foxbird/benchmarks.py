@@ -8,7 +8,7 @@ import numpy as np
 
 from .core import SearchSpace
 
-__all__ = ["BenchmarkFn", "BENCHMARKS", "benchmark", "benchmark_space", "get_benchmark"]
+__all__ = ["BenchmarkFn", "BENCHMARKS", "get_benchmark"]
 
 
 def sphere(x: np.ndarray) -> float:
@@ -65,11 +65,3 @@ def get_benchmark(name: str) -> BenchmarkFn:
         return BENCHMARKS[name]
     except KeyError:
         raise ValueError(f"unknown benchmark {name!r}; choose from {sorted(BENCHMARKS)}") from None
-
-
-def benchmark(name: str, x) -> float:
-    return get_benchmark(name)(x)
-
-
-def benchmark_space(name: str, dims: int) -> SearchSpace:
-    return get_benchmark(name).space(dims)

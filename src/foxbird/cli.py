@@ -23,6 +23,7 @@ from .harness import (
     ConfigError,
     DataError,
     METHODS,
+    check_config,
     child_rng,
     emit_report,
     run_experiment,
@@ -97,6 +98,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    check_config({
+        "task": {"kind": "benchmark", "function": args.function, "dims": args.dims},
+        "methods": [args.method],
+        "budget": {"pop_size": args.pop_size, "iterations": args.iters},
+        "seeds": [args.seed],
+    })
     bench = BENCHMARKS[args.function]
     space = bench.space(args.dims)
     result = run_method(args.method, bench, space, args.pop_size, args.iters,

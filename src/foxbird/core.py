@@ -8,6 +8,7 @@ relies on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +21,8 @@ __all__ = [
     "make_search_space",
     "init_population",
     "evaluate",
-    "select_best",
+    "CountingObjective",
+    "accept_if_better",
     "clamp",
 ]
 
@@ -83,9 +85,6 @@ class Population:
     def __iter__(self):
         return iter(self.members)
 
-    def __getitem__(self, i) -> Individual:
-        return self.members[i]
-
     def fitnesses(self) -> np.ndarray:
         if any(m.fitness is None for m in self.members):
             raise ValueError("unevaluated member present")
@@ -131,13 +130,29 @@ def evaluate(pop: Population, obj) -> Population:
     return pop
 
 
-def select_best(pop: Population, k: int) -> list[Individual]:
-    """The k lowest-fitness members, ascending, ties toward lower index."""
-    if k < 1 or k > len(pop):
-        raise ValueError(f"k={k} out of range for population of {len(pop)}")
-    fits = pop.fitnesses()
-    order = np.argsort(fits, kind="stable")
-    return [pop.members[i] for i in order[:k]]
+class CountingObjective:
+    """Wraps an objective to count evaluations: the one evaluation contract
+    every optimizer and random search share.
+
+    A non-finite value is returned as +inf: a member that stores it is never
+    selected as the best, and the evaluation still counts."""
+
+    def __init__(self, obj):
+        self.obj = obj
+        self.count = 0
+
+    def __call__(self, x) -> float:
+        self.count += 1
+        f = float(self.obj(x))
+        return f if math.isfinite(f) else math.inf
+
+
+def accept_if_better(member: Individual, cand: np.ndarray, f: float) -> None:
+    """Greedy acceptance: the member takes the candidate array itself and its
+    fitness unless that would worsen the member's fitness (ties accept)."""
+    if f <= member.fitness:
+        member.position = cand
+        member.fitness = f
 
 
 def clamp(position: np.ndarray, space: SearchSpace) -> np.ndarray:

@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import textpipe
-from .baselines import run_baseline
+from . import baselines, textpipe
 from .benchmarks import BENCHMARKS, get_benchmark
-from .core import SearchSpace, make_rng
+from .core import CountingObjective, SearchSpace, make_rng
 from .hraha import HrahaConfig, OptimizationResult
 from .hraha import run as run_hraha
 from .metrics import accuracy as accuracy_metric
@@ -36,6 +35,7 @@ __all__ = [
     "TrialReport",
     "DataError",
     "ConfigError",
+    "check_config",
     "load_corpus",
     "default_tuning_space",
     "classifier_objective",
@@ -316,23 +316,30 @@ def child_rng(master_seed: int, method_index: int, run_index: int) -> np.random.
 
 def run_method(method: str, obj, space: SearchSpace, pop_size: int,
                iterations: int, rng) -> OptimizationResult:
+    """Run one method of ``METHODS``, the one registry that ``opt run`` and
+    ``opt bench`` dispatch through. The runner is looked up on its module at
+    each call, so a wrapper installed on that module attribute sees the run."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     if method == "hraha":
         return run_hraha(obj, space, HrahaConfig(max_iters=iterations), pop_size, rng)
-    return run_baseline(method, obj, space, pop_size, iterations, rng)
+    return getattr(baselines, f"run_{method}")(obj, space, pop_size, iterations, rng)
 
 
 def run_random_search(obj, space: SearchSpace, budget: int, rng) -> OptimizationResult:
-    """Uniform random sampling at a fixed evaluation budget."""
+    """Uniform random sampling at a fixed evaluation budget; a non-finite
+    value counts as +inf, as it does for every method."""
     rng = make_rng(rng)
+    counted = CountingObjective(obj)
     best_x, best_f = None, math.inf
     history = []
     for _ in range(budget):
         x = rng.uniform(space.lower, space.upper)
-        f = float(obj(x))
+        f = counted(x)
         if f < best_f:
             best_f, best_x = f, x
         history.append(best_f)
-    return OptimizationResult(best_x, best_f, history, budget, {})
+    return OptimizationResult(best_x, best_f, history, counted.count, {})
 
 
 @dataclass
@@ -366,8 +373,7 @@ class ConfigError(ValueError):
     """An experiment config field is missing or invalid; the message names it."""
 
 
-def _check_int(section: dict, key: str, default: int, minimum: int, name: str) -> None:
-    value = section.get(key, default)
+def _check_int(value, minimum: int, name: str) -> None:
     try:
         n = int(value)
     except (TypeError, ValueError):
@@ -376,8 +382,25 @@ def _check_int(section: dict, key: str, default: int, minimum: int, name: str) -
         raise ConfigError(f"{name}: must be >= {minimum}, got {n}")
 
 
-def _check_config(config: dict) -> None:
-    """Raise ConfigError naming the first field run_experiment cannot use."""
+def _check_seeds(seeds) -> None:
+    # seeds go to numpy's SeedSequence, which takes only non-negative integers
+    if isinstance(seeds, list):
+        if not seeds:
+            raise ConfigError("seeds: empty list")
+        for i, seed in enumerate(seeds):
+            _check_int(seed, 0, f"seeds[{i}]")
+    elif isinstance(seeds, dict):
+        _check_int(seeds.get("count", 1), 1, "seeds.count")
+        _check_int(seeds.get("master_seed", 0), 0, "seeds.master_seed")
+    else:
+        raise ConfigError(f"seeds: expected a list or an object, got {seeds!r}")
+
+
+def check_config(config: dict) -> None:
+    """Raise ConfigError naming the first field run_experiment cannot use.
+
+    ``opt bench`` checks its arguments here too, so the minimums live in one
+    place."""
     task = config.get("task")
     if not isinstance(task, dict):
         raise ConfigError("task: missing or not an object")
@@ -386,18 +409,31 @@ def _check_config(config: dict) -> None:
         if task.get("function") not in BENCHMARKS:
             raise ConfigError(f"task.function: unknown benchmark {task.get('function')!r}; "
                               f"choose from {sorted(BENCHMARKS)}")
-        _check_int(task, "dims", 10, 1, "task.dims")
+        _check_int(task.get("dims", 10), 1, "task.dims")
     elif kind == "classifier":
         if "corpus" not in task:
             raise ConfigError("task.corpus: missing")
     else:
         raise ConfigError(f"task.kind: unknown task kind {kind!r}; "
                           f"choose from ('benchmark', 'classifier')")
-    for m in config.get("methods", METHODS):
-        if str(m).lower() not in METHODS:
+    methods = config.get("methods", list(METHODS))
+    if not isinstance(methods, list) or not methods:
+        raise ConfigError(f"methods: expected a non-empty list, got {methods!r}")
+    seen = set()
+    for m in methods:
+        name = str(m).lower()
+        if name not in METHODS:
             raise ConfigError(f"methods: unknown method {m!r}; choose from {METHODS}")
+        if name in seen:
+            raise ConfigError(f"methods: {m!r} listed twice")
+        seen.add(name)
+    budget = config.get("budget", {})
+    if not isinstance(budget, dict):
+        raise ConfigError("budget: not an object")
     # every method starts from init_population, which needs four members
-    _check_int(config.get("budget", {}), "pop_size", 20, 4, "budget.pop_size")
+    _check_int(budget.get("pop_size", 20), 4, "budget.pop_size")
+    _check_int(budget.get("iterations", 50), 1, "budget.iterations")
+    _check_seeds(config.get("seeds", {}))
 
 
 def run_experiment(config: dict) -> TrialReport:
@@ -409,7 +445,7 @@ def run_experiment(config: dict) -> TrialReport:
     method gets its own classifier objective, so no method is timed on
     another's cached evaluations. Raises ConfigError for an unusable config.
     """
-    _check_config(config)
+    check_config(config)
     task = config["task"]
     methods = [m.lower() for m in config.get("methods", list(METHODS))]
     budget = config.get("budget", {})
@@ -468,38 +504,26 @@ def _space_from_config(space_cfg) -> HyperparamSpace:
 # Report emission
 # ---------------------------------------------------------------------------
 
-def _ordered_columns(report: TrialReport) -> list[str]:
-    return sorted(report.columns)
-
-
-def emit_report(report: TrialReport, fmt: str = "csv",
-                include_timings: bool = False) -> str:
+def emit_report(report: TrialReport, fmt: str = "csv") -> str:
     """Render a report. Column order is method first, then metrics
-    alphabetically; the text table rounds to 4 decimals. Wall times are only
-    included on request because they are not reproducible."""
+    alphabetically; the text table rounds to 4 decimals. Wall times are left
+    out because they are not reproducible; ``opt run`` writes them to
+    ``timings.json``."""
     if not report.rows:
         raise ValueError("empty report")
-    cols = _ordered_columns(report)
-    if include_timings:
-        cols = cols + ["wall_time_s"]
-
-    def cell(method: str, col: str) -> float:
-        if col == "wall_time_s":
-            return report.wall_times.get(method, 0.0)
-        return report.rows[method][col]
-
+    cols = sorted(report.columns)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
         writer.writerow(["method"] + cols)
         for method in report.rows:
-            writer.writerow([method] + [repr(cell(method, c)) for c in cols])
+            writer.writerow([method] + [repr(report.rows[method][c]) for c in cols])
         return buf.getvalue()
     if fmt == "json":
         return json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
     if fmt == "text-table":
         header = ["method"] + cols
-        body = [[m] + [f"{cell(m, c):.4f}" for c in cols] for m in report.rows]
+        body = [[m] + [f"{report.rows[m][c]:.4f}" for c in cols] for m in report.rows]
         widths = [max(len(r[i]) for r in [header] + body) for i in range(len(header))]
         lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
         lines.append("  ".join("-" * w for w in widths))
@@ -507,8 +531,3 @@ def emit_report(report: TrialReport, fmt: str = "csv",
             lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown report format {fmt!r}")
-
-
-def write_report(report: TrialReport, fmt: str, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(emit_report(report, fmt))

@@ -13,8 +13,8 @@ uniform draw delta:
 
 Candidate moves in the global, stay and territorial phases are accepted
 greedily (only if they do not worsen fitness); migration replaces the worst
-member unconditionally. Elitism (on by default) reinjects the best-so-far
-individual if an iteration loses it.
+member unconditionally. Elitism reinjects the best-so-far individual, in
+place of the worst member, if an iteration loses it.
 """
 
 from __future__ import annotations
@@ -25,9 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    CountingObjective,
     Individual,
     Population,
     SearchSpace,
+    accept_if_better,
     clamp,
     evaluate,
     init_population,
@@ -36,14 +38,11 @@ from .core import (
 
 __all__ = [
     "HrahaConfig",
-    "FlightKind",
-    "LocalStrategy",
     "OptimizationResult",
     "compute_alpha",
     "select_flight",
     "flight_mask",
     "global_search_step",
-    "draw_delta",
     "strategy_for_delta",
     "stay_and_disguise",
     "territorial_foraging",
@@ -74,10 +73,6 @@ LOCAL_STRATEGIES = (
     STRAT_MOVE_CLOSER,
 )
 
-FlightKind = str
-LocalStrategy = str
-
-
 @dataclass(frozen=True)
 class HrahaConfig:
     omega: float = 0.5
@@ -88,7 +83,6 @@ class HrahaConfig:
     nomad_probability: float = 0.5
     max_iters: int = 500
     target_fitness: float | None = None
-    elitism: bool = True
 
     def __post_init__(self):
         a1, a2, a3 = self.alpha_thresholds
@@ -117,22 +111,6 @@ class OptimizationResult:
     strategy_counts: dict[str, int] = field(default_factory=dict)
 
 
-class _CountingObjective:
-    """Wraps an objective to count evaluations.
-
-    A non-finite value is returned as +inf: a member that stores it is never
-    selected as the best, and the evaluation still counts."""
-
-    def __init__(self, obj):
-        self.obj = obj
-        self.count = 0
-
-    def __call__(self, x) -> float:
-        self.count += 1
-        f = float(self.obj(x))
-        return f if math.isfinite(f) else math.inf
-
-
 # ---------------------------------------------------------------------------
 # Global flight phase
 # ---------------------------------------------------------------------------
@@ -150,7 +128,7 @@ def compute_alpha(pop: Population, omega: float, t: int, T: int) -> float:
     return float(min(1.0, max(0.0, alpha)))
 
 
-def select_flight(alpha: float, thresholds) -> FlightKind:
+def select_flight(alpha: float, thresholds) -> str:
     a1, a2, a3 = thresholds
     if alpha <= a1:
         return OMNIDIRECTIONAL
@@ -159,7 +137,7 @@ def select_flight(alpha: float, thresholds) -> FlightKind:
     return DIAGONAL  # a2 < alpha <= a3, and overflow clamps to last regime
 
 
-def flight_mask(kind: FlightKind, dims: int, rng) -> np.ndarray:
+def flight_mask(kind: str, dims: int, rng) -> np.ndarray:
     """0/1 direction mask: all axes, one axis, or a strict subset of axes."""
     if kind == OMNIDIRECTIONAL:
         return np.ones(dims)
@@ -178,7 +156,7 @@ def flight_mask(kind: FlightKind, dims: int, rng) -> np.ndarray:
 
 
 def global_search_step(pop: Population, best: Individual, alpha: float,
-                       flight: FlightKind, rng, space: SearchSpace, obj) -> Population:
+                       flight: str, rng, space: SearchSpace, obj) -> Population:
     """Move every member toward the best along the flight mask; greedy accept."""
     rng = make_rng(rng)
     n = len(pop)
@@ -187,10 +165,7 @@ def global_search_step(pop: Population, best: Individual, alpha: float,
     for i, m in enumerate(pop.members):
         mask = flight_mask(flight, space.dims, rng)
         cand = clamp(m.position + alpha * g[i] * mask * (best_pos - m.position), space)
-        f = float(obj(cand))
-        if f <= m.fitness:
-            m.position = cand
-            m.fitness = f
+        accept_if_better(m, cand, float(obj(cand)))
     return pop
 
 
@@ -198,11 +173,7 @@ def global_search_step(pop: Population, best: Individual, alpha: float,
 # Local strategies
 # ---------------------------------------------------------------------------
 
-def draw_delta(rng) -> float:
-    return float(make_rng(rng).random())
-
-
-def strategy_for_delta(delta: float) -> LocalStrategy:
+def strategy_for_delta(delta: float) -> str:
     if delta <= 0.5:
         return STRAT_NONE
     if delta <= 0.75:
@@ -348,7 +319,7 @@ def move_closer_reproduce(pop: Population, cfg: HrahaConfig, rng,
 def run(obj, space: SearchSpace, cfg: HrahaConfig, pop_size: int, rng) -> OptimizationResult:
     """Full optimization loop; deterministic for a fixed seed."""
     rng = make_rng(rng)
-    counted = _CountingObjective(obj)
+    counted = CountingObjective(obj)
     M = cfg.migration_coefficient if cfg.migration_coefficient is not None else 2 * pop_size
 
     pop = init_population(space, pop_size, rng)
@@ -375,10 +346,7 @@ def run(obj, space: SearchSpace, cfg: HrahaConfig, pop_size: int, rng) -> Optimi
                 nr = cfg.scaling_a * theta
                 phis = rng.uniform(0.0, 2 * math.pi, space.dims)
                 cand = stay_and_disguise(m.position, nr, phis, space)
-                f = counted(cand)
-                if f <= m.fitness:
-                    m.position = cand
-                    m.fitness = f
+                accept_if_better(m, cand, counted(cand))
             elif strat == STRAT_TERRITORIAL:
                 n_pairs = (space.dims + 1) // 2
                 # step scale tied to the box width so hops can cross basins
@@ -388,10 +356,7 @@ def run(obj, space: SearchSpace, cfg: HrahaConfig, pop_size: int, rng) -> Optimi
                 phi0 = rng.uniform(0.0, 2 * math.pi, n_pairs)
                 theta = rng.random(n_pairs)
                 cand = territorial_foraging(m.position, lam, r, phi, phi0, theta, space)
-                f = counted(cand)
-                if f <= m.fitness:
-                    m.position = cand
-                    m.fitness = f
+                accept_if_better(m, cand, counted(cand))
             elif strat == STRAT_MIGRATION:
                 migrated, _ = migrate_worst(pop, space, rng, last_migration, t, M, counted)
                 if migrated:
@@ -399,15 +364,11 @@ def run(obj, space: SearchSpace, cfg: HrahaConfig, pop_size: int, rng) -> Optimi
             elif strat == STRAT_MOVE_CLOSER:
                 move_closer_reproduce(pop, cfg, rng, space, counted)
 
-        if cfg.elitism:
-            cur_best = pop.best
-            if cur_best.fitness > incumbent.fitness:
-                pop.members[pop.worst_index] = incumbent.copy()
-            else:
-                incumbent = cur_best.copy()
+        cur_best = pop.best
+        if cur_best.fitness > incumbent.fitness:
+            pop.members[pop.worst_index] = incumbent.copy()
         else:
-            if pop.best.fitness < incumbent.fitness:
-                incumbent = pop.best.copy()
+            incumbent = cur_best.copy()
 
         history.append(incumbent.fitness)
         if cfg.target_fitness is not None and incumbent.fitness <= cfg.target_fitness:

@@ -5,20 +5,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
-__all__ = ["MetricReport", "bleu4", "rouge_l", "lcs_length", "accuracy", "f_score"]
+__all__ = ["bleu4", "rouge_l", "lcs_length", "accuracy", "f_score"]
 
 # added to numerator and denominator of any zero n-gram precision
 BLEU_SMOOTHING = 1e-9
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    bleu: float
-    rouge_l: float
-    accuracy: float
-    f_score: float
 
 
 def _ngrams(tokens, n):

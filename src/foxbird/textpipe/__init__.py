@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -19,13 +19,10 @@ import numpy as np
 from .porter import stem
 
 __all__ = [
-    "Document",
     "Vocabulary",
     "TermDocMatrix",
     "default_stopwords",
     "default_contractions",
-    "load_wordlist",
-    "load_contractions",
     "clean_text",
     "tokenize",
     "remove_stopwords",
@@ -44,25 +41,6 @@ _WS = re.compile(r"\s+")
 
 def _data_text(name: str) -> str:
     return resources.files("foxbird.textpipe").joinpath("data", name).read_text("utf-8")
-
-
-def load_wordlist(path) -> frozenset[str]:
-    """One lowercase entry per line; blank lines ignored."""
-    with open(path, encoding="utf-8") as fh:
-        return frozenset(line.strip() for line in fh if line.strip())
-
-
-def load_contractions(path) -> dict[str, str]:
-    """Tab-separated contraction -> expansion, one per line."""
-    table = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            key, _, val = line.partition("\t")
-            table[key.strip()] = val.strip()
-    return table
 
 
 def default_stopwords() -> frozenset[str]:
@@ -87,13 +65,6 @@ def _contraction_pattern(table: dict[str, str]) -> re.Pattern:
 _DEFAULT_CONTRACTIONS = default_contractions()
 _DEFAULT_CONTRACTION_RE = _contraction_pattern(_DEFAULT_CONTRACTIONS)
 _DEFAULT_STOPWORDS = default_stopwords()
-
-
-@dataclass
-class Document:
-    id: str
-    raw: str
-    tokens: list[str] = field(default_factory=list)
 
 
 def clean_text(raw: str, contractions: dict[str, str] | None = None) -> str:

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from foxbird import HrahaConfig, run
-from foxbird.baselines import run_baseline
 from foxbird.benchmarks import get_benchmark
 from foxbird.core import init_population, make_rng
 from foxbird.harness import (
@@ -23,6 +22,7 @@ from foxbird.harness import (
     classifier_objective,
     default_tuning_space,
     load_corpus,
+    run_method,
     run_random_search,
 )
 from foxbird.hraha import (
@@ -91,11 +91,7 @@ def test_criterion_2_comparative_rastrigin():
     for method in ("hraha", "aha", "rfo", "pso"):
         fits = []
         for seed in range(30):
-            rng = make_rng(1000 + seed)
-            if method == "hraha":
-                res = run(bench, space, HrahaConfig(max_iters=500), 30, rng)
-            else:
-                res = run_baseline(method, bench, space, 30, 500, rng)
+            res = run_method(method, bench, space, 30, 500, make_rng(1000 + seed))
             fits.append(res.best_fitness)
         medians[method] = statistics.median(fits)
     elapsed = time.perf_counter() - t0

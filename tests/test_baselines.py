@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from foxbird.baselines import run_baseline, run_pso
+from foxbird.baselines import run_pso
 from foxbird.benchmarks import get_benchmark
 from foxbird.core import make_rng
+from foxbird.harness import run_method
 from foxbird.hraha import OptimizationResult
 
 
@@ -19,7 +20,7 @@ def test_pso_sphere_convergence():
 def test_zero_iterations_returns_initial_best(subtests=None):
     space = SPHERE.space(3)
     for kind in ("rfo", "aha", "pso"):
-        result = run_baseline(kind, SPHERE, space, 10, 0, make_rng(4))
+        result = run_method(kind, SPHERE, space, 10, 0, make_rng(4))
         # same init draws as a fresh population with the same seed
         from foxbird.core import evaluate, init_population
 
@@ -31,8 +32,8 @@ def test_zero_iterations_returns_initial_best(subtests=None):
 @pytest.mark.parametrize("kind", ["rfo", "aha", "pso"])
 def test_determinism(kind):
     space = SPHERE.space(4)
-    r1 = run_baseline(kind, SPHERE, space, 10, 30, make_rng(7))
-    r2 = run_baseline(kind, SPHERE, space, 10, 30, make_rng(7))
+    r1 = run_method(kind, SPHERE, space, 10, 30, make_rng(7))
+    r2 = run_method(kind, SPHERE, space, 10, 30, make_rng(7))
     assert r1.best_fitness == r2.best_fitness
     assert np.array_equal(r1.best_position, r2.best_position)
     assert r1.history == r2.history
@@ -42,7 +43,7 @@ def test_determinism(kind):
 @pytest.mark.parametrize("kind", ["rfo", "aha", "pso"])
 def test_result_shape_and_bounds(kind):
     space = SPHERE.space(5)
-    result = run_baseline(kind, SPHERE, space, 8, 25, make_rng(2))
+    result = run_method(kind, SPHERE, space, 8, 25, make_rng(2))
     assert isinstance(result, OptimizationResult)
     assert len(result.history) == 25
     assert np.all(result.best_position >= space.lower)
@@ -53,5 +54,5 @@ def test_result_shape_and_bounds(kind):
 
 
 def test_unknown_kind():
-    with pytest.raises(ValueError, match="unknown baseline"):
-        run_baseline("cma", SPHERE, SPHERE.space(2), 10, 10, make_rng(0))
+    with pytest.raises(ValueError, match="unknown method"):
+        run_method("cma", SPHERE, SPHERE.space(2), 10, 10, make_rng(0))

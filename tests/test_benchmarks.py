@@ -1,29 +1,29 @@
 import numpy as np
 import pytest
 
-from foxbird.benchmarks import BENCHMARKS, benchmark, benchmark_space, get_benchmark
+from foxbird.benchmarks import BENCHMARKS, get_benchmark
 
 
 def test_sphere_optimum():
-    assert benchmark("sphere", np.zeros(5)) == 0.0
+    assert get_benchmark("sphere")(np.zeros(5)) == 0.0
 
 
 def test_rastrigin_values():
-    assert benchmark("rastrigin", np.zeros(4)) == pytest.approx(0.0, abs=1e-12)
-    assert benchmark("rastrigin", np.array([1.0, 0.0])) == pytest.approx(1.0, abs=1e-9)
+    assert get_benchmark("rastrigin")(np.zeros(4)) == pytest.approx(0.0, abs=1e-12)
+    assert get_benchmark("rastrigin")(np.array([1.0, 0.0])) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_ackley_optimum():
-    assert benchmark("ackley", np.zeros(2)) == pytest.approx(0.0, abs=1e-12)
+    assert get_benchmark("ackley")(np.zeros(2)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rosenbrock_optimum():
-    assert benchmark("rosenbrock", np.ones(6)) == 0.0
+    assert get_benchmark("rosenbrock")(np.ones(6)) == 0.0
 
 
 def test_unknown_name():
     with pytest.raises(ValueError, match="unknown benchmark"):
-        benchmark("nope", np.zeros(2))
+        get_benchmark("nope")
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARKS))
@@ -32,5 +32,5 @@ def test_known_optimum_within_tolerance(name):
     for dims in (2, 5, 10):
         x = b.optimum_location(dims)
         assert abs(b(x) - b.optimum_value) <= 1e-12
-        space = benchmark_space(name, dims)
+        space = b.space(dims)
         assert np.all(x >= space.lower) and np.all(x <= space.upper)

@@ -74,6 +74,13 @@ class TestRun:
         ("budget.pop_size", {"budget": {"pop_size": 2, "iterations": 15}}),
         ("task.dims", {"task": {"kind": "benchmark", "function": "sphere", "dims": 0}}),
         ("methods", {"methods": ["hraha", "annealing"]}),
+        ("methods", {"methods": []}),
+        ("methods", {"methods": "pso"}),
+        ("methods", {"methods": ["pso", "pso"]}),
+        ("budget.iterations", {"budget": {"pop_size": 10, "iterations": 0}}),
+        ("budget.iterations", {"methods": ["pso"], "budget": {"pop_size": 10, "iterations": -2}}),
+        ("seeds.count", {"seeds": {"count": 0}}),
+        ("seeds", {"seeds": []}),
     ])
     def test_bad_field_is_usage_error(self, tmp_path, capsys, field, over):
         cfg = write_config(tmp_path / "cfg.json", **over)
@@ -93,6 +100,16 @@ class TestBench:
         out = capsys.readouterr().out
         assert "best_fitness=" in out
         assert "evaluations=" in out
+
+    @pytest.mark.parametrize("field, flag, value", [
+        ("budget.pop_size", "--pop-size", "2"),
+        ("task.dims", "--dims", "0"),
+        ("budget.iterations", "--iters", "0"),
+    ])
+    def test_bad_argument_is_usage_error(self, capsys, field, flag, value):
+        code = main(["bench", "--function", "sphere", flag, value])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"usage error: {field}:")
 
     def test_unknown_function_is_usage_error(self, capsys):
         assert main(["bench", "--function", "beale"]) == EXIT_USAGE

@@ -3,14 +3,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from foxbird.core import (
+    CountingObjective,
     Individual,
     Population,
+    accept_if_better,
     clamp,
     evaluate,
     init_population,
     make_rng,
     make_search_space,
-    select_best,
 )
 
 
@@ -79,37 +80,38 @@ class TestEvaluate:
             evaluate(pop, lambda x: float("nan"))
 
 
-class TestSelectBest:
-    def _pop(self, fits):
-        return Population([Individual(np.array([float(i)]), f)
-                           for i, f in enumerate(fits)])
+class TestCountingObjective:
+    def test_counts_every_call(self):
+        counted = CountingObjective(sphere)
+        assert counted(np.array([1.0, 2.0])) == 5.0
+        counted(np.zeros(2))
+        assert counted.count == 2
 
-    def test_sorted_prefix(self):
-        best = select_best(self._pop([3, 1, 2]), 2)
-        assert [b.fitness for b in best] == [1, 2]
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_is_plus_inf(self, bad):
+        counted = CountingObjective(lambda x: bad)
+        assert counted(np.zeros(1)) == float("inf")
+        assert counted.count == 1
 
-    def test_full_sort(self):
-        best = select_best(self._pop([3, 1, 2]), 3)
-        assert [b.fitness for b in best] == [1, 2, 3]
 
-    def test_tie_lowest_index(self):
-        best = select_best(self._pop([5, 5]), 1)
-        assert best[0].position[0] == 0.0
+class TestAcceptIfBetter:
+    def test_takes_the_candidate_array_itself(self):
+        m = Individual(np.zeros(2), 1.0)
+        cand = np.ones(2)
+        accept_if_better(m, cand, 0.5)
+        assert m.position is cand and m.fitness == 0.5
 
-    def test_unevaluated_rejected(self):
-        pop = Population([Individual(np.zeros(1)), Individual(np.zeros(1), 1.0)])
-        with pytest.raises(ValueError, match="unevaluated"):
-            select_best(pop, 1)
+    def test_tie_accepts(self):
+        m = Individual(np.zeros(2), 1.0)
+        cand = np.ones(2)
+        accept_if_better(m, cand, 1.0)
+        assert m.position is cand
 
-    def test_k_too_large(self):
-        with pytest.raises(ValueError):
-            select_best(self._pop([1, 2]), 3)
-
-    def test_k_smallest_multiset(self):
-        rng = make_rng(3)
-        fits = list(rng.random(20))
-        got = [b.fitness for b in select_best(self._pop(fits), 7)]
-        assert got == sorted(fits)[:7]
+    def test_worse_rejected(self):
+        pos = np.zeros(2)
+        m = Individual(pos, 1.0)
+        accept_if_better(m, np.ones(2), 1.5)
+        assert m.position is pos and m.fitness == 1.0
 
 
 class TestClamp:

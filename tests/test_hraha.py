@@ -23,7 +23,6 @@ from foxbird.hraha import (
     HrahaConfig,
     compute_alpha,
     crossover,
-    draw_delta,
     flight_mask,
     global_search_step,
     habitat_center,
@@ -144,15 +143,6 @@ class TestGlobalSearchStep:
 
 
 class TestDeltaRegimes:
-    def test_reproducible(self):
-        assert draw_delta(make_rng(5)) == draw_delta(make_rng(5))
-
-    def test_range_and_mean(self):
-        rng = make_rng(0)
-        draws = np.array([draw_delta(rng) for _ in range(100_000)])
-        assert np.all((draws >= 0) & (draws <= 1))
-        assert abs(draws.mean() - 0.5) < 0.01
-
     def test_partition(self):
         assert strategy_for_delta(0.3) == STRAT_NONE
         assert strategy_for_delta(0.5) == STRAT_NONE
@@ -168,7 +158,7 @@ class TestDeltaRegimes:
     def test_exactly_one_strategy_per_draw(self):
         rng = make_rng(1)
         for _ in range(10_000):
-            strat = strategy_for_delta(draw_delta(rng))
+            strat = strategy_for_delta(rng.random())
             assert strat in (STRAT_NONE, STRAT_STAY, STRAT_TERRITORIAL,
                              STRAT_MIGRATION, STRAT_MOVE_CLOSER)
 

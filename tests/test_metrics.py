@@ -5,7 +5,6 @@ import pytest
 
 from foxbird.metrics import (
     BLEU_SMOOTHING,
-    MetricReport,
     accuracy,
     bleu4,
     f_score,
@@ -194,9 +193,3 @@ class TestFScore:
                 fn = Counter(gold)[c] - tp
                 f1s.append(2 * tp / (2 * tp + fp + fn) if (2 * tp + fp + fn) else 0.0)
             assert f_score(pred, gold) == pytest.approx(sum(f1s) / len(f1s))
-
-
-class TestMetricReport:
-    def test_fields(self):
-        r = MetricReport(bleu=0.5, rouge_l=0.6, accuracy=0.7, f_score=0.8)
-        assert (r.bleu, r.rouge_l, r.accuracy, r.f_score) == (0.5, 0.6, 0.7, 0.8)
