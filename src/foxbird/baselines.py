@@ -65,10 +65,11 @@ def run_rfo(obj, space: SearchSpace, pop_size: int, max_iters: int,
     incumbent = pop.best.copy()
     history = []
     for _ in range(max_iters):
-        best_pos = pop.best.position.copy()
-        for m in pop.members:
-            kappa = rng.random()
-            cand = clamp(m.position + kappa * (best_pos - m.position), space)
+        # guided move toward the best, built for all members at once
+        kappa = rng.random(len(pop))
+        P = pop.positions()
+        cands = clamp(P + kappa[:, None] * (pop.best.position - P), space)
+        for m, cand in zip(pop.members, cands):
             accept_if_better(m, cand, counted(cand))
         for m in pop.members:
             mu = rng.random()

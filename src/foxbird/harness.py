@@ -328,7 +328,11 @@ def run_method(method: str, obj, space: SearchSpace, pop_size: int,
 
 def run_random_search(obj, space: SearchSpace, budget: int, rng) -> OptimizationResult:
     """Uniform random sampling at a fixed evaluation budget; a non-finite
-    value counts as +inf, as it does for every method."""
+    value counts as +inf, as it does for every method. The first sample is
+    the best until a later one is strictly better, so the best point is in
+    the box even when no evaluation is finite."""
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     rng = make_rng(rng)
     counted = CountingObjective(obj)
     best_x, best_f = None, math.inf
@@ -336,7 +340,7 @@ def run_random_search(obj, space: SearchSpace, budget: int, rng) -> Optimization
     for _ in range(budget):
         x = rng.uniform(space.lower, space.upper)
         f = counted(x)
-        if f < best_f:
+        if best_x is None or f < best_f:
             best_f, best_x = f, x
         history.append(best_f)
     return OptimizationResult(best_x, best_f, history, counted.count, {})
@@ -413,6 +417,7 @@ def check_config(config: dict) -> None:
     elif kind == "classifier":
         if "corpus" not in task:
             raise ConfigError("task.corpus: missing")
+        _space_from_config(config.get("space"))
     else:
         raise ConfigError(f"task.kind: unknown task kind {kind!r}; "
                           f"choose from ('benchmark', 'classifier')")
@@ -487,16 +492,53 @@ def run_experiment(config: dict) -> TrialReport:
     return TrialReport(columns, rows, seeds, wall_times)
 
 
+def _check_bound(value, name: str) -> float:
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name}: expected a number, got {value!r}") from None
+    if not math.isfinite(x):
+        raise ConfigError(f"{name}: must be finite, got {x}")
+    return x
+
+
 def _space_from_config(space_cfg) -> HyperparamSpace:
+    """The classifier's hyperparameter space from a config's ``space`` list
+    (the default space when absent); ConfigError names the first bad field.
+    Every tunable the objective reads must appear exactly once."""
     if space_cfg is None:
         return default_tuning_space()
+    if not isinstance(space_cfg, list):
+        raise ConfigError(f"space: expected a list of dimensions, got {space_cfg!r}")
+    tunables = tuple(d.name for d in default_tuning_space().dims)
     dims = []
-    for d in space_cfg:
-        kind = d["kind"]
+    for i, d in enumerate(space_cfg):
+        at = f"space[{i}]"
+        if not isinstance(d, dict):
+            raise ConfigError(f"{at}: expected an object, got {d!r}")
+        name = d.get("name")
+        if name not in tunables:
+            raise ConfigError(f"{at}.name: unknown tunable {name!r}; choose from {tunables}")
+        if any(prev.name == name for prev in dims):
+            raise ConfigError(f"{at}.name: {name!r} listed twice")
+        kind = d.get("kind")
         if kind == "categorical":
-            dims.append(HyperparamDim(d["name"], kind, choices=tuple(d["choices"])))
+            choices = d.get("choices")
+            if not isinstance(choices, list) or not choices:
+                raise ConfigError(f"{at}.choices: expected a non-empty list, got {choices!r}")
+            dims.append(HyperparamDim(name, kind, choices=tuple(choices)))
+        elif kind in ("continuous", "integer"):
+            lo = _check_bound(d.get("lo"), f"{at}.lo")
+            hi = _check_bound(d.get("hi"), f"{at}.hi")
+            if not lo < hi:
+                raise ConfigError(f"{at}.lo: must be below hi, got lo={lo}, hi={hi}")
+            dims.append(HyperparamDim(name, kind, lo, hi))
         else:
-            dims.append(HyperparamDim(d["name"], kind, float(d["lo"]), float(d["hi"])))
+            raise ConfigError(f"{at}.kind: unknown kind {kind!r}; "
+                              f"choose from ('continuous', 'integer', 'categorical')")
+    missing = [t for t in tunables if all(d.name != t for d in dims)]
+    if missing:
+        raise ConfigError(f"space: missing {', '.join(missing)}")
     return HyperparamSpace(tuple(dims))
 
 

@@ -157,14 +157,25 @@ def flight_mask(kind: str, dims: int, rng) -> np.ndarray:
 
 def global_search_step(pop: Population, best: Individual, alpha: float,
                        flight: str, rng, space: SearchSpace, obj) -> Population:
-    """Move every member toward the best along the flight mask; greedy accept."""
+    """Move every member toward the best along the flight mask; greedy accept.
+
+    All candidates are built as one matrix before any is evaluated; each
+    member's candidate depends only on its own position, so this equals the
+    member-by-member step. The masks draw from ``rng`` in the same order as
+    one ``flight_mask`` call per member."""
     rng = make_rng(rng)
-    n = len(pop)
+    n, d = len(pop), space.dims
     g = rng.standard_normal(n)
-    best_pos = best.position.copy()
-    for i, m in enumerate(pop.members):
-        mask = flight_mask(flight, space.dims, rng)
-        cand = clamp(m.position + alpha * g[i] * mask * (best_pos - m.position), space)
+    if flight == OMNIDIRECTIONAL:
+        masks = np.ones((n, d))
+    elif flight == AXIAL:
+        masks = np.zeros((n, d))
+        masks[np.arange(n), rng.integers(0, d, size=n)] = 1.0
+    else:
+        masks = np.array([flight_mask(flight, d, rng) for _ in range(n)])
+    P = pop.positions()
+    cands = clamp(P + alpha * g[:, None] * masks * (best.position - P), space)
+    for m, cand in zip(pop.members, cands):
         accept_if_better(m, cand, float(obj(cand)))
     return pop
 
@@ -189,19 +200,15 @@ def stay_and_disguise(position: np.ndarray, nr: float, phis: np.ndarray,
                       space: SearchSpace) -> np.ndarray:
     """Circling perturbation: chained sine offsets with one cosine cross-term
     per middle coordinate; clamped to the box."""
-    d = space.dims
-    if d < 1:
+    if space.dims < 1:
         raise ValueError("dims must be >= 1")
     position = np.asarray(position, dtype=float)
     phis = np.asarray(phis, dtype=float)
-    out = position.copy()
-    sines = np.sin(phis)
-    out[0] = position[0] + nr * sines[0]
-    if d >= 2:
-        cum = np.cumsum(sines)
-        for k in range(1, d - 1):
-            out[k] = position[k] + nr * cum[k - 1] + nr * math.cos(phis[k])
-        out[d - 1] = position[d - 1] + nr * cum[d - 2]
+    cum = np.cumsum(np.sin(phis))
+    # coordinate k moves by nr * cum[k - 1] (nr * sin(phi_0) for k = 0) ...
+    out = position + nr * np.concatenate((cum[:1], cum[:-1]))
+    # ... and each middle coordinate also by nr * cos(phi_k)
+    out[1:-1] += nr * np.cos(phis[1:-1])
     return clamp(out, space)
 
 
@@ -212,18 +219,11 @@ def territorial_foraging(position: np.ndarray, lam: float, r, phi, phi0, theta,
     and radius parameters may be scalars or per-pair vectors."""
     position = np.asarray(position, dtype=float)
     d = position.shape[0]
-    n_pairs = (d + 1) // 2
-    r = np.broadcast_to(np.asarray(r, dtype=float), (n_pairs,))
-    phi = np.broadcast_to(np.asarray(phi, dtype=float), (n_pairs,))
-    phi0 = np.broadcast_to(np.asarray(phi0, dtype=float), (n_pairs,))
-    theta = np.broadcast_to(np.asarray(theta, dtype=float), (n_pairs,))
+    r, phi, phi0, theta = (np.asarray(v, dtype=float) for v in (r, phi, phi0, theta))
+    radial = np.broadcast_to(r * np.cos(phi) + theta * np.cos(phi0), ((d + 1) // 2,))
     out = position.copy()
-    radial = r * np.cos(phi) + theta * np.cos(phi0)
-    for p in range(n_pairs):
-        i = 2 * p
-        out[i] = position[i] + lam * math.cos(phi[p]) * radial[p]
-        if i + 1 < d:
-            out[i + 1] = position[i + 1] + lam * math.sin(phi[p]) * radial[p]
+    out[0::2] += lam * np.cos(phi) * radial
+    out[1::2] += (lam * np.sin(phi) * radial)[: d // 2]
     return clamp(out, space)
 
 
@@ -329,6 +329,8 @@ def run(obj, space: SearchSpace, cfg: HrahaConfig, pop_size: int, rng) -> Optimi
     history: list[float] = []
     last_migration = 0
     incumbent = pop.best.copy()
+    # territorial step scale tied to the box width so hops can cross basins
+    box_scale = 0.3 * float(np.mean(space.upper - space.lower))
 
     for t in range(cfg.max_iters):
         alpha = compute_alpha(pop, cfg.omega, t, cfg.max_iters)
@@ -349,8 +351,7 @@ def run(obj, space: SearchSpace, cfg: HrahaConfig, pop_size: int, rng) -> Optimi
                 accept_if_better(m, cand, counted(cand))
             elif strat == STRAT_TERRITORIAL:
                 n_pairs = (space.dims + 1) // 2
-                # step scale tied to the box width so hops can cross basins
-                lam = 0.3 * float(np.mean(space.upper - space.lower)) * rng.random()
+                lam = box_scale * rng.random()
                 r = rng.random(n_pairs)
                 phi = rng.uniform(0.0, 2 * math.pi, n_pairs)
                 phi0 = rng.uniform(0.0, 2 * math.pi, n_pairs)

@@ -17,6 +17,17 @@ def write_config(path, **over):
     return path
 
 
+# the default tuning space, written out as a config's space section
+SPACE = [
+    {"name": "min_doc_freq", "kind": "integer", "lo": 1, "hi": 5},
+    {"name": "max_terms", "kind": "integer", "lo": 10, "hi": 2000},
+    {"name": "use_stemming", "kind": "categorical", "choices": [False, True]},
+    {"name": "nb_smoothing", "kind": "continuous", "lo": 0.01, "hi": 5.0},
+]
+# the config is rejected before the corpus is read, so the file need not exist
+CLASSIFIER = {"kind": "classifier", "corpus": "corpus.csv"}
+
+
 class TestRun:
     def test_writes_all_artifacts(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json")
@@ -63,6 +74,19 @@ class TestRun:
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == EXIT_DATA
 
+    def test_space_section_as_the_default(self, tmp_path, corpus_csv):
+        out = {}
+        for name, space in (("default", None), ("explicit", SPACE)):
+            over = {"task": {"kind": "classifier", "corpus": str(corpus_csv)},
+                    "methods": ["pso"], "budget": {"pop_size": 4, "iterations": 1},
+                    "seeds": [0]}
+            if space is not None:
+                over["space"] = space
+            cfg = write_config(tmp_path / f"{name}.json", **over)
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / name)]) == EXIT_OK
+            out[name] = (tmp_path / name / "report.csv").read_bytes()
+        assert out["explicit"] == out["default"]
+
     def test_bad_config_contents(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json",
                            task={"kind": "benchmark", "function": "himmelblau"})
@@ -81,6 +105,19 @@ class TestRun:
         ("budget.iterations", {"methods": ["pso"], "budget": {"pop_size": 10, "iterations": -2}}),
         ("seeds.count", {"seeds": {"count": 0}}),
         ("seeds", {"seeds": []}),
+        ("space[0].kind", {"task": CLASSIFIER, "space": [
+            {"name": "min_doc_freq", "lo": 1, "hi": 5}, *SPACE[1:]]}),
+        ("space[1].name", {"task": CLASSIFIER, "space": [
+            SPACE[0], {**SPACE[1], "name": "max_features"}, *SPACE[2:]]}),
+        ("space[1].name", {"task": CLASSIFIER, "space": [SPACE[0], SPACE[0], *SPACE[1:]]}),
+        ("space[3].lo", {"task": CLASSIFIER, "space": [
+            *SPACE[:3], {**SPACE[3], "lo": 5.0, "hi": 0.01}]}),
+        ("space[0].hi", {"task": CLASSIFIER, "space": [
+            {**SPACE[0], "hi": "five"}, *SPACE[1:]]}),
+        ("space[2].choices", {"task": CLASSIFIER, "space": [
+            *SPACE[:2], {"name": "use_stemming", "kind": "categorical"}, SPACE[3]]}),
+        ("space", {"task": CLASSIFIER, "space": SPACE[:3]}),
+        ("space", {"task": CLASSIFIER, "space": {"min_doc_freq": [1, 5]}}),
     ])
     def test_bad_field_is_usage_error(self, tmp_path, capsys, field, over):
         cfg = write_config(tmp_path / "cfg.json", **over)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from foxbird import textpipe
-from foxbird.core import make_rng
+from foxbird.core import make_rng, make_search_space
 from foxbird.harness import (
     METHODS,
     DataError,
@@ -361,6 +361,22 @@ class TestRunners:
         assert math.isfinite(res.best_fitness)
         assert all(math.isfinite(f) for f in res.history)
         assert res.evaluations == len(calls) == 20
+
+    def test_random_search_with_no_finite_value_keeps_the_first_sample(self):
+        space = make_search_space([-1.0, 0.0], [1.0, 3.0])
+        res = run_random_search(lambda x: float("nan"), space, 5, make_rng(0))
+        first = make_rng(0).uniform(space.lower, space.upper)
+        assert np.array_equal(res.best_position, first)
+        assert res.best_fitness == math.inf
+        assert res.history == [math.inf] * 5
+        assert res.evaluations == 5
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_random_search_rejects_an_empty_budget(self, budget):
+        from foxbird.benchmarks import get_benchmark
+        bench = get_benchmark("sphere")
+        with pytest.raises(ValueError, match="budget"):
+            run_random_search(bench, bench.space(2), budget, make_rng(0))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from foxbird.core import (
     Individual,
     Population,
+    clamp,
     evaluate,
     make_rng,
     make_search_space,
@@ -140,6 +141,101 @@ class TestGlobalSearchStep:
         before = pop.fitnesses()
         global_search_step(pop, pop.best.copy(), 0.8, DIAGONAL, rng, space, sphere)
         assert np.all(pop.fitnesses() <= before)
+
+
+# Member-by-member forms of the vectorised operators, kept as references: the
+# operators must reproduce them bit for bit and draw the same random numbers.
+REFERENCE_DIMS = (1, 2, 3, 5, 10, 31)
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def global_search_step_loop(pop, best, alpha, flight, rng, space, obj):
+    g = rng.standard_normal(len(pop))
+    best_pos = best.position.copy()
+    for i, m in enumerate(pop.members):
+        mask = flight_mask(flight, space.dims, rng)
+        cand = clamp(m.position + alpha * g[i] * mask * (best_pos - m.position), space)
+        f = float(obj(cand))
+        if f <= m.fitness:
+            m.position, m.fitness = cand, f
+
+
+def stay_and_disguise_loop(position, nr, phis, space):
+    d = space.dims
+    out = position.copy()
+    sines = np.sin(phis)
+    out[0] = position[0] + nr * sines[0]
+    if d >= 2:
+        cum = np.cumsum(sines)
+        for k in range(1, d - 1):
+            out[k] = position[k] + nr * cum[k - 1] + nr * math.cos(phis[k])
+        out[d - 1] = position[d - 1] + nr * cum[d - 2]
+    return clamp(out, space)
+
+
+def territorial_foraging_loop(position, lam, r, phi, phi0, theta, space):
+    d = position.shape[0]
+    n_pairs = (d + 1) // 2
+    r, phi, phi0, theta = (np.broadcast_to(np.asarray(v, dtype=float), (n_pairs,))
+                           for v in (r, phi, phi0, theta))
+    out = position.copy()
+    radial = r * np.cos(phi) + theta * np.cos(phi0)
+    for p in range(n_pairs):
+        i = 2 * p
+        out[i] = position[i] + lam * math.cos(phi[p]) * radial[p]
+        if i + 1 < d:
+            out[i + 1] = position[i + 1] + lam * math.sin(phi[p]) * radial[p]
+    return clamp(out, space)
+
+
+class TestMatchesMemberByMemberReference:
+    @pytest.mark.parametrize("dims", REFERENCE_DIMS)
+    @pytest.mark.parametrize("flight", [OMNIDIRECTIONAL, AXIAL, DIAGONAL])
+    def test_global_search_step(self, flight, dims):
+        space = make_search_space([-5.0] * dims, [5.0] * dims)
+        for seed in range(20):
+            setup = make_rng(seed)
+            positions = setup.uniform(-5, 5, (9, dims))
+            alpha = float(setup.random())
+            pops = [evaluate(Population([Individual(p.copy()) for p in positions]), sphere)
+                    for _ in range(2)]
+            rngs = [make_rng(1000 + seed), make_rng(1000 + seed)]
+            best = pops[0].best.copy()
+            global_search_step(pops[0], best, alpha, flight, rngs[0], space, sphere)
+            global_search_step_loop(pops[1], best, alpha, flight, rngs[1], space, sphere)
+            assert bits(pops[0].positions()) == bits(pops[1].positions())
+            assert bits(pops[0].fitnesses()) == bits(pops[1].fitnesses())
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    @pytest.mark.parametrize("dims", REFERENCE_DIMS)
+    def test_stay_and_disguise(self, dims):
+        space = make_search_space([-5.0] * dims, [5.0] * dims)
+        rng = make_rng(dims)
+        for _ in range(200):
+            x = rng.uniform(-5, 5, dims)
+            nr = float(rng.uniform(0, 3))  # large enough that the clamp bites
+            phis = rng.uniform(0, 2 * math.pi, dims)
+            assert (bits(stay_and_disguise(x, nr, phis, space))
+                    == bits(stay_and_disguise_loop(x, nr, phis, space)))
+
+    @pytest.mark.parametrize("dims", REFERENCE_DIMS)
+    @pytest.mark.parametrize("per_pair", [False, True])
+    def test_territorial_foraging(self, dims, per_pair):
+        space = make_search_space([-5.0] * dims, [5.0] * dims)
+        rng = make_rng(dims)
+        shape = ((dims + 1) // 2,) if per_pair else ()
+        for _ in range(200):
+            x = rng.uniform(-5, 5, dims)
+            lam = float(rng.uniform(0, 3))
+            args = (lam, rng.random(shape), rng.uniform(0, 2 * math.pi, shape),
+                    rng.uniform(0, 2 * math.pi, shape), rng.random(shape))
+            if not per_pair:
+                args = tuple(float(a) for a in args)
+            assert (bits(territorial_foraging(x, *args, space))
+                    == bits(territorial_foraging_loop(x, *args, space)))
 
 
 class TestDeltaRegimes:
