@@ -21,7 +21,7 @@ from .core import (
     make_rng,
     make_search_space,
 )
-from .hraha import HrahaConfig, OptimizationResult, run
+from .hraha import OptimizationResult, run
 
 __all__ = [
     "SearchSpace",
@@ -32,7 +32,6 @@ __all__ = [
     "init_population",
     "evaluate",
     "clamp",
-    "HrahaConfig",
     "OptimizationResult",
     "run",
 ]

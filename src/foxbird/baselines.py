@@ -26,7 +26,7 @@ from .hraha import (
     AXIAL,
     DIAGONAL,
     OMNIDIRECTIONAL,
-    HrahaConfig,
+    SCALING_A,
     OptimizationResult,
     flight_mask,
     migrate_worst,
@@ -59,7 +59,6 @@ def run_rfo(obj, space: SearchSpace, pop_size: int, max_iters: int,
     step scale, worst share and nomad probability are the hybrid's."""
     rng = make_rng(rng)
     counted = CountingObjective(obj)
-    cfg = HrahaConfig()
     pop = init_population(space, pop_size, rng)
     evaluate(pop, counted)
     incumbent = pop.best.copy()
@@ -75,11 +74,11 @@ def run_rfo(obj, space: SearchSpace, pop_size: int, max_iters: int,
             mu = rng.random()
             if mu > 0.75:
                 theta = rng.random()
-                nr = cfg.scaling_a * theta
+                nr = SCALING_A * theta
                 phis = rng.uniform(0.0, 2 * math.pi, space.dims)
                 cand = stay_and_disguise(m.position, nr, phis, space)
                 accept_if_better(m, cand, counted(cand))
-        move_closer_reproduce(pop, cfg, rng, space, counted)
+        move_closer_reproduce(pop, rng, space, counted)
         if pop.best.fitness < incumbent.fitness:
             incumbent = pop.best.copy()
         history.append(incumbent.fitness)

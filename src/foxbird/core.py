@@ -121,12 +121,11 @@ def init_population(space: SearchSpace, size: int, rng) -> Population:
 
 
 def evaluate(pop: Population, obj) -> Population:
-    """Evaluate every member in place; raises on non-finite fitness."""
+    """Evaluate every member in place. A non-finite value is stored as +inf,
+    the rule ``CountingObjective`` applies to every later evaluation."""
     for m in pop.members:
         f = float(obj(m.position))
-        if not np.isfinite(f):
-            raise ValueError(f"non-finite fitness {f!r} at position {m.position}")
-        m.fitness = f
+        m.fitness = f if math.isfinite(f) else math.inf
     return pop
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import baselines, textpipe
 from .benchmarks import BENCHMARKS, get_benchmark
 from .core import CountingObjective, SearchSpace, make_rng
-from .hraha import HrahaConfig, OptimizationResult
+from .hraha import OptimizationResult
 from .hraha import run as run_hraha
 from .metrics import accuracy as accuracy_metric
 from .metrics import f_score as f_score_metric
@@ -299,8 +299,6 @@ def classifier_objective(corpus: LabeledCorpus, space: HyperparamSpace):
         cache[key] = fitness
         return fitness
 
-    objective.space = space
-    objective.prepared = prep
     objective.fit_score = lambda x: _fit_score(prep, space.decode(x))
     return objective
 
@@ -321,9 +319,8 @@ def run_method(method: str, obj, space: SearchSpace, pop_size: int,
     each call, so a wrapper installed on that module attribute sees the run."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-    if method == "hraha":
-        return run_hraha(obj, space, HrahaConfig(max_iters=iterations), pop_size, rng)
-    return getattr(baselines, f"run_{method}")(obj, space, pop_size, iterations, rng)
+    runner = run_hraha if method == "hraha" else getattr(baselines, f"run_{method}")
+    return runner(obj, space, pop_size, iterations, rng)
 
 
 def run_random_search(obj, space: SearchSpace, budget: int, rng) -> OptimizationResult:

@@ -15,6 +15,13 @@ Candidate moves in the global, stay and territorial phases are accepted
 greedily (only if they do not worsen fitness); migration replaces the worst
 member unconditionally. Elitism reinjects the best-so-far individual, in
 place of the worst member, if an iteration loses it.
+
+``run(obj, space, pop_size, max_iters, rng)`` has the signature of every
+baseline runner. Its fixed parameters are module constants, read at call
+time: ``OMEGA`` (0.5, the spread weight in alpha), ``ALPHA_THRESHOLDS``
+(1/3, 2/3, 1), ``SCALING_A`` (0.2, the stay radius scale), ``WORST_FRACTION``
+(0.05, the share move-closer replaces) and ``NOMAD_PROBABILITY`` (0.5). The
+worst member migrates at most once every ``2 * pop_size`` iterations.
 """
 
 from __future__ import annotations
@@ -37,7 +44,6 @@ from .core import (
 )
 
 __all__ = [
-    "HrahaConfig",
     "OptimizationResult",
     "compute_alpha",
     "select_flight",
@@ -73,33 +79,11 @@ LOCAL_STRATEGIES = (
     STRAT_MOVE_CLOSER,
 )
 
-@dataclass(frozen=True)
-class HrahaConfig:
-    omega: float = 0.5
-    alpha_thresholds: tuple[float, float, float] = (1 / 3, 2 / 3, 1.0)
-    scaling_a: float = 0.2
-    worst_fraction: float = 0.05
-    migration_coefficient: int | None = None  # default 2 * pop_size, set at run()
-    nomad_probability: float = 0.5
-    max_iters: int = 500
-    target_fitness: float | None = None
-
-    def __post_init__(self):
-        a1, a2, a3 = self.alpha_thresholds
-        if not (0 < a1 < a2 < a3 <= 1):
-            raise ValueError(f"alpha thresholds must satisfy 0 < a1 < a2 < a3 <= 1, got {self.alpha_thresholds}")
-        if not 0 <= self.omega <= 1:
-            raise ValueError(f"omega must be in [0, 1], got {self.omega}")
-        if not 0 <= self.scaling_a <= 0.2:
-            raise ValueError(f"scaling_a must be in [0, 0.2], got {self.scaling_a}")
-        if not 0 < self.worst_fraction <= 0.5:
-            raise ValueError(f"worst_fraction must be in (0, 0.5], got {self.worst_fraction}")
-        if not 0 <= self.nomad_probability <= 1:
-            raise ValueError(f"nomad_probability must be in [0, 1], got {self.nomad_probability}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
-        if self.migration_coefficient is not None and self.migration_coefficient < 1:
-            raise ValueError("migration_coefficient must be a positive integer")
+OMEGA = 0.5
+ALPHA_THRESHOLDS = (1 / 3, 2 / 3, 1.0)
+SCALING_A = 0.2
+WORST_FRACTION = 0.05
+NOMAD_PROBABILITY = 0.5
 
 
 @dataclass
@@ -120,10 +104,10 @@ def compute_alpha(pop: Population, omega: float, t: int, T: int) -> float:
     schedule; clamped to [0, 1]."""
     fits = pop.fitnesses()
     fits = fits[np.isfinite(fits)]  # members stored at +inf take no part
-    f_best = fits.min()
-    f_worst = fits.max()
-    f_mean = fits.mean()
-    spread = (f_mean - f_best) / (f_worst - f_best + 1e-12)
+    spread = 0.0  # ... and with no finite member only the schedule counts
+    if fits.size:
+        f_best = fits.min()
+        spread = (fits.mean() - f_best) / (fits.max() - f_best + 1e-12)
     alpha = omega * spread + (1 - omega) * (1 - t / T)
     return float(min(1.0, max(0.0, alpha)))
 
@@ -279,8 +263,7 @@ def mutate(child: np.ndarray, C: np.ndarray, r2: float) -> np.ndarray:
     return child + r2 * (C - child)
 
 
-def move_closer_reproduce(pop: Population, cfg: HrahaConfig, rng,
-                          space: SearchSpace, obj) -> Population:
+def move_closer_reproduce(pop: Population, rng, space: SearchSpace, obj) -> Population:
     """Replace the worst share of the population with nomads spawned around
     the alpha couple's habitat or crossover/mutation offspring."""
     if len(pop) < 4:
@@ -294,11 +277,11 @@ def move_closer_reproduce(pop: Population, cfg: HrahaConfig, rng,
     s = math.sqrt(D)
     lo = np.maximum(space.lower, C - s / 2)
     hi = np.minimum(space.upper, C + s / 2)
-    k = max(1, int(math.floor(cfg.worst_fraction * len(pop))))
+    k = max(1, int(math.floor(WORST_FRACTION * len(pop))))
     worst = [int(i) for i in order[len(pop) - k:]]
     non_alpha = [i for i in range(len(pop)) if i not in (a1, a2)]
     for w in worst:
-        if rng.random() < cfg.nomad_probability:
+        if rng.random() < NOMAD_PROBABILITY:
             pos = np.where(hi > lo, rng.uniform(lo, np.maximum(hi, lo + 1e-300)), lo)
         else:
             p, q = rng.choice(len(non_alpha), size=2, replace=False)
@@ -316,11 +299,11 @@ def move_closer_reproduce(pop: Population, cfg: HrahaConfig, rng,
 # Main loop
 # ---------------------------------------------------------------------------
 
-def run(obj, space: SearchSpace, cfg: HrahaConfig, pop_size: int, rng) -> OptimizationResult:
+def run(obj, space: SearchSpace, pop_size: int, max_iters: int, rng) -> OptimizationResult:
     """Full optimization loop; deterministic for a fixed seed."""
     rng = make_rng(rng)
     counted = CountingObjective(obj)
-    M = cfg.migration_coefficient if cfg.migration_coefficient is not None else 2 * pop_size
+    M = 2 * pop_size  # iterations between migrations
 
     pop = init_population(space, pop_size, rng)
     evaluate(pop, counted)
@@ -332,9 +315,9 @@ def run(obj, space: SearchSpace, cfg: HrahaConfig, pop_size: int, rng) -> Optimi
     # territorial step scale tied to the box width so hops can cross basins
     box_scale = 0.3 * float(np.mean(space.upper - space.lower))
 
-    for t in range(cfg.max_iters):
-        alpha = compute_alpha(pop, cfg.omega, t, cfg.max_iters)
-        flight = select_flight(alpha, cfg.alpha_thresholds)
+    for t in range(max_iters):
+        alpha = compute_alpha(pop, OMEGA, t, max_iters)
+        flight = select_flight(alpha, ALPHA_THRESHOLDS)
         counts[flight] += 1
         global_search_step(pop, pop.best.copy(), alpha, flight, rng, space, counted)
 
@@ -345,7 +328,7 @@ def run(obj, space: SearchSpace, cfg: HrahaConfig, pop_size: int, rng) -> Optimi
             m = pop.members[i]
             if strat == STRAT_STAY:
                 theta = rng.random()
-                nr = cfg.scaling_a * theta
+                nr = SCALING_A * theta
                 phis = rng.uniform(0.0, 2 * math.pi, space.dims)
                 cand = stay_and_disguise(m.position, nr, phis, space)
                 accept_if_better(m, cand, counted(cand))
@@ -363,7 +346,7 @@ def run(obj, space: SearchSpace, cfg: HrahaConfig, pop_size: int, rng) -> Optimi
                 if migrated:
                     last_migration = t
             elif strat == STRAT_MOVE_CLOSER:
-                move_closer_reproduce(pop, cfg, rng, space, counted)
+                move_closer_reproduce(pop, rng, space, counted)
 
         cur_best = pop.best
         if cur_best.fitness > incumbent.fitness:
@@ -372,8 +355,6 @@ def run(obj, space: SearchSpace, cfg: HrahaConfig, pop_size: int, rng) -> Optimi
             incumbent = cur_best.copy()
 
         history.append(incumbent.fitness)
-        if cfg.target_fitness is not None and incumbent.fitness <= cfg.target_fitness:
-            break
 
     return OptimizationResult(
         best_position=incumbent.position.copy(),

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from foxbird import HrahaConfig, run
+from foxbird import run
 from foxbird.benchmarks import get_benchmark
 from foxbird.core import init_population, make_rng
 from foxbird.harness import (
@@ -67,14 +67,13 @@ def report(criterion: int, ok: bool, detail: str = "") -> bool:
 def test_criterion_1_convergence_sphere():
     bench = get_benchmark("sphere")
     space = bench.space(10)
-    cfg = HrahaConfig(max_iters=500)
     t0 = time.perf_counter()
     finals, never_worse = [], True
     for seed in range(100):
         rng = make_rng(seed)
         init = init_population(space, 30, make_rng(seed))
         initial_best = min(bench(m.position) for m in init.members)
-        res = run(bench, space, cfg, 30, rng)
+        res = run(bench, space, 30, 500, rng)
         finals.append(res.best_fitness)
         never_worse &= res.best_fitness <= initial_best + 1e-15
     elapsed = time.perf_counter() - t0
@@ -104,7 +103,7 @@ def test_criterion_2_comparative_rastrigin():
 def test_criterion_3_regime_coverage():
     bench = get_benchmark("rastrigin")
     space = bench.space(5)
-    res = run(bench, space, HrahaConfig(max_iters=200), 30, make_rng(0))
+    res = run(bench, space, 30, 200, make_rng(0))
     counts = res.strategy_counts
     all_seen = all(counts[k] >= 1 for k in FLIGHT_KINDS + LOCAL_STRATEGIES)
 
@@ -285,7 +284,7 @@ def test_criterion_8_tuning_end_to_end(corpus_csv):
     budget = 20 * 30  # the nominal configuration: population 20, 30 iterations
     hraha_f, random_f = [], []
     for seed in range(10):
-        res = run(obj, box, HrahaConfig(max_iters=30), 20, child_rng(seed, 0, 0))
+        res = run(obj, box, 20, 30, child_rng(seed, 0, 0))
         hraha_f.append(1.0 - res.best_fitness)
         rs = run_random_search(obj, box, budget, child_rng(seed, 1, 0))
         random_f.append(1.0 - rs.best_fitness)

@@ -19,7 +19,7 @@ def test_pso_sphere_convergence():
 
 def test_zero_iterations_returns_initial_best(subtests=None):
     space = SPHERE.space(3)
-    for kind in ("rfo", "aha", "pso"):
+    for kind in ("hraha", "rfo", "aha", "pso"):
         result = run_method(kind, SPHERE, space, 10, 0, make_rng(4))
         # same init draws as a fresh population with the same seed
         from foxbird.core import evaluate, init_population

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -74,10 +76,12 @@ class TestEvaluate:
         assert pop.members[1].fitness == 8.0
         assert pop.best_index == 0
 
-    def test_non_finite_rejected(self):
-        pop = Population([Individual(np.zeros(2))])
-        with pytest.raises(ValueError, match="non-finite fitness"):
-            evaluate(pop, lambda x: float("nan"))
+    def test_non_finite_stored_as_plus_inf(self):
+        values = iter([float("nan"), 1.5, float("inf"), float("-inf")])
+        pop = Population([Individual(np.zeros(2)) for _ in range(4)])
+        evaluate(pop, lambda x: next(values))
+        assert [m.fitness for m in pop.members] == [math.inf, 1.5, math.inf, math.inf]
+        assert pop.best_index == 1
 
 
 class TestCountingObjective:

@@ -1,9 +1,11 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from foxbird import hraha
 from foxbird.core import (
     Individual,
     Population,
@@ -21,7 +23,6 @@ from foxbird.hraha import (
     STRAT_NONE,
     STRAT_STAY,
     STRAT_TERRITORIAL,
-    HrahaConfig,
     compute_alpha,
     crossover,
     flight_mask,
@@ -124,14 +125,21 @@ class TestGlobalSearchStep:
         assert np.array_equal(pop.positions(), before)
 
     def test_axial_hand_case(self):
-        # member (2,0), best (0,0), axial on dim 0, g=1, alpha=0.5 -> (1,0)
-        space = make_search_space([-5, -5], [5, 5])
-        x = np.array([2.0, 0.0])
-        best = np.array([0.0, 0.0])
-        mask = np.array([1.0, 0.0])
-        cand = x + 0.5 * 1.0 * mask * (best - x)
-        assert np.array_equal(cand, [1.0, 0.0])
-        assert sphere(cand) < sphere(x)  # greedy rule accepts
+        # each member moves alpha * g toward the best along one drawn axis
+        # only; a flat objective makes the greedy rule accept every move
+        space = make_search_space([-50.0] * 3, [50.0] * 3)
+        start = np.array([[2.0, -1.0, 3.0], [-2.0, 4.0, 1.0], [1.0, 1.0, -3.0]])
+        best = Individual(np.array([0.5, 0.5, 0.5]), 0.0)
+        pop = evaluate(Population([Individual(p.copy()) for p in start]), lambda x: 0.0)
+        rng = make_rng(5)
+        twin = copy.deepcopy(rng)
+        global_search_step(pop, best, 0.5, AXIAL, rng, space, lambda x: 0.0)
+        g = twin.standard_normal(3)
+        for i, x in enumerate(start):
+            axis = int(twin.integers(0, 3))
+            expected = x.copy()
+            expected[axis] += 0.5 * g[i] * (best.position[axis] - x[axis])
+            assert np.array_equal(pop.members[i].position, expected)
 
     def test_greedy_never_worsens(self):
         space = make_search_space([-5] * 4, [5] * 4)
@@ -410,17 +418,17 @@ class TestMoveCloser:
         return evaluate(pop, sphere)
 
     def test_single_replacement(self):
-        cfg = HrahaConfig(worst_fraction=0.05)
-        pop = self._pop(30)
+        pop = self._pop(30)  # WORST_FRACTION 0.05 of 30 members: one
         worst = pop.worst_index
         before = pop.positions()
-        move_closer_reproduce(pop, cfg, make_rng(3), self.SPACE, sphere)
+        move_closer_reproduce(pop, make_rng(3), self.SPACE, sphere)
         changed = [i for i in range(30)
                    if not np.array_equal(pop.members[i].position, before[i])]
         assert changed == [worst]
 
-    def test_reproduction_branch_forced(self):
-        cfg = HrahaConfig(worst_fraction=0.25, nomad_probability=0.0)
+    def test_reproduction_branch_forced(self, monkeypatch):
+        monkeypatch.setattr(hraha, "WORST_FRACTION", 0.25)
+        monkeypatch.setattr(hraha, "NOMAD_PROBABILITY", 0.0)
         pop = self._pop(8)
         fits = pop.fitnesses()
         order = np.argsort(fits, kind="stable")
@@ -428,7 +436,7 @@ class TestMoveCloser:
                            pop.members[order[1]].position)
         parent_box_lo = pop.positions().min(axis=0)
         parent_box_hi = pop.positions().max(axis=0)
-        move_closer_reproduce(pop, cfg, make_rng(5), self.SPACE, sphere)
+        move_closer_reproduce(pop, make_rng(5), self.SPACE, sphere)
         for w in order[-2:]:
             p = pop.members[w].position
             # offspring is a blend of two parents pulled toward the center
@@ -436,50 +444,43 @@ class TestMoveCloser:
             hi = np.maximum(parent_box_hi, c) + 1e-12
             assert np.all(p >= lo) and np.all(p <= hi)
 
-    def test_degenerate_habitat_spawns_at_center(self):
-        cfg = HrahaConfig(worst_fraction=0.25, nomad_probability=1.0)
+    def test_degenerate_habitat_spawns_at_center(self, monkeypatch):
+        monkeypatch.setattr(hraha, "WORST_FRACTION", 0.25)
+        monkeypatch.setattr(hraha, "NOMAD_PROBABILITY", 1.0)
         best = np.array([1.0, 1.0, 1.0])
         pop = Population([Individual(best.copy(), 3.0),
                           Individual(best.copy(), 3.0),
                           Individual(np.full(3, 2.0), 12.0),
                           Individual(np.full(3, 3.0), 27.0)])
-        move_closer_reproduce(pop, cfg, make_rng(1), self.SPACE, sphere)
+        move_closer_reproduce(pop, make_rng(1), self.SPACE, sphere)
         np.testing.assert_allclose(pop.members[3].position, best, atol=1e-12)
 
     def test_too_small(self):
         pop = self._pop(3 + 1)
         pop.members.pop()
         with pytest.raises(ValueError):
-            move_closer_reproduce(pop, HrahaConfig(), make_rng(0), self.SPACE, sphere)
+            move_closer_reproduce(pop, make_rng(0), self.SPACE, sphere)
 
 
 class TestRun:
     SPACE = make_search_space([-5.12] * 10, [5.12] * 10)
 
     def test_converges_on_sphere(self):
-        result = run(sphere, self.SPACE, HrahaConfig(max_iters=500), 30, 42)
+        result = run(sphere, self.SPACE, 30, 500, 42)
         assert result.best_fitness <= 1e-2
 
-    def test_unattainable_target_runs_to_max_iters(self):
-        cfg = HrahaConfig(max_iters=50, target_fitness=-1e308)
-        result = run(sphere, self.SPACE, cfg, 10, 1)
+    def test_history_has_one_entry_per_iteration(self):
+        result = run(sphere, self.SPACE, 10, 50, 1)
         assert len(result.history) == 50
 
-    def test_target_stops_early(self):
-        cfg = HrahaConfig(max_iters=500, target_fitness=1.0)
-        result = run(sphere, self.SPACE, cfg, 10, 1)
-        assert result.best_fitness <= 1.0
-        assert len(result.history) < 500
-
     def test_elitism_history_non_increasing(self):
-        result = run(sphere, self.SPACE, HrahaConfig(max_iters=100), 10, 3)
+        result = run(sphere, self.SPACE, 10, 100, 3)
         hist = np.array(result.history)
         assert np.all(np.diff(hist) <= 0)
 
     def test_determinism(self):
-        cfg = HrahaConfig(max_iters=60)
-        r1 = run(sphere, self.SPACE, cfg, 12, 99)
-        r2 = run(sphere, self.SPACE, cfg, 12, 99)
+        r1 = run(sphere, self.SPACE, 12, 60, 99)
+        r2 = run(sphere, self.SPACE, 12, 60, 99)
         assert np.array_equal(r1.best_position, r2.best_position)
         assert r1.best_fitness == r2.best_fitness
         assert r1.history == r2.history
@@ -487,12 +488,12 @@ class TestRun:
         assert r1.strategy_counts == r2.strategy_counts
 
     def test_best_within_box(self):
-        result = run(sphere, self.SPACE, HrahaConfig(max_iters=50), 10, 7)
+        result = run(sphere, self.SPACE, 10, 50, 7)
         assert np.all(result.best_position >= self.SPACE.lower)
         assert np.all(result.best_position <= self.SPACE.upper)
 
     def test_no_run_exceeds_initial_best(self):
-        result = run(sphere, self.SPACE, HrahaConfig(max_iters=100), 10, 5)
+        result = run(sphere, self.SPACE, 10, 100, 5)
         assert result.best_fitness <= result.history[0]
 
     def test_nan_evaluations_never_become_the_incumbent(self):
@@ -506,22 +507,9 @@ class TestRun:
             return math.nan if calls > 100 and calls % 37 == 0 else sphere(x)
 
         space = make_search_space([-5.0] * 4, [5.0] * 4)
-        result = run(flaky_sphere, space, HrahaConfig(max_iters=300), 10, 0)
+        result = run(flaky_sphere, space, 10, 300, 0)
         hist = np.array(result.history)
         assert np.all(np.isfinite(hist))
         assert np.all(np.diff(hist) <= 0)
         assert result.evaluations == calls
 
-
-class TestConfigValidation:
-    def test_bad_thresholds(self):
-        with pytest.raises(ValueError):
-            HrahaConfig(alpha_thresholds=(0.5, 0.4, 1.0))
-
-    def test_bad_scaling(self):
-        with pytest.raises(ValueError):
-            HrahaConfig(scaling_a=0.3)
-
-    def test_bad_worst_fraction(self):
-        with pytest.raises(ValueError):
-            HrahaConfig(worst_fraction=0.6)

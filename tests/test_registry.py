@@ -19,16 +19,19 @@ NON_FINITE = (float("nan"), float("inf"), float("-inf"))
 
 
 class Injecting:
-    """A sphere that returns the given value on chosen call numbers (1-based)
-    and counts its calls."""
+    """A sphere that returns the given value on chosen call numbers (1-based),
+    counts its calls and notes whether any value it returned was finite."""
 
     def __init__(self, bad: dict):
         self.bad = bad
         self.calls = 0
+        self.any_finite = False
 
     def __call__(self, x) -> float:
         self.calls += 1
-        return self.bad.get(self.calls, float(np.dot(x, x)))
+        f = self.bad.get(self.calls, float(np.dot(x, x)))
+        self.any_finite |= math.isfinite(f)
+        return f
 
 
 def run(method, obj, space, pop_size, iterations, seed):
@@ -44,17 +47,17 @@ def run(method, obj, space, pop_size, iterations, seed):
        bad=st.dictionaries(st.integers(1, 150), st.sampled_from(NON_FINITE), max_size=30))
 def test_invariants_under_non_finite_values(method, dims, pop_size, iterations, seed, bad):
     space = make_search_space([-5.0] * dims, [5.0] * dims)
-    # core.evaluate rejects a non-finite value at initialisation by design,
-    # so values are injected only after the first pop_size calls
-    bad = {pop_size + k: v for k, v in bad.items()}
     obj = Injecting(bad)
     res = run(method, obj, space, pop_size, iterations, seed)
 
+    # a non-finite value counts as +inf, from the initial population on: the
+    # history holds no NaN or -inf, and it is +inf only while nothing finite
+    # has been seen
     history = np.array(res.history)
-    assert np.all(np.isfinite(history))
-    assert np.all(np.diff(history) <= 0)
+    assert np.all(history[1:] <= history[:-1])
+    assert np.all(np.isfinite(history) | (history == math.inf))
     assert res.best_fitness == history[-1]
-    assert math.isfinite(res.best_fitness)
+    assert math.isfinite(res.best_fitness) == obj.any_finite
     assert np.all(space.lower <= res.best_position)
     assert np.all(res.best_position <= space.upper)
     assert res.evaluations == obj.calls
@@ -64,6 +67,19 @@ def test_invariants_under_non_finite_values(method, dims, pop_size, iterations, 
     assert again.best_fitness == res.best_fitness
     assert np.array_equal(again.best_position, res.best_position)
     assert again.evaluations == res.evaluations
+
+
+@pytest.mark.parametrize("method", harness.METHODS + ("random",))
+def test_nowhere_finite_objective(method):
+    space = make_search_space([-5.0] * 3, [5.0] * 3)
+    obj = Injecting({k: NON_FINITE[k % 3] for k in range(1, 200)})
+    res = run(method, obj, space, 5, 4, 0)
+    assert not obj.any_finite
+    assert res.best_fitness == math.inf
+    assert res.history == [math.inf] * len(res.history)
+    assert np.all(space.lower <= res.best_position)
+    assert np.all(res.best_position <= space.upper)
+    assert res.evaluations == obj.calls
 
 
 def test_every_traced_attribute_exists(monkeypatch):
