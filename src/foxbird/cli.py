@@ -23,9 +23,9 @@ from .harness import (
     ConfigError,
     DataError,
     METHODS,
-    check_config,
     child_rng,
     emit_report,
+    parse_config,
     run_experiment,
     run_method,
 )
@@ -77,15 +77,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
-        config = json.load(fh)
+        exp = parse_config(json.load(fh))
     if args.seed is not None:
-        seeds = config.get("seeds", {})
-        if isinstance(seeds, dict):
-            seeds["master_seed"] = args.seed
-            config["seeds"] = seeds
-        else:
-            config["seeds"] = {"count": len(seeds) or 1, "master_seed": args.seed}
-    report = run_experiment(config)
+        exp = exp.with_master_seed(args.seed)
+    report = run_experiment(exp)
     os.makedirs(args.out, exist_ok=True)
     for fmt, name in [("csv", "report.csv"), ("json", "report.json"),
                       ("text-table", "report.txt")]:
@@ -98,16 +93,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    check_config({
+    exp = parse_config({
         "task": {"kind": "benchmark", "function": args.function, "dims": args.dims},
         "methods": [args.method],
         "budget": {"pop_size": args.pop_size, "iterations": args.iters},
         "seeds": [args.seed],
     })
-    bench = BENCHMARKS[args.function]
-    space = bench.space(args.dims)
-    result = run_method(args.method, bench, space, args.pop_size, args.iters,
-                        child_rng(args.seed, 0, 0))
+    bench = BENCHMARKS[exp.task.function]
+    result = run_method(exp.methods[0], bench, bench.space(exp.task.dims), exp.pop_size,
+                        exp.iterations, child_rng(exp.seeds[0], 0, 0))
     print(f"function={args.function} dims={args.dims} method={args.method} "
           f"seed={args.seed}")
     print(f"best_fitness={result.best_fitness:.6e} evaluations={result.evaluations}")

@@ -55,9 +55,11 @@ class SearchSpace:
                 f"dimension mismatch: lower has {self.lower.shape[0]} entries, "
                 f"upper has {self.upper.shape[0]}"
             )
-        bad = np.nonzero(~(self.lower < self.upper))[0]
-        if bad.size:
-            raise ValueError(f"inverted bound at j={bad[0]}")
+        for j, (lo, hi) in enumerate(zip(self.lower.tolist(), self.upper.tolist())):
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"non-finite bound at j={j}")
+            if not lo < hi:
+                raise ValueError(f"inverted bound at j={j}")
 
 
 def make_search_space(lower, upper) -> SearchSpace:

@@ -16,7 +16,7 @@ import json
 import math
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,7 +35,10 @@ __all__ = [
     "TrialReport",
     "DataError",
     "ConfigError",
-    "check_config",
+    "BenchmarkTask",
+    "ClassifierTask",
+    "Experiment",
+    "parse_config",
     "load_corpus",
     "default_tuning_space",
     "classifier_objective",
@@ -355,128 +358,151 @@ class TrialReport:
     def to_json_dict(self) -> dict:
         return {"columns": self.columns, "rows": self.rows, "seeds": self.seeds}
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "TrialReport":
-        return cls(list(d["columns"]), {m: dict(v) for m, v in d["rows"].items()},
-                   list(d.get("seeds", [])))
-
-
-def _experiment_seeds(config: dict) -> list[int]:
-    seeds = config.get("seeds", {})
-    if isinstance(seeds, list):
-        return [int(s) for s in seeds]
-    count = int(seeds.get("count", 1))
-    master = int(seeds.get("master_seed", 0))
-    return [master + i for i in range(count)]
-
 
 class ConfigError(ValueError):
     """An experiment config field is missing or invalid; the message names it."""
 
 
-def _check_int(value, minimum: int, name: str) -> None:
-    try:
-        n = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name}: expected an integer, got {value!r}") from None
-    if n < minimum:
-        raise ConfigError(f"{name}: must be >= {minimum}, got {n}")
+@dataclass(frozen=True)
+class BenchmarkTask:
+    function: str
+    dims: int
 
 
-def _check_seeds(seeds) -> None:
+@dataclass(frozen=True)
+class ClassifierTask:
+    corpus: str
+    format: str
+    split_ratio: float
+    split_seed: int
+    space: HyperparamSpace
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """A checked experiment config, as ``parse_config`` returns it."""
+
+    task: BenchmarkTask | ClassifierTask
+    methods: tuple[str, ...]
+    pop_size: int
+    iterations: int
+    seeds: tuple[int, ...]
+
+    def with_master_seed(self, master_seed: int) -> Experiment:
+        """The same experiment with as many seeds, counting up from ``master_seed``."""
+        master = _check_int(master_seed, 0, "seeds.master_seed")
+        return replace(self, seeds=tuple(range(master, master + len(self.seeds))))
+
+
+def _check_int(value, minimum: int, name: str) -> int:
+    # JSON integers only, so 2.7, true and "1" are refused rather than converted
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name}: expected an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name}: must be >= {minimum}, got {value}")
+    return value
+
+
+def _check_number(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{name}: expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _check_seeds(seeds) -> tuple[int, ...]:
     # seeds go to numpy's SeedSequence, which takes only non-negative integers
     if isinstance(seeds, list):
         if not seeds:
             raise ConfigError("seeds: empty list")
-        for i, seed in enumerate(seeds):
-            _check_int(seed, 0, f"seeds[{i}]")
-    elif isinstance(seeds, dict):
-        _check_int(seeds.get("count", 1), 1, "seeds.count")
-        _check_int(seeds.get("master_seed", 0), 0, "seeds.master_seed")
-    else:
-        raise ConfigError(f"seeds: expected a list or an object, got {seeds!r}")
+        return tuple(_check_int(seed, 0, f"seeds[{i}]") for i, seed in enumerate(seeds))
+    if isinstance(seeds, dict):
+        count = _check_int(seeds.get("count", 1), 1, "seeds.count")
+        master = _check_int(seeds.get("master_seed", 0), 0, "seeds.master_seed")
+        return tuple(range(master, master + count))
+    raise ConfigError(f"seeds: expected a list or an object, got {seeds!r}")
 
 
-def check_config(config: dict) -> None:
-    """Raise ConfigError naming the first field run_experiment cannot use.
-
-    ``opt bench`` checks its arguments here too, so the minimums live in one
-    place."""
+def parse_config(config) -> Experiment:
+    """The Experiment a config dict describes, defaults applied; the only reader
+    of a config dict. Raises ConfigError naming the first field that cannot be
+    used. ``opt bench`` checks its arguments here too."""
+    if not isinstance(config, dict):
+        raise ConfigError(f"config: expected an object, got {type(config).__name__}")
     task = config.get("task")
     if not isinstance(task, dict):
         raise ConfigError("task: missing or not an object")
     kind = task.get("kind", "benchmark")
     if kind == "benchmark":
-        if task.get("function") not in BENCHMARKS:
-            raise ConfigError(f"task.function: unknown benchmark {task.get('function')!r}; "
+        function = task.get("function")
+        if not isinstance(function, str) or function not in BENCHMARKS:
+            raise ConfigError(f"task.function: unknown benchmark {function!r}; "
                               f"choose from {sorted(BENCHMARKS)}")
-        _check_int(task.get("dims", 10), 1, "task.dims")
+        parsed = BenchmarkTask(function, _check_int(task.get("dims", 10), 1, "task.dims"))
     elif kind == "classifier":
-        if "corpus" not in task:
-            raise ConfigError("task.corpus: missing")
-        _space_from_config(config.get("space"))
+        corpus = task.get("corpus")
+        if not isinstance(corpus, str):
+            raise ConfigError(f"task.corpus: expected a file path, got {corpus!r}")
+        fmt = task.get("format", "csv")
+        if fmt not in ("csv", "jsonl"):
+            raise ConfigError(f"task.format: unknown format {fmt!r}; choose from ('csv', 'jsonl')")
+        ratio = _check_number(task.get("split_ratio", 0.8), "task.split_ratio")
+        if not 0 < ratio < 1:
+            raise ConfigError(f"task.split_ratio: must be in (0, 1), got {ratio}")
+        parsed = ClassifierTask(corpus, fmt, ratio,
+                                _check_int(task.get("split_seed", 0), 0, "task.split_seed"),
+                                _space_from_config(config.get("space")))
     else:
         raise ConfigError(f"task.kind: unknown task kind {kind!r}; "
                           f"choose from ('benchmark', 'classifier')")
     methods = config.get("methods", list(METHODS))
     if not isinstance(methods, list) or not methods:
         raise ConfigError(f"methods: expected a non-empty list, got {methods!r}")
-    seen = set()
+    names = []
     for m in methods:
         name = str(m).lower()
         if name not in METHODS:
             raise ConfigError(f"methods: unknown method {m!r}; choose from {METHODS}")
-        if name in seen:
+        if name in names:
             raise ConfigError(f"methods: {m!r} listed twice")
-        seen.add(name)
+        names.append(name)
     budget = config.get("budget", {})
     if not isinstance(budget, dict):
         raise ConfigError("budget: not an object")
     # every method starts from init_population, which needs four members
-    _check_int(budget.get("pop_size", 20), 4, "budget.pop_size")
-    _check_int(budget.get("iterations", 50), 1, "budget.iterations")
-    _check_seeds(config.get("seeds", {}))
+    return Experiment(parsed, tuple(names),
+                      _check_int(budget.get("pop_size", 20), 4, "budget.pop_size"),
+                      _check_int(budget.get("iterations", 50), 1, "budget.iterations"),
+                      _check_seeds(config.get("seeds", {})))
 
 
-def run_experiment(config: dict) -> TrialReport:
-    """Race the configured methods on a benchmark or classifier-tuning task.
+def run_experiment(exp: Experiment) -> TrialReport:
+    """Race the experiment's methods on a benchmark or classifier-tuning task.
 
-    Config sections: task, space (classifier only), methods, budget, seeds.
     Reported per method: median best fitness across runs, plus test accuracy
     and macro-F of the best-found configuration for classifier tasks. Each
     method gets its own classifier objective, so no method is timed on
-    another's cached evaluations. Raises ConfigError for an unusable config.
+    another's cached evaluations.
     """
-    check_config(config)
-    task = config["task"]
-    methods = [m.lower() for m in config.get("methods", list(METHODS))]
-    budget = config.get("budget", {})
-    pop_size = int(budget.get("pop_size", 20))
-    iterations = int(budget.get("iterations", 50))
-    seeds = _experiment_seeds(config)
-
-    classifier = task.get("kind", "benchmark") == "classifier"
+    task = exp.task
+    classifier = isinstance(task, ClassifierTask)
     if classifier:
-        corpus = load_corpus(task["corpus"], task.get("format", "csv"),
-                             float(task.get("split_ratio", 0.8)),
-                             int(task.get("split_seed", 0)))
-        hspace = _space_from_config(config.get("space"))
-        space = hspace.to_box()
+        corpus = load_corpus(task.corpus, task.format, task.split_ratio, task.split_seed)
+        space = task.space.to_box()
     else:
-        bench = get_benchmark(task["function"])
-        space = bench.space(int(task.get("dims", 10)))
+        bench = get_benchmark(task.function)
+        space = bench.space(task.dims)
 
     columns = ["best_fitness"]
     if classifier:
         columns += ["accuracy", "f_score"]
     rows: dict[str, dict[str, float]] = {}
     wall_times: dict[str, float] = {}
-    for mi, method in enumerate(methods):
-        obj = classifier_objective(corpus, hspace) if classifier else bench
+    for mi, method in enumerate(exp.methods):
+        obj = classifier_objective(corpus, task.space) if classifier else bench
         t0 = time.perf_counter()
-        results = [run_method(method, obj, space, pop_size, iterations,
-                              child_rng(seeds[ri], mi, ri))
-                   for ri in range(len(seeds))]
+        results = [run_method(method, obj, space, exp.pop_size, exp.iterations,
+                              child_rng(seed, mi, ri))
+                   for ri, seed in enumerate(exp.seeds)]
         wall_times[method] = time.perf_counter() - t0
         fits = [r.best_fitness for r in results]
         row = {"best_fitness": float(statistics.median(fits))}
@@ -486,17 +512,7 @@ def run_experiment(config: dict) -> TrialReport:
             row["accuracy"] = acc
             row["f_score"] = mf
         rows[method] = row
-    return TrialReport(columns, rows, seeds, wall_times)
-
-
-def _check_bound(value, name: str) -> float:
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name}: expected a number, got {value!r}") from None
-    if not math.isfinite(x):
-        raise ConfigError(f"{name}: must be finite, got {x}")
-    return x
+    return TrialReport(columns, rows, list(exp.seeds), wall_times)
 
 
 def _space_from_config(space_cfg) -> HyperparamSpace:
@@ -525,8 +541,8 @@ def _space_from_config(space_cfg) -> HyperparamSpace:
                 raise ConfigError(f"{at}.choices: expected a non-empty list, got {choices!r}")
             dims.append(HyperparamDim(name, kind, choices=tuple(choices)))
         elif kind in ("continuous", "integer"):
-            lo = _check_bound(d.get("lo"), f"{at}.lo")
-            hi = _check_bound(d.get("hi"), f"{at}.hi")
+            lo = _check_number(d.get("lo"), f"{at}.lo")
+            hi = _check_number(d.get("hi"), f"{at}.hi")
             if not lo < hi:
                 raise ConfigError(f"{at}.lo: must be below hi, got lo={lo}, hi={hi}")
             dims.append(HyperparamDim(name, kind, lo, hi))

@@ -19,9 +19,10 @@ place of the worst member, if an iteration loses it.
 ``run(obj, space, pop_size, max_iters, rng)`` has the signature of every
 baseline runner. Its fixed parameters are module constants, read at call
 time: ``OMEGA`` (0.5, the spread weight in alpha), ``ALPHA_THRESHOLDS``
-(1/3, 2/3, 1), ``SCALING_A`` (0.2, the stay radius scale), ``WORST_FRACTION``
-(0.05, the share move-closer replaces) and ``NOMAD_PROBABILITY`` (0.5). The
-worst member migrates at most once every ``2 * pop_size`` iterations.
+(1/3, 2/3: the alpha cut points of omnidirectional / axial / diagonal flight),
+``SCALING_A`` (0.2, the stay radius scale), ``WORST_FRACTION`` (0.05, the
+share move-closer replaces) and ``NOMAD_PROBABILITY`` (0.5). The worst
+member migrates at most once every ``2 * pop_size`` iterations.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ LOCAL_STRATEGIES = (
 )
 
 OMEGA = 0.5
-ALPHA_THRESHOLDS = (1 / 3, 2 / 3, 1.0)
+ALPHA_THRESHOLDS = (1 / 3, 2 / 3)
 SCALING_A = 0.2
 WORST_FRACTION = 0.05
 NOMAD_PROBABILITY = 0.5
@@ -113,12 +114,12 @@ def compute_alpha(pop: Population, omega: float, t: int, T: int) -> float:
 
 
 def select_flight(alpha: float, thresholds) -> str:
-    a1, a2, a3 = thresholds
+    a1, a2 = thresholds
     if alpha <= a1:
         return OMNIDIRECTIONAL
     if alpha <= a2:
         return AXIAL
-    return DIAGONAL  # a2 < alpha <= a3, and overflow clamps to last regime
+    return DIAGONAL
 
 
 def flight_mask(kind: str, dims: int, rng) -> np.ndarray:

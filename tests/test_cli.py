@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -118,15 +119,50 @@ class TestRun:
             *SPACE[:2], {"name": "use_stemming", "kind": "categorical"}, SPACE[3]]}),
         ("space", {"task": CLASSIFIER, "space": SPACE[:3]}),
         ("space", {"task": CLASSIFIER, "space": {"min_doc_freq": [1, 5]}}),
+        ("task.split_seed", {"task": {**CLASSIFIER, "split_seed": "abc"}}),
+        ("task.split_seed", {"task": {**CLASSIFIER, "split_seed": -1}}),
+        ("task.split_ratio", {"task": {**CLASSIFIER, "split_ratio": "x"}}),
+        ("task.split_ratio", {"task": {**CLASSIFIER, "split_ratio": 2}}),
+        ("task.split_ratio", {"task": {**CLASSIFIER, "split_ratio": math.nan}}),
+        ("task.format", {"task": {**CLASSIFIER, "format": "tsv"}}),
+        ("task.corpus", {"task": {"kind": "classifier", "corpus": 3}}),
+        ("task.function", {"task": {"kind": "benchmark", "function": ["sphere"]}}),
+        ("task.dims", {"task": {"kind": "benchmark", "function": "sphere", "dims": 2.7}}),
+        ("budget.pop_size", {"budget": {"pop_size": 4.9, "iterations": 15}}),
+        ("budget.iterations", {"budget": {"pop_size": 10, "iterations": True}}),
+        ("seeds[0]", {"seeds": ["1"]}),
+        ("seeds", {"seeds": "abc"}),
+        ("seeds", {"seeds": 7}),
+        ("seeds.master_seed", {"seeds": {"master_seed": -1}}),
+        ("space[0].lo", {"task": CLASSIFIER, "space": [{**SPACE[0], "lo": "1"}, *SPACE[1:]]}),
     ])
     def test_bad_field_is_usage_error(self, tmp_path, capsys, field, over):
         cfg = write_config(tmp_path / "cfg.json", **over)
         out = tmp_path / "o"
-        code = main(["run", "--config", str(cfg), "--out", str(out)])
+        # --seed replaces a valid config's seeds, so it cannot rescue an invalid config
+        for seed in ([], ["--seed", "5"]):
+            code = main(["run", "--config", str(cfg), "--out", str(out), *seed])
+            assert code == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.startswith(f"usage error: {field}:")
+            assert not out.exists()
+
+    def test_config_not_an_object_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([{"task": {"kind": "benchmark", "function": "sphere"}}]))
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.startswith(f"usage error: {field}:")
-        assert not out.exists()
+        assert capsys.readouterr().err.startswith("usage error: config:")
+
+    @pytest.mark.parametrize("seeds", [{"count": 3, "master_seed": 4}, [9, 2, 30]])
+    def test_seed_override_keeps_the_seed_count(self, tmp_path, capsys, seeds):
+        cfg = write_config(tmp_path / "cfg.json", methods=["pso"], seeds=seeds)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "report.json").read_text())["seeds"] == [7, 8, 9]
+        code = main(["run", "--config", str(cfg), "--seed", "-1", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error: seeds.master_seed:")
 
 
 class TestBench:
@@ -142,6 +178,7 @@ class TestBench:
         ("budget.pop_size", "--pop-size", "2"),
         ("task.dims", "--dims", "0"),
         ("budget.iterations", "--iters", "0"),
+        ("seeds[0]", "--seed", "-1"),
     ])
     def test_bad_argument_is_usage_error(self, capsys, field, flag, value):
         code = main(["bench", "--function", "sphere", flag, value])

@@ -34,6 +34,14 @@ class TestSearchSpace:
         with pytest.raises(ValueError, match="inverted bound at j=1"):
             make_search_space([0, 1], [1, 0])
 
+    @pytest.mark.parametrize("bad", [-math.inf, math.inf, math.nan])
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_non_finite_bound(self, bad, side):
+        bounds = {"lower": [0.0, 0.0, 0.0], "upper": [1.0, 1.0, 1.0]}
+        bounds[side][2] = bad
+        with pytest.raises(ValueError, match="non-finite bound at j=2"):
+            make_search_space(bounds["lower"], bounds["upper"])
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             make_search_space([0, 0], [1, 1, 1])

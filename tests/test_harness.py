@@ -8,6 +8,9 @@ from foxbird import textpipe
 from foxbird.core import make_rng, make_search_space
 from foxbird.harness import (
     METHODS,
+    BenchmarkTask,
+    ClassifierTask,
+    Experiment,
     DataError,
     HyperparamDim,
     HyperparamSpace,
@@ -17,6 +20,7 @@ from foxbird.harness import (
     default_tuning_space,
     emit_report,
     load_corpus,
+    parse_config,
     predict_nb,
     run_experiment,
     run_method,
@@ -396,7 +400,7 @@ def small_benchmark_config(**over):
 
 class TestRunExperiment:
     def test_benchmark_task(self):
-        report = run_experiment(small_benchmark_config())
+        report = run_experiment(parse_config(small_benchmark_config()))
         assert set(report.rows) == {"hraha", "pso"}
         assert report.columns == ["best_fitness"]
         assert report.seeds == [0, 1]
@@ -405,21 +409,33 @@ class TestRunExperiment:
         assert set(report.wall_times) == {"hraha", "pso"}
 
     def test_deterministic_rows(self):
-        a = run_experiment(small_benchmark_config())
-        b = run_experiment(small_benchmark_config())
+        a = run_experiment(parse_config(small_benchmark_config()))
+        b = run_experiment(parse_config(small_benchmark_config()))
         assert a.rows == b.rows
 
     def test_explicit_seed_list(self):
-        report = run_experiment(small_benchmark_config(seeds=[5, 9]))
+        report = run_experiment(parse_config(small_benchmark_config(seeds=[5, 9])))
         assert report.seeds == [5, 9]
+
+    def test_parse_config_defaults(self):
+        assert parse_config({"task": {"function": "sphere"}}) == Experiment(
+            BenchmarkTask("sphere", 10), METHODS, 20, 50, (0,))
+        assert parse_config({"task": {"kind": "classifier", "corpus": "c.csv"}}).task == \
+            ClassifierTask("c.csv", "csv", 0.8, 0, default_tuning_space())
+
+    def test_with_master_seed_keeps_the_seed_count(self):
+        exp = parse_config(small_benchmark_config(seeds=[5, 9, 2]))
+        assert exp.with_master_seed(7).seeds == (7, 8, 9)
+        with pytest.raises(ValueError, match="seeds.master_seed"):
+            exp.with_master_seed(-1)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown method"):
-            run_experiment(small_benchmark_config(methods=["gradient_descent"]))
+            run_experiment(parse_config(small_benchmark_config(methods=["gradient_descent"])))
 
     def test_unknown_task_kind(self):
         with pytest.raises(ValueError, match="unknown task kind"):
-            run_experiment({"task": {"kind": "regression"}})
+            run_experiment(parse_config({"task": {"kind": "regression"}}))
 
     def test_classifier_task(self, corpus_csv):
         cfg = {
@@ -428,7 +444,7 @@ class TestRunExperiment:
             "budget": {"pop_size": 8, "iterations": 5},
             "seeds": {"count": 1, "master_seed": 0},
         }
-        report = run_experiment(cfg)
+        report = run_experiment(parse_config(cfg))
         row = report.rows["hraha"]
         assert report.columns == ["best_fitness", "accuracy", "f_score"]
         assert 0.0 <= row["best_fitness"] <= 1.0
@@ -466,10 +482,7 @@ class TestEmitReport:
     def test_json_round_trip(self):
         r = self.sample_report()
         d = json.loads(emit_report(r, "json"))
-        back = TrialReport.from_json_dict(d)
-        assert back.rows == r.rows
-        assert back.columns == r.columns
-        assert back.seeds == r.seeds
+        assert d == {"columns": r.columns, "rows": r.rows, "seeds": r.seeds}
 
     def test_text_table(self):
         got = emit_report(self.sample_report(), "text-table")

@@ -69,7 +69,7 @@ class TestComputeAlpha:
 
 
 class TestSelectFlight:
-    THRESHOLDS = (1 / 3, 2 / 3, 1.0)
+    THRESHOLDS = (1 / 3, 2 / 3)
 
     def test_low_alpha(self):
         assert select_flight(0.1, self.THRESHOLDS) == OMNIDIRECTIONAL
