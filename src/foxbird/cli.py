@@ -111,16 +111,19 @@ def _cmd_bench(args) -> int:
 def _cmd_tfidf(args) -> int:
     from .harness import _parse_rows
 
+    for flag, value in (("--min-doc-freq", args.min_doc_freq), ("--max-terms", args.max_terms)):
+        if value is not None and value < 1:
+            raise ConfigError(f"{flag}: must be >= 1, got {value}")
     rows = _parse_rows(args.input, args.format)
     tokens = [textpipe.preprocess(text) for _, text, _ in rows]
     vocab = textpipe.build_vocabulary(tokens, args.min_doc_freq, args.max_terms)
     matrix = textpipe.tf_idf(tokens, vocab)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id"] + list(vocab.terms))
-        for (doc_id, _, _), row in zip(rows, matrix.values):
+        writer.writerow(["id", *vocab])
+        for (doc_id, _, _), row in zip(rows, matrix):
             writer.writerow([doc_id] + [repr(float(v)) for v in row])
-    print(f"wrote {matrix.values.shape[0]} x {matrix.values.shape[1]} matrix to {args.out}")
+    print(f"wrote {matrix.shape[0]} x {matrix.shape[1]} matrix to {args.out}")
     return EXIT_OK
 
 

@@ -10,6 +10,7 @@ files and written to a separate timings sidecar.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -249,9 +250,8 @@ class _PreparedCorpus:
             vocab = textpipe.build_vocabulary(train_tokens, 1, max_terms_cap)
             df = textpipe.doc_frequencies(train_tokens, vocab)
             order = np.lexsort((np.arange(len(vocab)), -df))
-            self.counts[stemmed] = (textpipe.bow_vectorize(train_tokens, vocab).values,
-                                    textpipe.bow_vectorize(test_tokens, vocab).values,
-                                    df, order)
+            self.counts[stemmed] = (textpipe.bow_vectorize(train_tokens, vocab),
+                                    textpipe.bow_vectorize(test_tokens, vocab), df, order)
 
 
 def _max_terms_cap(space: HyperparamSpace) -> int | None:
@@ -404,9 +404,18 @@ def _check_int(value, minimum: int, name: str) -> int:
 
 
 def _check_number(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ConfigError(f"{name}: expected a finite number, got {value!r}")
-    return float(value)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an integer too large for a float
+            if math.isfinite(value):
+                return float(value)
+    raise ConfigError(f"{name}: expected a finite number, got {value!r}")
+
+
+def _check_keys(section: dict, known: tuple[str, ...], prefix: str) -> None:
+    # a misspelt key would otherwise leave its default in force
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"{prefix}{key}: unknown key; choose from {known}")
 
 
 def _check_seeds(seeds) -> tuple[int, ...]:
@@ -416,6 +425,7 @@ def _check_seeds(seeds) -> tuple[int, ...]:
             raise ConfigError("seeds: empty list")
         return tuple(_check_int(seed, 0, f"seeds[{i}]") for i, seed in enumerate(seeds))
     if isinstance(seeds, dict):
+        _check_keys(seeds, ("count", "master_seed"), "seeds.")
         count = _check_int(seeds.get("count", 1), 1, "seeds.count")
         master = _check_int(seeds.get("master_seed", 0), 0, "seeds.master_seed")
         return tuple(range(master, master + count))
@@ -433,12 +443,14 @@ def parse_config(config) -> Experiment:
         raise ConfigError("task: missing or not an object")
     kind = task.get("kind", "benchmark")
     if kind == "benchmark":
+        _check_keys(task, ("kind", "function", "dims"), "task.")
         function = task.get("function")
         if not isinstance(function, str) or function not in BENCHMARKS:
             raise ConfigError(f"task.function: unknown benchmark {function!r}; "
                               f"choose from {sorted(BENCHMARKS)}")
         parsed = BenchmarkTask(function, _check_int(task.get("dims", 10), 1, "task.dims"))
     elif kind == "classifier":
+        _check_keys(task, ("kind", "corpus", "format", "split_ratio", "split_seed"), "task.")
         corpus = task.get("corpus")
         if not isinstance(corpus, str):
             raise ConfigError(f"task.corpus: expected a file path, got {corpus!r}")
@@ -454,6 +466,8 @@ def parse_config(config) -> Experiment:
     else:
         raise ConfigError(f"task.kind: unknown task kind {kind!r}; "
                           f"choose from ('benchmark', 'classifier')")
+    _check_keys(config, ("task", "methods", "budget", "seeds")
+                + (("space",) if kind == "classifier" else ()), "")
     methods = config.get("methods", list(METHODS))
     if not isinstance(methods, list) or not methods:
         raise ConfigError(f"methods: expected a non-empty list, got {methods!r}")
@@ -468,6 +482,7 @@ def parse_config(config) -> Experiment:
     budget = config.get("budget", {})
     if not isinstance(budget, dict):
         raise ConfigError("budget: not an object")
+    _check_keys(budget, ("pop_size", "iterations"), "budget.")
     # every method starts from init_population, which needs four members
     return Experiment(parsed, tuple(names),
                       _check_int(budget.get("pop_size", 20), 4, "budget.pop_size"),
@@ -536,11 +551,13 @@ def _space_from_config(space_cfg) -> HyperparamSpace:
             raise ConfigError(f"{at}.name: {name!r} listed twice")
         kind = d.get("kind")
         if kind == "categorical":
+            _check_keys(d, ("name", "kind", "choices"), f"{at}.")
             choices = d.get("choices")
             if not isinstance(choices, list) or not choices:
                 raise ConfigError(f"{at}.choices: expected a non-empty list, got {choices!r}")
             dims.append(HyperparamDim(name, kind, choices=tuple(choices)))
         elif kind in ("continuous", "integer"):
+            _check_keys(d, ("name", "kind", "lo", "hi"), f"{at}.")
             lo = _check_number(d.get("lo"), f"{at}.lo")
             hi = _check_number(d.get("hi"), f"{at}.hi")
             if not lo < hi:

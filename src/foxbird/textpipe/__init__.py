@@ -3,15 +3,16 @@
 Stages: cleaning (lowercase, contraction expansion, punctuation strip),
 whitespace tokenization, stop-word removal, Porter stemming, a rule-based
 POS tagger, and bag-of-words / TF-IDF vectorization. IDF uses the natural
-log. The default stop list and contraction table ship as data files and can
-be overridden.
+log. The stop list and contraction table ship as data files.
+
+A vocabulary is the sorted tuple of its terms; term j is column j of the
+``(docs, terms)`` matrices that ``bow_vectorize`` and ``tf_idf`` return.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -19,10 +20,6 @@ import numpy as np
 from .porter import stem
 
 __all__ = [
-    "Vocabulary",
-    "TermDocMatrix",
-    "default_stopwords",
-    "default_contractions",
     "clean_text",
     "tokenize",
     "remove_stopwords",
@@ -39,45 +36,25 @@ _NON_ALNUM = re.compile(r"[^0-9a-z]+")
 _WS = re.compile(r"\s+")
 
 
-def _data_text(name: str) -> str:
-    return resources.files("foxbird.textpipe").joinpath("data", name).read_text("utf-8")
+def _data_lines(name: str) -> list[str]:
+    text = resources.files("foxbird.textpipe").joinpath("data", name).read_text("utf-8")
+    return [line for line in text.splitlines() if line.strip()]
 
 
-def default_stopwords() -> frozenset[str]:
-    return frozenset(w for w in _data_text("stopwords.txt").splitlines() if w)
+_STOPWORDS = frozenset(_data_lines("stopwords.txt"))
+_CONTRACTIONS = {k.strip(): v.strip() for k, _, v in
+                 (line.partition("\t") for line in _data_lines("contractions.txt"))}
+# longest key first, so "she's" wins over "he's" inside it
+_CONTRACTION_RE = re.compile(r"\b(" + "|".join(
+    re.escape(k) for k in sorted(_CONTRACTIONS, key=len, reverse=True)) + r")\b")
 
 
-def default_contractions() -> dict[str, str]:
-    table = {}
-    for line in _data_text("contractions.txt").splitlines():
-        if line.strip():
-            key, _, val = line.partition("\t")
-            table[key.strip()] = val.strip()
-    return table
-
-
-def _contraction_pattern(table: dict[str, str]) -> re.Pattern:
-    # longest key first, so "she's" wins over "he's" inside it
-    keys = sorted(table, key=len, reverse=True)
-    return re.compile(r"\b(" + "|".join(re.escape(k) for k in keys) + r")\b")
-
-
-_DEFAULT_CONTRACTIONS = default_contractions()
-_DEFAULT_CONTRACTION_RE = _contraction_pattern(_DEFAULT_CONTRACTIONS)
-_DEFAULT_STOPWORDS = default_stopwords()
-
-
-def clean_text(raw: str, contractions: dict[str, str] | None = None) -> str:
+def clean_text(raw: str) -> str:
     """Lowercase, expand contractions, strip punctuation to spaces, and
     collapse whitespace. Stop-word removal is a separate stage."""
     if not isinstance(raw, str):
         raise ValueError("clean_text expects a str")
-    text = raw.lower()
-    table = _DEFAULT_CONTRACTIONS if contractions is None else contractions
-    if table:
-        pattern = (_DEFAULT_CONTRACTION_RE if contractions is None
-                   else _contraction_pattern(table))
-        text = pattern.sub(lambda m: table[m.group(0)], text)
+    text = _CONTRACTION_RE.sub(lambda m: _CONTRACTIONS[m.group(0)], raw.lower())
     text = _NON_ALNUM.sub(" ", text)
     return _WS.sub(" ", text).strip()
 
@@ -86,9 +63,8 @@ def tokenize(text: str) -> list[str]:
     return text.split()
 
 
-def remove_stopwords(tokens, stoplist=None) -> list[str]:
-    stoplist = _DEFAULT_STOPWORDS if stoplist is None else stoplist
-    return [t for t in tokens if t not in stoplist]
+def remove_stopwords(tokens) -> list[str]:
+    return [t for t in tokens if t not in _STOPWORDS]
 
 
 def stem_tokens(tokens) -> list[str]:
@@ -137,26 +113,7 @@ def pos_tag(tokens) -> list[tuple[str, str]]:
     return out
 
 
-@dataclass(frozen=True)
-class Vocabulary:
-    terms: tuple[str, ...]
-
-    @property
-    def index(self) -> dict[str, int]:
-        return {t: i for i, t in enumerate(self.terms)}
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-
-@dataclass
-class TermDocMatrix:
-    values: np.ndarray  # docs x terms
-    vocab: Vocabulary
-    mode: str  # "counts" or "tfidf"
-
-
-def build_vocabulary(corpus, min_doc_freq: int = 1, max_terms: int | None = None) -> Vocabulary:
+def build_vocabulary(corpus, min_doc_freq: int = 1, max_terms: int | None = None) -> tuple[str, ...]:
     """Terms in >= min_doc_freq documents, truncated to the max_terms most
     document-frequent (ties lexicographic), sorted lexicographically."""
     if not corpus:
@@ -172,23 +129,23 @@ def build_vocabulary(corpus, min_doc_freq: int = 1, max_terms: int | None = None
     if max_terms is not None and len(terms) > max_terms:
         terms.sort(key=lambda t: (-df[t], t))
         terms = terms[:max_terms]
-    return Vocabulary(tuple(sorted(terms)))
+    return tuple(sorted(terms))
 
 
-def bow_vectorize(corpus, vocab: Vocabulary) -> TermDocMatrix:
-    """Raw term counts; out-of-vocabulary tokens are ignored."""
-    index = vocab.index
+def bow_vectorize(corpus, vocab: tuple[str, ...]) -> np.ndarray:
+    """Raw term counts, docs x terms; out-of-vocabulary tokens are ignored."""
+    index = {t: j for j, t in enumerate(vocab)}
     m = np.zeros((len(corpus), len(vocab)))
     for d, tokens in enumerate(corpus):
         for t, c in Counter(tokens).items():
             j = index.get(t)
             if j is not None:
                 m[d, j] = c
-    return TermDocMatrix(m, vocab, "counts")
+    return m
 
 
-def doc_frequencies(corpus, vocab: Vocabulary) -> np.ndarray:
-    index = vocab.index
+def doc_frequencies(corpus, vocab: tuple[str, ...]) -> np.ndarray:
+    index = {t: j for j, t in enumerate(vocab)}
     n_w = np.zeros(len(vocab))
     for tokens in corpus:
         for t in set(tokens):
@@ -198,24 +155,21 @@ def doc_frequencies(corpus, vocab: Vocabulary) -> np.ndarray:
     return n_w
 
 
-def tf_idf(corpus, vocab: Vocabulary, idf: np.ndarray | None = None) -> TermDocMatrix:
-    """TF (raw count) times IDF = ln(N / n_w). Terms present in every
-    document get exactly zero. A precomputed idf vector may be supplied to
-    weight one corpus with another's statistics."""
+def tf_idf(corpus, vocab: tuple[str, ...]) -> np.ndarray:
+    """TF (raw count) times IDF = ln(N / n_w), docs x terms. Terms present in
+    every document get exactly zero."""
     if not corpus:
         raise ValueError("empty corpus")
     counts = bow_vectorize(corpus, vocab)
-    if idf is None:
-        n_w = doc_frequencies(corpus, vocab)
-        if np.any(n_w == 0):
-            j = int(np.argmin(n_w))
-            raise ValueError(f"inconsistent vocabulary: term {vocab.terms[j]!r} appears in no document")
-        idf = np.log(len(corpus) / n_w)
-    return TermDocMatrix(counts.values * idf, vocab, "tfidf")
+    n_w = doc_frequencies(corpus, vocab)
+    if np.any(n_w == 0):
+        j = int(np.argmin(n_w))
+        raise ValueError(f"inconsistent vocabulary: term {vocab[j]!r} appears in no document")
+    return counts * np.log(len(corpus) / n_w)
 
 
-def preprocess(raw: str, stoplist=None, contractions=None, use_stemming: bool = True) -> list[str]:
+def preprocess(raw: str, use_stemming: bool = True) -> list[str]:
     """Whole pipeline for one document: clean, tokenize, drop stop words,
     optionally stem."""
-    tokens = remove_stopwords(tokenize(clean_text(raw, contractions)), stoplist)
+    tokens = remove_stopwords(tokenize(clean_text(raw)))
     return stem_tokens(tokens) if use_stemming else tokens

@@ -42,7 +42,7 @@ from foxbird.hraha import (
 )
 from foxbird.kernels import attention, gelu, gru_step, gumbel_softmax_st, softmax_rows
 from foxbird.metrics import bleu4, rouge_l
-from foxbird.textpipe import Vocabulary, build_vocabulary, tf_idf
+from foxbird.textpipe import build_vocabulary, tf_idf
 
 from test_kernels import (
     attention_oracle,
@@ -177,11 +177,11 @@ def test_criterion_5_tfidf_oracle():
     for corpus in corpora:
         assert len(corpus) <= 10
         vocab = build_vocabulary(corpus)
-        got = tf_idf(corpus, vocab).values
-        want = tf_idf_oracle(corpus, vocab.terms)
+        got = tf_idf(corpus, vocab)
+        want = tf_idf_oracle(corpus, vocab)
         max_err = max(max_err, float(np.max(np.abs(got - want))))
         for j in range(len(vocab)):
-            if all(vocab.terms[j] in doc for doc in corpus):
+            if all(vocab[j] in doc for doc in corpus):
                 zero_col_seen = True
                 max_err = max(max_err, float(np.max(np.abs(got[:, j]))))
     ok = max_err <= 1e-12 and zero_col_seen

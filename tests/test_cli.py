@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -135,6 +136,19 @@ class TestRun:
         ("seeds", {"seeds": 7}),
         ("seeds.master_seed", {"seeds": {"master_seed": -1}}),
         ("space[0].lo", {"task": CLASSIFIER, "space": [{**SPACE[0], "lo": "1"}, *SPACE[1:]]}),
+        # an integer too large for a float
+        ("space[0].lo", {"task": CLASSIFIER, "space": [{**SPACE[0], "lo": -10**400}, *SPACE[1:]]}),
+        ("task.split_ratio", {"task": {**CLASSIFIER, "split_ratio": 10**400}}),
+        # a key nothing reads, which would leave its default in force
+        ("budget.pop-size", {"budget": {"pop-size": 4, "iterations": 15}}),
+        ("seed", {"seed": 3}),
+        ("space", {"space": SPACE}),
+        ("task.corpus", {"task": {"kind": "benchmark", "function": "sphere", "corpus": "c.csv"}}),
+        ("task.dims", {"task": {**CLASSIFIER, "dims": 3}}),
+        ("seeds.cuont", {"seeds": {"cuont": 3}}),
+        ("space[1].choices", {"task": CLASSIFIER, "space": [
+            SPACE[0], {**SPACE[1], "choices": [10, 20]}, *SPACE[2:]]}),
+        ("space[2].lo", {"task": CLASSIFIER, "space": [*SPACE[:2], {**SPACE[2], "lo": 0}, SPACE[3]]}),
     ])
     def test_bad_field_is_usage_error(self, tmp_path, capsys, field, over):
         cfg = write_config(tmp_path / "cfg.json", **over)
@@ -201,6 +215,29 @@ class TestTfidf:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("id,")
         assert len(lines) == 201  # header + 200 documents
+
+    def test_output_is_pinned(self, tmp_path, corpus_csv, capsys):
+        # sha256 of the matrix file for the synthetic corpus; any change to
+        # cleaning, stemming, the vocabulary or the weighting moves it
+        out = tmp_path / "m.csv"
+        code = main(["tfidf", "--input", str(corpus_csv), "--out", str(out),
+                     "--min-doc-freq", "2", "--max-terms", "300"])
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "07897c7a8fe055bf984e7c92bb2ad9a03d465260fa5a71d1dd01fea40815041f"
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--min-doc-freq", "0"),
+        ("--min-doc-freq", "-2"),
+        ("--max-terms", "0"),
+        ("--max-terms", "-5"),
+    ])
+    def test_bad_flag_is_usage_error(self, tmp_path, corpus_csv, capsys, flag, value):
+        out = tmp_path / "m.csv"
+        code = main(["tfidf", "--input", str(corpus_csv), "--out", str(out), flag, value])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"usage error: {flag}:")
+        assert not out.exists()
 
     def test_missing_input(self, tmp_path, capsys):
         code = main(["tfidf", "--input", str(tmp_path / "nope.csv"),

@@ -281,8 +281,8 @@ class TestClassifierObjective:
                 return 0.0, 0.0
             n_w = textpipe.doc_frequencies(train, vocab)
             idf = np.log(len(train) / np.maximum(n_w, 1))
-            X_train = textpipe.bow_vectorize(train, vocab).values * idf
-            X_test = textpipe.bow_vectorize(test, vocab).values * idf
+            X_train = textpipe.bow_vectorize(train, vocab) * idf
+            X_test = textpipe.bow_vectorize(test, vocab) * idf
             log_prior, log_lik = train_nb(X_train, train_labels, classes,
                                           params["nb_smoothing"])
             pred = predict_nb(X_test, classes, log_prior, log_lik)
