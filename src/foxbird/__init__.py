@@ -16,10 +16,8 @@ from .core import (
     Population,
     SearchSpace,
     clamp,
-    evaluate,
     init_population,
     make_rng,
-    make_search_space,
 )
 from .hraha import OptimizationResult, run
 
@@ -28,9 +26,7 @@ __all__ = [
     "Individual",
     "Population",
     "make_rng",
-    "make_search_space",
     "init_population",
-    "evaluate",
     "clamp",
     "OptimizationResult",
     "run",

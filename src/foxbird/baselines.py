@@ -18,7 +18,6 @@ from .core import (
     SearchSpace,
     accept_if_better,
     clamp,
-    evaluate,
     init_population,
     make_rng,
 )
@@ -59,8 +58,7 @@ def run_rfo(obj, space: SearchSpace, pop_size: int, max_iters: int,
     step scale, worst share and nomad probability are the hybrid's."""
     rng = make_rng(rng)
     counted = CountingObjective(obj)
-    pop = init_population(space, pop_size, rng)
-    evaluate(pop, counted)
+    pop = init_population(space, pop_size, rng, counted)
     incumbent = pop.best.copy()
     history = []
     for _ in range(max_iters):
@@ -93,8 +91,7 @@ def run_aha(obj, space: SearchSpace, pop_size: int, max_iters: int,
     rng = make_rng(rng)
     counted = CountingObjective(obj)
     M = 2 * pop_size
-    pop = init_population(space, pop_size, rng)
-    evaluate(pop, counted)
+    pop = init_population(space, pop_size, rng, counted)
     incumbent = pop.best.copy()
     history = []
     last_migration = 0
@@ -134,8 +131,7 @@ def run_pso(obj, space: SearchSpace, pop_size: int, max_iters: int,
     constriction factors make a separate velocity clamp unnecessary."""
     rng = make_rng(rng)
     counted = CountingObjective(obj)
-    pop = init_population(space, pop_size, rng)
-    evaluate(pop, counted)
+    pop = init_population(space, pop_size, rng, counted)
     X = pop.positions()
     F = pop.fitnesses()
     V = np.zeros_like(X)

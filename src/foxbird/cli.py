@@ -77,7 +77,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
-        exp = parse_config(json.load(fh))
+        try:
+            raw = json.load(fh)
+        except ValueError as e:  # malformed JSON, or an integer past int's digit limit
+            raise DataError(str(e)) from None
+    exp = parse_config(raw)
     if args.seed is not None:
         exp = exp.with_master_seed(args.seed)
     report = run_experiment(exp)
@@ -157,7 +161,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, FileNotFoundError, json.JSONDecodeError) as e:
+    except (DataError, FileNotFoundError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except Exception as e:  # noqa: BLE001 - CLI boundary

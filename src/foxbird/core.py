@@ -1,9 +1,12 @@
 """Shared optimization substrate: search spaces, populations, seeded RNG.
 
-All optimizers in this package minimize. The project-wide random number
-generator is numpy's PCG64 (via ``numpy.random.Generator``): the same seed
-produces the same draw stream on every platform, which the whole test suite
-relies on.
+All optimizers in this package minimize. A population is born evaluated:
+``init_population`` scores every member, so each ``Individual`` carries a
+fitness from the start.
+
+The project-wide random number generator is numpy's PCG64 (via
+``numpy.random.Generator``): the same seed produces the same draw stream on
+every platform, which the whole test suite relies on.
 """
 
 from __future__ import annotations
@@ -18,9 +21,7 @@ __all__ = [
     "Individual",
     "Population",
     "make_rng",
-    "make_search_space",
     "init_population",
-    "evaluate",
     "CountingObjective",
     "accept_if_better",
     "clamp",
@@ -36,7 +37,8 @@ def make_rng(seed) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Axis-aligned box of real decision variables."""
+    """Axis-aligned box of real decision variables; the bounds may be given
+    as any sequences and are stored as float arrays."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -55,6 +57,8 @@ class SearchSpace:
                 f"dimension mismatch: lower has {self.lower.shape[0]} entries, "
                 f"upper has {self.upper.shape[0]}"
             )
+        if self.lower.shape[0] == 0:
+            raise ValueError("bounds must have at least one coordinate")
         for j, (lo, hi) in enumerate(zip(self.lower.tolist(), self.upper.tolist())):
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ValueError(f"non-finite bound at j={j}")
@@ -62,16 +66,12 @@ class SearchSpace:
                 raise ValueError(f"inverted bound at j={j}")
 
 
-def make_search_space(lower, upper) -> SearchSpace:
-    return SearchSpace(np.asarray(lower, dtype=float), np.asarray(upper, dtype=float))
-
-
 @dataclass
 class Individual:
-    """Position vector plus cached fitness (None while unevaluated)."""
+    """Position vector plus its fitness."""
 
     position: np.ndarray
-    fitness: float | None = None
+    fitness: float
 
     def copy(self) -> "Individual":
         return Individual(self.position.copy(), self.fitness)
@@ -84,33 +84,26 @@ class Population:
     def __len__(self) -> int:
         return len(self.members)
 
-    def __iter__(self):
-        return iter(self.members)
-
     def fitnesses(self) -> np.ndarray:
-        if any(m.fitness is None for m in self.members):
-            raise ValueError("unevaluated member present")
         return np.array([m.fitness for m in self.members], dtype=float)
 
     def positions(self) -> np.ndarray:
         return np.array([m.position for m in self.members], dtype=float)
 
     @property
-    def best_index(self) -> int:
-        # ties break toward the lowest index (np.argmin already does)
-        return int(np.argmin(self.fitnesses()))
-
-    @property
     def best(self) -> Individual:
-        return self.members[self.best_index]
+        # ties break toward the lowest index (np.argmin already does)
+        return self.members[int(np.argmin(self.fitnesses()))]
 
     @property
     def worst_index(self) -> int:
         return int(np.argmax(self.fitnesses()))
 
 
-def init_population(space: SearchSpace, size: int, rng) -> Population:
-    """Uniform random population inside the box; all members unevaluated.
+def init_population(space: SearchSpace, size: int, rng, obj) -> Population:
+    """Uniform random population inside the box, evaluated row by row in
+    order through ``obj``. A non-finite value is stored as +inf, the rule
+    ``CountingObjective`` applies to every later evaluation.
 
     Requires size >= 4: the reproduction step needs two parents plus
     replaceable worst members.
@@ -118,17 +111,11 @@ def init_population(space: SearchSpace, size: int, rng) -> Population:
     if size < 4:
         raise ValueError(f"population size must be >= 4, got {size}")
     rng = make_rng(rng)
-    pos = rng.uniform(space.lower, space.upper, size=(size, space.dims))
-    return Population([Individual(pos[i]) for i in range(size)])
-
-
-def evaluate(pop: Population, obj) -> Population:
-    """Evaluate every member in place. A non-finite value is stored as +inf,
-    the rule ``CountingObjective`` applies to every later evaluation."""
-    for m in pop.members:
-        f = float(obj(m.position))
-        m.fitness = f if math.isfinite(f) else math.inf
-    return pop
+    members = []
+    for x in rng.uniform(space.lower, space.upper, size=(size, space.dims)):
+        f = float(obj(x))
+        members.append(Individual(x, f if math.isfinite(f) else math.inf))
+    return Population(members)
 
 
 class CountingObjective:

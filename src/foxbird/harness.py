@@ -96,7 +96,7 @@ def _parse_rows(path, fmt: str):
                     continue
                 try:
                     obj = json.loads(line)
-                except json.JSONDecodeError as e:
+                except ValueError as e:  # malformed JSON, or an integer past int's digit limit
                     raise DataError(f"malformed row at line {lineno}: {e}") from None
                 if not {"id", "text", "label"} <= set(obj):
                     missing = {"id", "text", "label"} - set(obj)

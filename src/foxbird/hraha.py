@@ -39,7 +39,6 @@ from .core import (
     SearchSpace,
     accept_if_better,
     clamp,
-    evaluate,
     init_population,
     make_rng,
 )
@@ -185,8 +184,6 @@ def stay_and_disguise(position: np.ndarray, nr: float, phis: np.ndarray,
                       space: SearchSpace) -> np.ndarray:
     """Circling perturbation: chained sine offsets with one cosine cross-term
     per middle coordinate; clamped to the box."""
-    if space.dims < 1:
-        raise ValueError("dims must be >= 1")
     position = np.asarray(position, dtype=float)
     phis = np.asarray(phis, dtype=float)
     cum = np.cumsum(np.sin(phis))
@@ -306,8 +303,7 @@ def run(obj, space: SearchSpace, pop_size: int, max_iters: int, rng) -> Optimiza
     counted = CountingObjective(obj)
     M = 2 * pop_size  # iterations between migrations
 
-    pop = init_population(space, pop_size, rng)
-    evaluate(pop, counted)
+    pop = init_population(space, pop_size, rng, counted)
 
     counts = {k: 0 for k in FLIGHT_KINDS + LOCAL_STRATEGIES}
     history: list[float] = []

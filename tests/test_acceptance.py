@@ -71,8 +71,8 @@ def test_criterion_1_convergence_sphere():
     finals, never_worse = [], True
     for seed in range(100):
         rng = make_rng(seed)
-        init = init_population(space, 30, make_rng(seed))
-        initial_best = min(bench(m.position) for m in init.members)
+        init = init_population(space, 30, make_rng(seed), bench)
+        initial_best = init.best.fitness
         res = run(bench, space, 30, 500, rng)
         finals.append(res.best_fitness)
         never_worse &= res.best_fitness <= initial_best + 1e-15
@@ -142,9 +142,7 @@ def test_criterion_4_equation_endpoints():
     bench = get_benchmark("sphere")
     space = bench.space(3)
     rng = make_rng(5)
-    pop = init_population(space, 6, rng)
-    for m in pop.members:
-        m.fitness = bench(m.position)
+    pop = init_population(space, 6, rng, bench)
     w = pop.worst_index
     migrated, r = migrate_worst(pop, space, rng, last_migration=-100,
                                 current_iter=100, M=12, obj=bench)

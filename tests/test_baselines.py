@@ -22,9 +22,9 @@ def test_zero_iterations_returns_initial_best(subtests=None):
     for kind in ("hraha", "rfo", "aha", "pso"):
         result = run_method(kind, SPHERE, space, 10, 0, make_rng(4))
         # same init draws as a fresh population with the same seed
-        from foxbird.core import evaluate, init_population
+        from foxbird.core import init_population
 
-        pop = evaluate(init_population(space, 10, make_rng(4)), SPHERE)
+        pop = init_population(space, 10, make_rng(4), SPHERE)
         assert result.best_fitness == pop.best.fitness
         assert result.history == []
 

@@ -76,6 +76,15 @@ class TestRun:
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == EXIT_DATA
 
+    def test_integer_past_the_digit_limit_is_data_error(self, tmp_path, capsys):
+        # json.load raises a plain ValueError for an int literal over 4,300 digits
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"task": {"kind": "benchmark", "function": "sphere", "dims": '
+                       + "1" * 5000 + "}}")
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error: ")
+
     def test_space_section_as_the_default(self, tmp_path, corpus_csv):
         out = {}
         for name, space in (("default", None), ("explicit", SPACE)):
@@ -249,6 +258,14 @@ class TestTfidf:
         bad.write_text("id,text\na,hello\n")
         code = main(["tfidf", "--input", str(bad), "--out", str(tmp_path / "m.csv")])
         assert code == EXIT_DATA
+
+    def test_jsonl_integer_past_the_digit_limit_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"id": ' + "1" * 5000 + ', "text": "hello", "label": "a"}\n')
+        code = main(["tfidf", "--input", str(bad), "--format", "jsonl",
+                     "--out", str(tmp_path / "m.csv")])
+        assert code == EXIT_DATA
+        assert "malformed row at line 1" in capsys.readouterr().err
 
 
 class TestMetrics:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from foxbird import textpipe
-from foxbird.core import make_rng, make_search_space
+from foxbird.core import SearchSpace, make_rng
 from foxbird.harness import (
     METHODS,
     BenchmarkTask,
@@ -367,7 +367,7 @@ class TestRunners:
         assert res.evaluations == len(calls) == 20
 
     def test_random_search_with_no_finite_value_keeps_the_first_sample(self):
-        space = make_search_space([-1.0, 0.0], [1.0, 3.0])
+        space = SearchSpace([-1.0, 0.0], [1.0, 3.0])
         res = run_random_search(lambda x: float("nan"), space, 5, make_rng(0))
         first = make_rng(0).uniform(space.lower, space.upper)
         assert np.array_equal(res.best_position, first)

@@ -9,10 +9,9 @@ from foxbird import hraha
 from foxbird.core import (
     Individual,
     Population,
+    SearchSpace,
     clamp,
-    evaluate,
     make_rng,
-    make_search_space,
 )
 from foxbird.hraha import (
     AXIAL,
@@ -44,6 +43,10 @@ def sphere(x):
     return float(np.dot(x, x))
 
 
+def evaluated(positions, obj=sphere):
+    return Population([Individual(p, float(obj(p))) for p in positions])
+
+
 def pop_with_fitnesses(fits):
     return Population([Individual(np.array([float(i)]), float(f))
                        for i, f in enumerate(fits)])
@@ -61,11 +64,6 @@ class TestComputeAlpha:
     def test_hand_value(self):
         pop = pop_with_fitnesses([0, 1, 2])
         assert compute_alpha(pop, 1.0, 0, 10) == pytest.approx(0.5, abs=1e-9)
-
-    def test_unevaluated_rejected(self):
-        pop = Population([Individual(np.zeros(1))])
-        with pytest.raises(ValueError):
-            compute_alpha(pop, 0.5, 0, 10)
 
 
 class TestSelectFlight:
@@ -105,20 +103,16 @@ class TestFlightMask:
 
 class TestGlobalSearchStep:
     def test_member_at_best_unchanged(self):
-        space = make_search_space([-5, -5], [5, 5])
-        pop = Population([Individual(np.array([0.0, 0.0])),
-                          Individual(np.array([2.0, 0.0]))])
-        evaluate(pop, sphere)
+        space = SearchSpace([-5, -5], [5, 5])
+        pop = evaluated([np.array([0.0, 0.0]), np.array([2.0, 0.0])])
         global_search_step(pop, pop.best.copy(), 0.7, OMNIDIRECTIONAL,
                            make_rng(1), space, sphere)
         assert np.array_equal(pop.members[0].position, [0.0, 0.0])
         assert pop.members[0].fitness == 0.0
 
     def test_alpha_zero_is_identity(self):
-        space = make_search_space([-5, -5], [5, 5])
-        pop = Population([Individual(np.array([1.0, 2.0])),
-                          Individual(np.array([2.0, -1.0]))])
-        evaluate(pop, sphere)
+        space = SearchSpace([-5, -5], [5, 5])
+        pop = evaluated([np.array([1.0, 2.0]), np.array([2.0, -1.0])])
         before = pop.positions()
         global_search_step(pop, pop.best.copy(), 0.0, OMNIDIRECTIONAL,
                            make_rng(1), space, sphere)
@@ -127,10 +121,10 @@ class TestGlobalSearchStep:
     def test_axial_hand_case(self):
         # each member moves alpha * g toward the best along one drawn axis
         # only; a flat objective makes the greedy rule accept every move
-        space = make_search_space([-50.0] * 3, [50.0] * 3)
+        space = SearchSpace([-50.0] * 3, [50.0] * 3)
         start = np.array([[2.0, -1.0, 3.0], [-2.0, 4.0, 1.0], [1.0, 1.0, -3.0]])
         best = Individual(np.array([0.5, 0.5, 0.5]), 0.0)
-        pop = evaluate(Population([Individual(p.copy()) for p in start]), lambda x: 0.0)
+        pop = evaluated([p.copy() for p in start], lambda x: 0.0)
         rng = make_rng(5)
         twin = copy.deepcopy(rng)
         global_search_step(pop, best, 0.5, AXIAL, rng, space, lambda x: 0.0)
@@ -142,10 +136,9 @@ class TestGlobalSearchStep:
             assert np.array_equal(pop.members[i].position, expected)
 
     def test_greedy_never_worsens(self):
-        space = make_search_space([-5] * 4, [5] * 4)
+        space = SearchSpace([-5] * 4, [5] * 4)
         rng = make_rng(11)
-        pop = Population([Individual(rng.uniform(-5, 5, 4)) for _ in range(8)])
-        evaluate(pop, sphere)
+        pop = evaluated([rng.uniform(-5, 5, 4) for _ in range(8)])
         before = pop.fitnesses()
         global_search_step(pop, pop.best.copy(), 0.8, DIAGONAL, rng, space, sphere)
         assert np.all(pop.fitnesses() <= before)
@@ -203,13 +196,12 @@ class TestMatchesMemberByMemberReference:
     @pytest.mark.parametrize("dims", REFERENCE_DIMS)
     @pytest.mark.parametrize("flight", [OMNIDIRECTIONAL, AXIAL, DIAGONAL])
     def test_global_search_step(self, flight, dims):
-        space = make_search_space([-5.0] * dims, [5.0] * dims)
+        space = SearchSpace([-5.0] * dims, [5.0] * dims)
         for seed in range(20):
             setup = make_rng(seed)
             positions = setup.uniform(-5, 5, (9, dims))
             alpha = float(setup.random())
-            pops = [evaluate(Population([Individual(p.copy()) for p in positions]), sphere)
-                    for _ in range(2)]
+            pops = [evaluated([p.copy() for p in positions]) for _ in range(2)]
             rngs = [make_rng(1000 + seed), make_rng(1000 + seed)]
             best = pops[0].best.copy()
             global_search_step(pops[0], best, alpha, flight, rngs[0], space, sphere)
@@ -220,7 +212,7 @@ class TestMatchesMemberByMemberReference:
 
     @pytest.mark.parametrize("dims", REFERENCE_DIMS)
     def test_stay_and_disguise(self, dims):
-        space = make_search_space([-5.0] * dims, [5.0] * dims)
+        space = SearchSpace([-5.0] * dims, [5.0] * dims)
         rng = make_rng(dims)
         for _ in range(200):
             x = rng.uniform(-5, 5, dims)
@@ -232,7 +224,7 @@ class TestMatchesMemberByMemberReference:
     @pytest.mark.parametrize("dims", REFERENCE_DIMS)
     @pytest.mark.parametrize("per_pair", [False, True])
     def test_territorial_foraging(self, dims, per_pair):
-        space = make_search_space([-5.0] * dims, [5.0] * dims)
+        space = SearchSpace([-5.0] * dims, [5.0] * dims)
         rng = make_rng(dims)
         shape = ((dims + 1) // 2,) if per_pair else ()
         for _ in range(200):
@@ -268,7 +260,7 @@ class TestDeltaRegimes:
 
 
 class TestStayAndDisguise:
-    SPACE = make_search_space([-10, -10, -10], [10, 10, 10])
+    SPACE = SearchSpace([-10, -10, -10], [10, 10, 10])
 
     def test_zero_radius_identity(self):
         x = np.array([1.0, 2.0, 3.0])
@@ -276,7 +268,7 @@ class TestStayAndDisguise:
         assert np.array_equal(out, x)
 
     def test_one_dim(self):
-        space = make_search_space([-10], [10])
+        space = SearchSpace([-10], [10])
         out = stay_and_disguise(np.array([2.0]), 1.0, np.array([math.pi / 2]), space)
         assert out[0] == pytest.approx(3.0)
 
@@ -294,7 +286,7 @@ class TestStayAndDisguise:
 
 
 class TestTerritorialForaging:
-    SPACE = make_search_space([-10, -10], [10, 10])
+    SPACE = SearchSpace([-10, -10], [10, 10])
 
     def test_zero_lambda_identity(self):
         x = np.array([1.0, 2.0])
@@ -314,7 +306,7 @@ class TestTerritorialForaging:
         np.testing.assert_allclose(out, [0.5, 0.0], atol=1e-12)
 
     def test_trailing_singleton(self):
-        space = make_search_space([-10] * 3, [10] * 3)
+        space = SearchSpace([-10] * 3, [10] * 3)
         x = np.zeros(3)
         out = territorial_foraging(x, 0.5, 1.0, 0.0, 0.0, 0.0, space)
         np.testing.assert_allclose(out, [0.5, 0.0, 0.5], atol=1e-12)
@@ -322,7 +314,7 @@ class TestTerritorialForaging:
 
 class TestMigrateWorst:
     def test_eq29_identity(self):
-        space = make_search_space([-2.0, 0.0], [4.0, 10.0])
+        space = SearchSpace([-2.0, 0.0], [4.0, 10.0])
         pop = Population([Individual(np.zeros(2), 0.0),
                           Individual(np.ones(2), 2.0),
                           Individual(np.full(2, 2.0), 8.0),
@@ -336,7 +328,7 @@ class TestMigrateWorst:
         assert pop.members[3].fitness == sphere(new_pos)
 
     def test_gate_closed(self):
-        space = make_search_space([0, 0], [1, 1])
+        space = SearchSpace([0, 0], [1, 1])
         pop = Population([Individual(np.full(2, 0.5), 0.5) for _ in range(4)])
         before = pop.positions()
         migrated, r = migrate_worst(pop, space, make_rng(0), 5, 6, 10, sphere)
@@ -410,12 +402,10 @@ class TestCrossoverMutate:
 
 
 class TestMoveCloser:
-    SPACE = make_search_space([-5] * 3, [5] * 3)
+    SPACE = SearchSpace([-5] * 3, [5] * 3)
 
     def _pop(self, n, seed=0):
-        pop = Population([Individual(make_rng(seed + i).uniform(-5, 5, 3))
-                          for i in range(n)])
-        return evaluate(pop, sphere)
+        return evaluated([make_rng(seed + i).uniform(-5, 5, 3) for i in range(n)])
 
     def test_single_replacement(self):
         pop = self._pop(30)  # WORST_FRACTION 0.05 of 30 members: one
@@ -463,7 +453,7 @@ class TestMoveCloser:
 
 
 class TestRun:
-    SPACE = make_search_space([-5.12] * 10, [5.12] * 10)
+    SPACE = SearchSpace([-5.12] * 10, [5.12] * 10)
 
     def test_converges_on_sphere(self):
         result = run(sphere, self.SPACE, 30, 500, 42)
@@ -506,7 +496,7 @@ class TestRun:
             calls += 1
             return math.nan if calls > 100 and calls % 37 == 0 else sphere(x)
 
-        space = make_search_space([-5.0] * 4, [5.0] * 4)
+        space = SearchSpace([-5.0] * 4, [5.0] * 4)
         result = run(flaky_sphere, space, 10, 300, 0)
         hist = np.array(result.history)
         assert np.all(np.isfinite(hist))

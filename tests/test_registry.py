@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from foxbird import baselines, harness
 from foxbird.benchmarks import get_benchmark
-from foxbird.core import make_search_space
+from foxbird.core import SearchSpace
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 NON_FINITE = (float("nan"), float("inf"), float("-inf"))
@@ -46,7 +46,7 @@ def run(method, obj, space, pop_size, iterations, seed):
        seed=st.integers(0, 2**32 - 1),
        bad=st.dictionaries(st.integers(1, 150), st.sampled_from(NON_FINITE), max_size=30))
 def test_invariants_under_non_finite_values(method, dims, pop_size, iterations, seed, bad):
-    space = make_search_space([-5.0] * dims, [5.0] * dims)
+    space = SearchSpace([-5.0] * dims, [5.0] * dims)
     obj = Injecting(bad)
     res = run(method, obj, space, pop_size, iterations, seed)
 
@@ -71,7 +71,7 @@ def test_invariants_under_non_finite_values(method, dims, pop_size, iterations, 
 
 @pytest.mark.parametrize("method", harness.METHODS + ("random",))
 def test_nowhere_finite_objective(method):
-    space = make_search_space([-5.0] * 3, [5.0] * 3)
+    space = SearchSpace([-5.0] * 3, [5.0] * 3)
     obj = Injecting({k: NON_FINITE[k % 3] for k in range(1, 200)})
     res = run(method, obj, space, 5, 4, 0)
     assert not obj.any_finite
