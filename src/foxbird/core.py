@@ -151,4 +151,4 @@ def clamp(position: np.ndarray, space: SearchSpace) -> np.ndarray:
             f"length mismatch: position has {position.shape[-1]} entries, "
             f"space has {space.dims}"
         )
-    return np.clip(position, space.lower, space.upper)
+    return np.minimum(np.maximum(position, space.lower), space.upper)

@@ -207,51 +207,97 @@ def default_tuning_space() -> HyperparamSpace:
 # Naive Bayes classifier objective
 # ---------------------------------------------------------------------------
 
+def _class_rows(X: np.ndarray, labels, classes: list) -> tuple[np.ndarray, np.ndarray]:
+    """The zero-padded ``(classes, largest class size, features)`` tensor whose
+    row ``[k, i]`` is the i-th row of ``X`` labelled ``classes[k]``, and the
+    class sizes. Rows labelled outside ``classes`` are left out."""
+    index = {c: k for k, c in enumerate(classes)}
+    codes = np.array([index.get(lab, -1) for lab in labels], dtype=np.intp)
+    sizes = np.bincount(codes[codes >= 0], minlength=len(classes))
+    tensor = np.zeros((len(classes), sizes.max(initial=0), X.shape[1]), dtype=X.dtype)
+    for k, n in enumerate(sizes):
+        tensor[k, :n] = X[codes == k]
+    return tensor, sizes
+
+
+def _log_prior(sizes, n_rows: int) -> np.ndarray:
+    """Log class priors from class sizes; an empty class counts as one row."""
+    return np.array([math.log(max(int(n), 1) / n_rows) for n in sizes])
+
+
+def _class_totals(class_rows: np.ndarray, sizes) -> np.ndarray:
+    """Per-class feature totals of a ``_class_rows`` tensor, summed as numpy
+    sums one class's own rows: one by one in row order (padding adds zeros),
+    but pairwise for a single feature, where padding would regroup them."""
+    if class_rows.shape[2] == 1:
+        return np.array([class_rows[k, :n].sum(axis=0)
+                         for k, n in enumerate(sizes)]).reshape(len(sizes), 1)
+    return class_rows.sum(axis=1)
+
+
+def _nb_log_lik(totals: np.ndarray, smoothing: float) -> np.ndarray:
+    """Naive-Bayes log likelihoods from C-ordered per-class feature totals.
+    The normalisers use ``math.log``, which can differ from ``np.log`` in the
+    last bit."""
+    n_feat = totals.shape[1]
+    log_lik = np.log(totals + smoothing)
+    log_lik -= np.array([math.log(t + smoothing * n_feat)
+                         for t in totals.sum(axis=1).tolist()]).reshape(-1, 1)
+    return log_lik
+
+
 def train_nb(X: np.ndarray, labels: list, classes: list, smoothing: float):
     """Multinomial naive Bayes on non-negative feature rows."""
-    n_feat = X.shape[1]
-    log_prior = np.empty(len(classes))
-    log_lik = np.empty((len(classes), n_feat))
-    labels = np.asarray(labels)
-    for k, c in enumerate(classes):
-        rows = X[labels == c]
-        log_prior[k] = math.log(max(len(rows), 1) / X.shape[0])
-        totals = rows.sum(axis=0)
-        log_lik[k] = np.log(totals + smoothing) - math.log(totals.sum() + smoothing * n_feat)
-    return log_prior, log_lik
+    class_rows, sizes = _class_rows(X, labels, classes)
+    return _log_prior(sizes, X.shape[0]), _nb_log_lik(_class_totals(class_rows, sizes), smoothing)
 
 
 def predict_nb(X: np.ndarray, classes: list, log_prior, log_lik) -> list:
     scores = X @ log_lik.T + log_prior
-    return [classes[i] for i in np.argmax(scores, axis=1)]
+    return [classes[i] for i in np.argmax(scores, axis=1).tolist()]
+
+
+def _weighted_counts(docs, vocab, idf) -> np.ndarray:
+    counts = textpipe.bow_vectorize(docs, vocab)
+    counts *= idf  # in place, to hold one matrix
+    return counts
 
 
 class _PreparedCorpus:
     """Everything an evaluation needs that its hyperparameters do not change.
 
-    Per stemming variant this holds the train and test count matrices and the
-    training document frequencies over the ``max_terms_cap`` most
+    Per stemming variant this holds, over the ``max_terms_cap`` most
     document-frequent training terms (ties lexicographic), columns in
-    lexicographic order, plus the column order by (-df, term). The terms with
-    df >= ``min_doc_freq`` are a prefix of that order, so an evaluation only
-    selects columns: the same values in the same order as building its own
-    vocabulary and matrices would give."""
+    lexicographic order and weighted by IDF (which depends on the column
+    alone): the training class tensor and its per-class totals, the
+    transposed test matrix, the training document frequencies and the
+    column order by (-df, term). The terms with df >= ``min_doc_freq`` are a
+    prefix of that order, so an evaluation only selects columns: the same
+    values, summed in the same order, as building its own vocabulary and
+    matrices would give."""
 
     def __init__(self, corpus: LabeledCorpus, max_terms_cap: int | None):
         plain = [textpipe.preprocess(t, use_stemming=False) for t in corpus.texts]
+        stems = {w: textpipe.stem(w) for w in {w for doc in plain for w in doc}}
         self.classes = corpus.label_set
-        self.train_labels = [corpus.labels[i] for i in corpus.train_idx]
+        train_labels = [corpus.labels[i] for i in corpus.train_idx]
         self.test_labels = [corpus.labels[i] for i in corpus.test_idx]
-        self.counts = {}
+        n_train = len(train_labels)
+        self.variants = {}
         for stemmed in (False, True):
-            tokens = [textpipe.stem_tokens(t) for t in plain] if stemmed else plain
+            tokens = [[stems[w] for w in doc] for doc in plain] if stemmed else plain
             train_tokens = [tokens[i] for i in corpus.train_idx]
             test_tokens = [tokens[i] for i in corpus.test_idx]
             vocab = textpipe.build_vocabulary(train_tokens, 1, max_terms_cap)
             df = textpipe.doc_frequencies(train_tokens, vocab)
             order = np.lexsort((np.arange(len(vocab)), -df))
-            self.counts[stemmed] = (textpipe.bow_vectorize(train_tokens, vocab),
-                                    textpipe.bow_vectorize(test_tokens, vocab), df, order)
+            idf = np.log(n_train / np.maximum(df, 1))
+            class_rows, self.sizes = _class_rows(_weighted_counts(train_tokens, vocab, idf),
+                                                 train_labels, self.classes)
+            test_t = np.ascontiguousarray(_weighted_counts(test_tokens, vocab, idf).T)
+            self.variants[stemmed] = (class_rows, _class_totals(class_rows, self.sizes),
+                                      test_t, df, order)
+        self.log_prior = _log_prior(self.sizes, n_train)
 
 
 def _max_terms_cap(space: HyperparamSpace) -> int | None:
@@ -265,22 +311,25 @@ def _max_terms_cap(space: HyperparamSpace) -> int | None:
 def _fit_score(prep: _PreparedCorpus, params: dict) -> tuple[float, float]:
     """Train on the train split, score on the test split.
 
-    Returns (accuracy, macro_f); (0, 0) for degenerate hyperparameters."""
+    Returns (accuracy, macro_f); (0, 0) for degenerate hyperparameters,
+    such as an ``nb_smoothing`` <= 0, whose log likelihoods would not be finite."""
     min_doc_freq = int(params["min_doc_freq"])
     max_terms = int(params["max_terms"])
-    if min_doc_freq < 1 or max_terms < 1:
+    smoothing = float(params["nb_smoothing"])
+    if min_doc_freq < 1 or max_terms < 1 or smoothing <= 0:
         return 0.0, 0.0
-    train, test, df, order = prep.counts[bool(params["use_stemming"])]
+    class_rows, totals, test_t, df, order = prep.variants[bool(params["use_stemming"])]
     n_terms = min(int(np.count_nonzero(df >= min_doc_freq)), max_terms)
     if n_terms == 0:
         return 0.0, 0.0
     cols = np.sort(order[:n_terms])
-    idf = np.log(train.shape[0] / np.maximum(df[cols], 1))
-    X_train = train[:, cols] * idf
-    X_test = test[:, cols] * idf
-    log_prior, log_lik = train_nb(X_train, prep.train_labels, prep.classes,
-                                  float(params["nb_smoothing"]))
-    pred = predict_nb(X_test, prep.classes, log_prior, log_lik)
+    if n_terms == 1:  # summed pairwise, see _class_totals
+        totals = _class_totals(np.take(class_rows, cols, axis=2), prep.sizes)
+    else:
+        totals = np.take(totals, cols, axis=1)
+    # F-ordered, as test[:, cols] is: a matrix product may round by layout
+    X_test = np.take(test_t, cols, axis=0).T
+    pred = predict_nb(X_test, prep.classes, prep.log_prior, _nb_log_lik(totals, smoothing))
     return accuracy_metric(pred, prep.test_labels), f_score_metric(pred, prep.test_labels)
 
 

@@ -96,12 +96,12 @@ def f_score(pred, gold) -> float:
         raise ValueError("empty input")
     if len(pred) != len(gold):
         raise ValueError(f"length mismatch: {len(pred)} vs {len(gold)}")
-    classes = sorted(set(pred) | set(gold), key=repr)
+    # 2*tp + fp + fn is the class's count in pred plus its count in gold
+    n_pred, n_gold = Counter(pred), Counter(gold)
+    tp = Counter(p for p, g in zip(pred, gold) if p == g)
+    classes = sorted(n_pred.keys() | n_gold.keys(), key=repr)
     f1s = []
     for c in classes:
-        tp = sum(1 for p, g in zip(pred, gold) if p == c and g == c)
-        fp = sum(1 for p, g in zip(pred, gold) if p == c and g != c)
-        fn = sum(1 for p, g in zip(pred, gold) if p != c and g == c)
-        denom = 2 * tp + fp + fn
-        f1s.append(2 * tp / denom if denom else 0.0)
+        denom = n_pred[c] + n_gold[c]
+        f1s.append(2 * tp[c] / denom if denom else 0.0)
     return sum(f1s) / len(f1s)

@@ -177,6 +177,18 @@ class TestClamp:
         with pytest.raises(ValueError, match="length mismatch"):
             clamp(np.array([0.5, 0.5]), space)
 
+    def test_bytes_equal_np_clip_on_special_values(self):
+        # NaN stays NaN, and a signed zero or an infinity comes out with the
+        # same bits as np.clip gives, for vectors and for row matrices
+        special = [np.nan, 0.0, -0.0, np.inf, -np.inf, 1.0, -1.0, 7.5, -7.5]
+        rng = make_rng(0)
+        for lo, hi in [(-0.0, 1.0), (0.0, 1.0), (-1.0, -0.0), (-1.0, 0.0), (-1.0, 1.0)]:
+            space = SearchSpace([lo] * 10, [hi] * 10)
+            for shape in ((10,), (3, 10)):
+                x = rng.choice(special, size=shape)
+                want = np.clip(x, space.lower, space.upper)
+                assert clamp(x, space).tobytes() == want.tobytes(), (lo, hi, x)
+
     @given(st.lists(st.floats(-100, 100), min_size=3, max_size=3))
     def test_always_in_box(self, vals):
         space = SearchSpace([-1, 0, 2], [1, 5, 3])

@@ -1,10 +1,13 @@
+import itertools
 import json
 import math
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from foxbird import textpipe
+from foxbird import harness, textpipe
 from foxbird.core import SearchSpace, make_rng
 from foxbird.harness import (
     METHODS,
@@ -30,6 +33,53 @@ from foxbird.harness import (
 from foxbird.metrics import accuracy, f_score
 
 from conftest import make_synthetic_corpus
+from test_metrics import f_score_reference
+
+
+def train_nb_reference(X, labels, classes, smoothing):
+    """Naive Bayes with a boolean row mask per class, each class summed on
+    its own: the fit that the class tensor must reproduce bit for bit."""
+    n_feat = X.shape[1]
+    log_prior = np.empty(len(classes))
+    log_lik = np.empty((len(classes), n_feat))
+    labels = np.asarray(labels)
+    for k, c in enumerate(classes):
+        rows = X[labels == c]
+        log_prior[k] = math.log(max(len(rows), 1) / X.shape[0])
+        totals = rows.sum(axis=0)
+        log_lik[k] = np.log(totals + smoothing) - math.log(totals.sum() + smoothing * n_feat)
+    return log_prior, log_lik
+
+
+def nb_cases(seed: int, n: int, n_feats=(1, 2, 3, 8, 9, 40, 300)):
+    """Random non-negative count-like matrices, C- and F-ordered, with a
+    label outside ``classes`` and classes of 0, 1 or more rows.
+
+    Classes of unequal size pad the class tensor, which regroups numpy's
+    pairwise sum of a single column."""
+    rng = make_rng(seed)
+    yield np.arange(12.0).reshape(4, 3), ["b", "a", "x", "b"], ["a", "b", "c"]
+    for case in range(n):
+        n_rows = int(rng.integers(1, 120))
+        n_feat = int(rng.choice(n_feats))
+        classes = [f"c{k}" for k in range(int(rng.integers(1, 7)))]
+        labels = [f"c{k}" for k in rng.integers(0, len(classes) + 1, n_rows)]
+        X = rng.exponential(1.0, (n_rows, n_feat)) * rng.integers(0, 3, (n_rows, n_feat))
+        yield (np.asfortranarray(X) if case % 2 else X), labels, classes
+
+
+def class_sums(X, labels, classes):
+    """Per-class column totals as the mask reference sums them."""
+    labels = np.asarray(labels)
+    return np.array([X[labels == c].sum(axis=0) for c in classes]).reshape(len(classes), -1)
+
+
+def layout(a):
+    return [stride for stride, n in zip(a.strides, a.shape) if n > 1]
+
+
+def assert_same_bits(got, want):
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +102,23 @@ def graded_corpus_csv(tmp_path_factory):
         text = [words[j] for j in rng.choice(len(words), size=n, p=weights)]
         text += [own[j] for j in rng.integers(0, len(own), size=n // 2)]
         lines.append(f"d{i},{' '.join(text)},{label}")
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def lopsided_corpus_csv(tmp_path_factory):
+    """Classes of 40, 20 and 12 documents whose most frequent term, alpha,
+    is missing from every seventh document, so a one-term fit sums classes
+    of unequal size over a non-zero IDF."""
+    rng = np.random.Generator(np.random.PCG64(8))
+    lines = ["id,text,label"]
+    for i in range(72):
+        label = "a" if i < 40 else "b" if i < 60 else "c"
+        words = ["alpha"] * int(rng.integers(1, 8)) if i % 7 else []
+        words += [f"w{int(j)}" for j in rng.integers(0, 30, 4)]
+        lines.append(f"d{i},{' '.join(words)},{label}")
+    path = tmp_path_factory.mktemp("lopsided") / "lopsided.csv"
     path.write_text("\n".join(lines) + "\n")
     return str(path)
 
@@ -211,6 +278,38 @@ class TestNaiveBayes:
         lp, ll = train_nb(X, ["a", "a", "a", "b"], ["a", "b"], smoothing=1.0)
         assert predict_nb(np.ones((1, 2)), ["a", "b"], lp, ll) == ["a"]
 
+    def test_adapter_bytes_equal_mask_reference(self):
+        sizes_seen = set()
+        for X, labels, classes in itertools.chain(nb_cases(0, 200), nb_cases(1, 100, (1,))):
+            sizes_seen.update(labels.count(c) for c in classes)
+            for smoothing in (0.01, 0.5, 1.0, 5.0):
+                got = train_nb(X, labels, classes, smoothing)
+                assert_same_bits(got, train_nb_reference(X, labels, classes, smoothing))
+                assert got[1].flags.c_contiguous  # as the reference's, for predict_nb
+        assert {0, 1} <= sizes_seen
+
+    def test_kernel_on_selected_totals_bytes_equal_mask_reference(self):
+        # an evaluation selects columns of totals summed once over every
+        # column; a single column is summed from the class tensor instead
+        rng = make_rng(1)
+        for X, labels, classes in itertools.chain(nb_cases(2, 150), nb_cases(3, 50, (1,))):
+            class_rows, sizes = harness._class_rows(X, labels, classes)
+            totals = harness._class_totals(class_rows, sizes)
+            assert_same_bits([totals], [class_sums(X, labels, classes)])
+            n_feat = X.shape[1]
+            picks = [np.sort(rng.choice(n_feat, size=int(rng.integers(1, n_feat + 1)),
+                                        replace=False)) for _ in range(3)]
+            for cols in picks + [np.array([int(rng.integers(n_feat))])]:
+                if len(cols) == 1:
+                    selected = harness._class_totals(np.take(class_rows, cols, axis=2), sizes)
+                else:
+                    selected = np.take(totals, cols, axis=1)
+                for smoothing in (0.01, 1.0, 5.0):
+                    got = (harness._log_prior(sizes, X.shape[0]),
+                           harness._nb_log_lik(selected, smoothing))
+                    want = train_nb_reference(X[:, cols], labels, classes, smoothing)
+                    assert_same_bits(got, want)
+
 
 class TestClassifierObjective:
     def test_fitness_in_unit_interval(self, corpus_csv):
@@ -256,6 +355,114 @@ class TestClassifierObjective:
                           "use_stemming": True, "nb_smoothing": 1.0})
         _, macro_f = obj.fit_score(x)
         assert obj(x) == pytest.approx(1.0 - macro_f)
+
+    def test_non_positive_smoothing_scores_worst(self, corpus_csv):
+        # a config space may reach nb_smoothing <= 0, where the log likelihoods
+        # would take the log of zero or of a negative number
+        default = default_tuning_space()
+        space = HyperparamSpace(default.dims[:3]
+                                + (HyperparamDim("nb_smoothing", "continuous", -1.0, 1.0),))
+        obj = classifier_objective(load_corpus(corpus_csv), space)
+
+        def x(smoothing):
+            return space.encode({"min_doc_freq": 1, "max_terms": 500,
+                                 "use_stemming": True, "nb_smoothing": smoothing})
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for smoothing in (-1.0, -0.25, 0.0):
+                assert obj.fit_score(x(smoothing)) == (0.0, 0.0)
+                assert obj(x(smoothing)) == 1.0
+            assert obj(x(0.5)) < 0.5
+
+    def test_miss_calls_each_stage_once_and_hit_none(self, corpus_csv, monkeypatch):
+        # the stages a miss runs, called through the module attributes that
+        # perfbench's trace wraps; train_nb is the adapter for other callers
+        calls = Counter()
+        stages = ("_fit_score", "train_nb", "predict_nb", "accuracy_metric", "f_score_metric")
+        for name in stages:
+            def counted(*args, _fn=getattr(harness, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(harness, name, counted)
+        obj = classifier_objective(load_corpus(corpus_csv), default_tuning_space())
+        x = default_tuning_space().encode({"min_doc_freq": 2, "max_terms": 100,
+                                           "use_stemming": False, "nb_smoothing": 0.5})
+        once = {"_fit_score": 1, "predict_nb": 1, "accuracy_metric": 1, "f_score_metric": 1}
+        obj(x)
+        assert calls == once
+        obj(x)
+        assert calls == once
+
+    @pytest.mark.parametrize("corpus_name", ["graded_corpus_csv", "lopsided_corpus_csv"])
+    def test_fit_score_equals_two_matrix_reference(self, corpus_name, request, monkeypatch):
+        # The objective selects columns of per-class totals summed once; the
+        # reference selects columns of the train and test count matrices,
+        # weights them and fits with a mask per class, as every evaluation
+        # once did. The kernel and predict_nb must get the same bits, and
+        # the test matrix the same layout (the strides of its axes longer
+        # than 1), since a matrix product's rounding can follow its
+        # operands' layout. max_terms 1 covers the one-column sum.
+        corpus = load_corpus(request.getfixturevalue(corpus_name))
+        classes = corpus.label_set
+        train_labels = [corpus.labels[i] for i in corpus.train_idx]
+        test_labels = [corpus.labels[i] for i in corpus.test_idx]
+        matrices = {}
+        for use_stemming in (False, True):
+            tokens = [textpipe.preprocess(t, use_stemming=use_stemming) for t in corpus.texts]
+            train = [tokens[i] for i in corpus.train_idx]
+            test = [tokens[i] for i in corpus.test_idx]
+            vocab = textpipe.build_vocabulary(train)
+            df = textpipe.doc_frequencies(train, vocab)
+            matrices[use_stemming] = (textpipe.bow_vectorize(train, vocab),
+                                      textpipe.bow_vectorize(test, vocab), df,
+                                      np.lexsort((np.arange(len(vocab)), -df)))
+
+        def reference(params):
+            train, test, df, order = matrices[params["use_stemming"]]
+            n_terms = min(int(np.count_nonzero(df >= params["min_doc_freq"])),
+                          params["max_terms"])
+            if n_terms == 0:
+                return None, (0.0, 0.0)
+            cols = np.sort(order[:n_terms])
+            idf = np.log(train.shape[0] / np.maximum(df[cols], 1))
+            X_train, X_test = train[:, cols] * idf, test[:, cols] * idf
+            log_prior, log_lik = train_nb_reference(X_train, train_labels, classes,
+                                                    params["nb_smoothing"])
+            pred = predict_nb(X_test, classes, log_prior, log_lik)
+            return ((class_sums(X_train, train_labels, classes), X_test, log_prior, log_lik),
+                    (accuracy(pred, test_labels), f_score_reference(pred, test_labels)))
+
+        seen = []
+        kernel = harness._nb_log_lik
+        monkeypatch.setattr(harness, "_nb_log_lik",
+                            lambda *args: seen.append(args[0]) or kernel(*args))
+        monkeypatch.setattr(harness, "predict_nb",
+                            lambda X, c, *fit: seen.extend((X,) + fit) or predict_nb(X, c, *fit))
+        space = default_tuning_space()
+        space = HyperparamSpace((HyperparamDim("min_doc_freq", "integer", 1, 5),
+                                 HyperparamDim("max_terms", "integer", 1, 2000))
+                                + space.dims[2:])
+        obj = classifier_objective(corpus, space)
+        points = [space.encode({"min_doc_freq": mdf, "max_terms": mt,
+                                "use_stemming": st, "nb_smoothing": sm})
+                  for mdf in range(1, 6) for mt in (1, 2, 3, 9, 40, 500, 2000)
+                  for st in (False, True) for sm in (0.01, 0.3, 5.0)]
+        rng = make_rng(4)
+        box = space.to_box()
+        points += [rng.uniform(box.lower, box.upper) for _ in range(300)]
+        distinct = set()
+        for x in points:
+            inputs, want = reference(space.decode(x))
+            seen.clear()
+            assert obj.fit_score(x) == want, space.decode(x)
+            if inputs is None:
+                assert seen == []
+            else:
+                assert layout(seen[1]) == layout(inputs[1])
+                assert_same_bits(seen, inputs)
+            distinct.add(want)
+        assert len(distinct) > 5
 
     def test_fit_score_equals_per_evaluation_oracle(self, graded_corpus_csv):
         # The objective selects columns of count matrices built once; the

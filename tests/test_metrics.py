@@ -26,6 +26,21 @@ def lcs_oracle(a, b):
     return t[m][n]
 
 
+def f_score_reference(pred, gold):
+    """Macro F1 counting tp, fp and fn with a pass over the pairs for each
+    class: the reference that the one-pass f_score must equal exactly."""
+    pred, gold = list(pred), list(gold)
+    classes = sorted(set(pred) | set(gold), key=repr)
+    f1s = []
+    for c in classes:
+        tp = sum(1 for p, g in zip(pred, gold) if p == c and g == c)
+        fp = sum(1 for p, g in zip(pred, gold) if p == c and g != c)
+        fn = sum(1 for p, g in zip(pred, gold) if p != c and g == c)
+        denom = 2 * tp + fp + fn
+        f1s.append(2 * tp / denom if denom else 0.0)
+    return sum(f1s) / len(f1s)
+
+
 class TestBleu4:
     def test_perfect_match(self):
         cand = "the cat sat on the mat".split()
@@ -193,3 +208,24 @@ class TestFScore:
                 fn = Counter(gold)[c] - tp
                 f1s.append(2 * tp / (2 * tp + fp + fn) if (2 * tp + fp + fn) else 0.0)
             assert f_score(pred, gold) == pytest.approx(sum(f1s) / len(f1s))
+
+    @pytest.mark.parametrize("alphabet", [
+        ["x", "y", "z", "w"],
+        [0, 1, 2, 3, 4],
+        [True, False],
+        ["a", 1, "1", 2, "b"],
+        [0, 1, True, False, 2],
+    ], ids=["str", "int", "bool", "str-int", "int-bool"])
+    def test_equals_reference_exactly(self, alphabet):
+        # pred and gold draw from overlapping halves of the alphabet, so
+        # some classes occur only in pred and some only in gold
+        import random
+        rnd = random.Random(len(alphabet))
+        half = len(alphabet) // 2
+        for _ in range(500):
+            n = rnd.randint(1, 40)
+            pred = [rnd.choice(alphabet[:half + 1]) for _ in range(n)]
+            gold = [rnd.choice(alphabet[half:]) if rnd.random() < 0.5
+                    else rnd.choice(alphabet) for _ in range(n)]
+            assert f_score(pred, gold) == f_score_reference(pred, gold), (pred, gold)
+            assert f_score(iter(pred), iter(gold)) == f_score_reference(pred, gold)
