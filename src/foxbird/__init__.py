@@ -12,7 +12,6 @@ Subpackages and modules:
 """
 
 from .core import (
-    Individual,
     Population,
     SearchSpace,
     clamp,
@@ -23,7 +22,6 @@ from .hraha import OptimizationResult, run
 
 __all__ = [
     "SearchSpace",
-    "Individual",
     "Population",
     "make_rng",
     "init_population",

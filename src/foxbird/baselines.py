@@ -2,7 +2,8 @@
 
 All three return the same result shape as the hybrid optimizer so the
 harness can put them in one comparison table. The fox baseline reuses the
-hybrid's stay-and-disguise and reproduction operators; the hummingbird
+hybrid's guided step (``step_toward``, its global step's move toward the
+best), stay-and-disguise and reproduction operators; the hummingbird
 baseline reuses its flight masks and migration.
 """
 
@@ -14,7 +15,6 @@ import numpy as np
 
 from .core import (
     CountingObjective,
-    Individual,
     SearchSpace,
     accept_if_better,
     clamp,
@@ -31,6 +31,7 @@ from .hraha import (
     migrate_worst,
     move_closer_reproduce,
     stay_and_disguise,
+    step_toward,
 )
 
 __all__ = ["run_rfo", "run_aha", "run_pso"]
@@ -39,16 +40,6 @@ __all__ = ["run_rfo", "run_aha", "run_pso"]
 PSO_INERTIA = 0.729
 PSO_COGNITIVE = 1.49445
 PSO_SOCIAL = 1.49445
-
-
-def _result(best: Individual, history, evals) -> OptimizationResult:
-    return OptimizationResult(
-        best_position=best.position.copy(),
-        best_fitness=float(best.fitness),
-        history=list(history),
-        evaluations=evals,
-        strategy_counts={},
-    )
 
 
 def run_rfo(obj, space: SearchSpace, pop_size: int, max_iters: int,
@@ -62,12 +53,7 @@ def run_rfo(obj, space: SearchSpace, pop_size: int, max_iters: int,
     incumbent = pop.best.copy()
     history = []
     for _ in range(max_iters):
-        # guided move toward the best, built for all members at once
-        kappa = rng.random(len(pop))
-        P = pop.positions()
-        cands = clamp(P + kappa[:, None] * (pop.best.position - P), space)
-        for m, cand in zip(pop.members, cands):
-            accept_if_better(m, cand, counted(cand))
+        step_toward(pop, pop.best.position, rng.random(len(pop))[:, None], space, counted)
         for m in pop.members:
             mu = rng.random()
             if mu > 0.75:
@@ -80,7 +66,7 @@ def run_rfo(obj, space: SearchSpace, pop_size: int, max_iters: int,
         if pop.best.fitness < incumbent.fitness:
             incumbent = pop.best.copy()
         history.append(incumbent.fitness)
-    return _result(incumbent, history, counted.count)
+    return OptimizationResult(incumbent.position, incumbent.fitness, history, counted.count)
 
 
 def run_aha(obj, space: SearchSpace, pop_size: int, max_iters: int,
@@ -122,7 +108,7 @@ def run_aha(obj, space: SearchSpace, pop_size: int, max_iters: int,
         if pop.best.fitness < incumbent.fitness:
             incumbent = pop.best.copy()
         history.append(incumbent.fitness)
-    return _result(incumbent, history, counted.count)
+    return OptimizationResult(incumbent.position, incumbent.fitness, history, counted.count)
 
 
 def run_pso(obj, space: SearchSpace, pop_size: int, max_iters: int,
@@ -146,14 +132,14 @@ def run_pso(obj, space: SearchSpace, pop_size: int, max_iters: int,
         r2 = rng.random(X.shape)
         V = (PSO_INERTIA * V + PSO_COGNITIVE * r1 * (pbest_X - X)
              + PSO_SOCIAL * r2 * (gbest_x - X))
-        X = np.clip(X + V, space.lower, space.upper)
+        X = clamp(X + V, space)
         for i in range(pop_size):
             f = counted(X[i])
             if f < pbest_F[i]:
                 pbest_F[i] = f
-                pbest_X[i] = X[i].copy()
+                pbest_X[i] = X[i]
                 if f < gbest_f:
                     gbest_f = f
                     gbest_x = X[i].copy()
         history.append(gbest_f)
-    return _result(Individual(gbest_x, gbest_f), history, counted.count)
+    return OptimizationResult(gbest_x, gbest_f, history, counted.count)

@@ -102,8 +102,8 @@ class Population:
 
 def init_population(space: SearchSpace, size: int, rng, obj) -> Population:
     """Uniform random population inside the box, evaluated row by row in
-    order through ``obj``. A non-finite value is stored as +inf, the rule
-    ``CountingObjective`` applies to every later evaluation.
+    order through ``obj`` wrapped in ``CountingObjective``, so a non-finite
+    value is stored as +inf as it is at every later evaluation.
 
     Requires size >= 4: the reproduction step needs two parents plus
     replaceable worst members.
@@ -111,11 +111,9 @@ def init_population(space: SearchSpace, size: int, rng, obj) -> Population:
     if size < 4:
         raise ValueError(f"population size must be >= 4, got {size}")
     rng = make_rng(rng)
-    members = []
-    for x in rng.uniform(space.lower, space.upper, size=(size, space.dims)):
-        f = float(obj(x))
-        members.append(Individual(x, f if math.isfinite(f) else math.inf))
-    return Population(members)
+    score = CountingObjective(obj)
+    return Population([Individual(x, score(x))
+                       for x in rng.uniform(space.lower, space.upper, size=(size, space.dims))])
 
 
 class CountingObjective:

@@ -110,7 +110,8 @@ def _parse_rows(path, fmt: str):
 def load_corpus(path, fmt: str = "csv", split_ratio: float = 0.8, seed: int = 0) -> LabeledCorpus:
     """Parse a labeled corpus and make a deterministic stratified split.
 
-    Every label is guaranteed at least one training document."""
+    Every label is guaranteed at least one training document; a split that
+    leaves no test document is a DataError."""
     rows = _parse_rows(path, fmt)
     if len(rows) < 10:
         raise DataError(f"corpus too small: {len(rows)} documents (need >= 10)")
@@ -132,6 +133,9 @@ def load_corpus(path, fmt: str = "csv", split_ratio: float = 0.8, seed: int = 0)
         shuffled = idx[perm]
         train_idx.extend(int(i) for i in shuffled[:n_train])
         test_idx.extend(int(i) for i in shuffled[n_train:])
+    if not test_idx:
+        raise DataError(f"split_ratio {split_ratio} leaves no test documents: "
+                        f"{len(train_idx)} train, 0 test")
     train_idx.sort()
     test_idx.sort()
     return LabeledCorpus([r[0] for r in rows], [r[1] for r in rows], labels,
@@ -604,6 +608,9 @@ def _space_from_config(space_cfg) -> HyperparamSpace:
             choices = d.get("choices")
             if not isinstance(choices, list) or not choices:
                 raise ConfigError(f"{at}.choices: expected a non-empty list, got {choices!r}")
+            for c in choices:  # values the objective can read and use as cache keys
+                if not (name == "use_stemming" and isinstance(c, bool)):
+                    _check_number(c, f"{at}.choices")
             dims.append(HyperparamDim(name, kind, choices=tuple(choices)))
         elif kind in ("continuous", "integer"):
             _check_keys(d, ("name", "kind", "lo", "hi"), f"{at}.")

@@ -48,6 +48,7 @@ __all__ = [
     "compute_alpha",
     "select_flight",
     "flight_mask",
+    "step_toward",
     "global_search_step",
     "strategy_for_delta",
     "stay_and_disguise",
@@ -139,14 +140,27 @@ def flight_mask(kind: str, dims: int, rng) -> np.ndarray:
     raise ValueError(f"unknown flight kind {kind!r}")
 
 
+def step_toward(pop: Population, target: np.ndarray, step: np.ndarray,
+                space: SearchSpace, obj) -> Population:
+    """Move every member ``step`` of the way toward ``target``; greedy accept.
+
+    The candidates are one clamped matrix (``step`` broadcasts against the
+    ``(n, d)`` positions), evaluated and accepted one by one in member order:
+    the member-by-member move of the global step and of RFO's guided move."""
+    P = pop.positions()
+    cands = clamp(P + step * (target - P), space)
+    for m, cand in zip(pop.members, cands):
+        accept_if_better(m, cand, float(obj(cand)))
+    return pop
+
+
 def global_search_step(pop: Population, best: Individual, alpha: float,
                        flight: str, rng, space: SearchSpace, obj) -> Population:
     """Move every member toward the best along the flight mask; greedy accept.
 
-    All candidates are built as one matrix before any is evaluated; each
-    member's candidate depends only on its own position, so this equals the
-    member-by-member step. The masks draw from ``rng`` in the same order as
-    one ``flight_mask`` call per member."""
+    The step is ``alpha * g * mask`` per member, with g a standard normal
+    draw. The masks draw from ``rng`` in the same order as one
+    ``flight_mask`` call per member."""
     rng = make_rng(rng)
     n, d = len(pop), space.dims
     g = rng.standard_normal(n)
@@ -157,11 +171,7 @@ def global_search_step(pop: Population, best: Individual, alpha: float,
         masks[np.arange(n), rng.integers(0, d, size=n)] = 1.0
     else:
         masks = np.array([flight_mask(flight, d, rng) for _ in range(n)])
-    P = pop.positions()
-    cands = clamp(P + alpha * g[:, None] * masks * (best.position - P), space)
-    for m, cand in zip(pop.members, cands):
-        accept_if_better(m, cand, float(obj(cand)))
-    return pop
+    return step_toward(pop, best.position, alpha * g[:, None] * masks, space, obj)
 
 
 # ---------------------------------------------------------------------------

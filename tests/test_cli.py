@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import shutil
 
 import pytest
 
@@ -26,8 +27,13 @@ SPACE = [
     {"name": "use_stemming", "kind": "categorical", "choices": [False, True]},
     {"name": "nb_smoothing", "kind": "continuous", "lo": 0.01, "hi": 5.0},
 ]
-# the config is rejected before the corpus is read, so the file need not exist
+# test_bad_field_is_usage_error puts a real corpus at this path, so a config
+# the parser wrongly accepts runs instead of failing on a missing file
 CLASSIFIER = {"kind": "classifier", "corpus": "corpus.csv"}
+
+
+def categorical(name, choices):
+    return {"name": name, "kind": "categorical", "choices": choices}
 
 
 class TestRun:
@@ -84,6 +90,16 @@ class TestRun:
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == EXIT_DATA
         assert capsys.readouterr().err.startswith("data error: ")
+
+    def test_split_with_no_test_document_is_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "ten.csv"
+        corpus.write_text("id,text,label\n"
+                          + "\n".join(f"d{i},t,{'ab'[i % 2]}" for i in range(10)))
+        cfg = write_config(tmp_path / "cfg.json", methods=["pso"], task={
+            "kind": "classifier", "corpus": str(corpus), "split_ratio": 0.95})
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error: split_ratio 0.95 ")
 
     def test_space_section_as_the_default(self, tmp_path, corpus_csv):
         out = {}
@@ -158,8 +174,27 @@ class TestRun:
         ("space[1].choices", {"task": CLASSIFIER, "space": [
             SPACE[0], {**SPACE[1], "choices": [10, 20]}, *SPACE[2:]]}),
         ("space[2].lo", {"task": CLASSIFIER, "space": [*SPACE[:2], {**SPACE[2], "lo": 0}, SPACE[3]]}),
+        # categorical choices the objective cannot read or hash
+        ("space[2].choices", {"task": CLASSIFIER, "space": [
+            *SPACE[:2], categorical("use_stemming", [[0], [1]]), SPACE[3]]}),
+        ("space[2].choices", {"task": CLASSIFIER, "space": [
+            *SPACE[:2], categorical("use_stemming", ["false"]), SPACE[3]]}),
+        ("space[1].choices", {"task": CLASSIFIER, "space": [
+            SPACE[0], categorical("max_terms", [{"a": 1}]), *SPACE[2:]]}),
+        # json.dumps writes inf as Infinity, which json.load reads back as 1e400 would be
+        ("space[1].choices", {"task": CLASSIFIER, "space": [
+            SPACE[0], categorical("max_terms", [math.inf]), *SPACE[2:]]}),
+        ("space[3].choices", {"task": CLASSIFIER, "space": [
+            *SPACE[:3], categorical("nb_smoothing", ["x", "y"])]}),
+        ("space[3].choices", {"task": CLASSIFIER, "space": [
+            *SPACE[:3], categorical("nb_smoothing", [None])]}),
+        ("space[0].choices", {"task": CLASSIFIER, "space": [
+            categorical("min_doc_freq", [2, None]), *SPACE[1:]]}),
     ])
-    def test_bad_field_is_usage_error(self, tmp_path, capsys, field, over):
+    def test_bad_field_is_usage_error(self, tmp_path, capsys, monkeypatch, corpus_csv,
+                                      field, over):
+        shutil.copy(corpus_csv, tmp_path / "corpus.csv")
+        monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path / "cfg.json", **over)
         out = tmp_path / "o"
         # --seed replaces a valid config's seeds, so it cannot rescue an invalid config

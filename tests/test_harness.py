@@ -192,6 +192,13 @@ class TestLoadCorpus:
         with pytest.raises(DataError, match="split_ratio"):
             load_corpus(corpus_csv, split_ratio=1.0)
 
+    def test_split_with_no_test_document(self, tmp_path):
+        # 0.95 of each label's 5 documents rounds to all 5
+        path = tmp_path / "ten.csv"
+        path.write_text("id,text,label\n" + "\n".join(f"d{i},t,{'ab'[i % 2]}" for i in range(10)))
+        with pytest.raises(DataError, match=r"split_ratio 0\.95 .*10 train, 0 test"):
+            load_corpus(path, split_ratio=0.95)
+
     def test_unknown_format(self, corpus_csv):
         with pytest.raises(DataError, match="unknown corpus format"):
             load_corpus(corpus_csv, fmt="xml")

@@ -10,6 +10,7 @@ from foxbird.core import (
     Individual,
     Population,
     SearchSpace,
+    accept_if_better,
     clamp,
     make_rng,
 )
@@ -34,6 +35,7 @@ from foxbird.hraha import (
     run,
     select_flight,
     stay_and_disguise,
+    step_toward,
     strategy_for_delta,
     territorial_foraging,
 )
@@ -164,6 +166,15 @@ def global_search_step_loop(pop, best, alpha, flight, rng, space, obj):
             m.position, m.fitness = cand, f
 
 
+def rfo_guided_move_loop(pop, rng, space, obj):
+    # RFO's guided move as run_rfo wrote it inline, kept as step_toward's reference
+    kappa = rng.random(len(pop))
+    P = pop.positions()
+    cands = clamp(P + kappa[:, None] * (pop.best.position - P), space)
+    for m, cand in zip(pop.members, cands):
+        accept_if_better(m, cand, obj(cand))
+
+
 def stay_and_disguise_loop(position, nr, phis, space):
     d = space.dims
     out = position.copy()
@@ -206,6 +217,21 @@ class TestMatchesMemberByMemberReference:
             best = pops[0].best.copy()
             global_search_step(pops[0], best, alpha, flight, rngs[0], space, sphere)
             global_search_step_loop(pops[1], best, alpha, flight, rngs[1], space, sphere)
+            assert bits(pops[0].positions()) == bits(pops[1].positions())
+            assert bits(pops[0].fitnesses()) == bits(pops[1].fitnesses())
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    @pytest.mark.parametrize("dims", REFERENCE_DIMS)
+    def test_rfo_guided_move(self, dims):
+        # a (n, 1) step: one uniform draw per member scales its whole move
+        space = SearchSpace([-5.0] * dims, [5.0] * dims)
+        for seed in range(20):
+            positions = make_rng(seed).uniform(-5, 5, (9, dims))
+            pops = [evaluated([p.copy() for p in positions]) for _ in range(2)]
+            rngs = [make_rng(1000 + seed), make_rng(1000 + seed)]
+            step_toward(pops[0], pops[0].best.position, rngs[0].random(9)[:, None],
+                        space, sphere)
+            rfo_guided_move_loop(pops[1], rngs[1], space, sphere)
             assert bits(pops[0].positions()) == bits(pops[1].positions())
             assert bits(pops[0].fitnesses()) == bits(pops[1].fitnesses())
             assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
