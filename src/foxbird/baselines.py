@@ -3,13 +3,11 @@
 All three return the same result shape as the hybrid optimizer so the
 harness can put them in one comparison table. The fox baseline reuses the
 hybrid's guided step (``step_toward``, its global step's move toward the
-best), stay-and-disguise and reproduction operators; the hummingbird
+best), stay move (``stay_step``) and reproduction operators; the hummingbird
 baseline reuses its flight masks and migration.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -25,12 +23,11 @@ from .hraha import (
     AXIAL,
     DIAGONAL,
     OMNIDIRECTIONAL,
-    SCALING_A,
     OptimizationResult,
     flight_mask,
     migrate_worst,
     move_closer_reproduce,
-    stay_and_disguise,
+    stay_step,
     step_toward,
 )
 
@@ -50,21 +47,16 @@ def run_rfo(obj, space: SearchSpace, pop_size: int, max_iters: int,
     rng = make_rng(rng)
     counted = CountingObjective(obj)
     pop = init_population(space, pop_size, rng, counted)
-    incumbent = pop.best.copy()
+    incumbent = pop.best
     history = []
     for _ in range(max_iters):
         step_toward(pop, pop.best.position, rng.random(len(pop))[:, None], space, counted)
-        for m in pop.members:
-            mu = rng.random()
-            if mu > 0.75:
-                theta = rng.random()
-                nr = SCALING_A * theta
-                phis = rng.uniform(0.0, 2 * math.pi, space.dims)
-                cand = stay_and_disguise(m.position, nr, phis, space)
-                accept_if_better(m, cand, counted(cand))
+        for i in range(len(pop)):
+            if rng.random() > 0.75:
+                stay_step(pop, i, rng, space, counted)
         move_closer_reproduce(pop, rng, space, counted)
         if pop.best.fitness < incumbent.fitness:
-            incumbent = pop.best.copy()
+            incumbent = pop.best
         history.append(incumbent.fitness)
     return OptimizationResult(incumbent.position, incumbent.fitness, history, counted.count)
 
@@ -78,12 +70,12 @@ def run_aha(obj, space: SearchSpace, pop_size: int, max_iters: int,
     counted = CountingObjective(obj)
     M = 2 * pop_size
     pop = init_population(space, pop_size, rng, counted)
-    incumbent = pop.best.copy()
+    incumbent = pop.best
     history = []
     last_migration = 0
     for t in range(max_iters):
-        best_pos = pop.best.position.copy()
-        for m in pop.members:
+        best_pos = pop.best.position
+        for i in range(len(pop)):
             u = rng.random()
             if u < 1 / 3:
                 kind = OMNIDIRECTIONAL
@@ -93,20 +85,21 @@ def run_aha(obj, space: SearchSpace, pop_size: int, max_iters: int,
                 kind = DIAGONAL
             mask = flight_mask(kind, space.dims, rng)
             b = rng.standard_normal()
+            x = pop.members[i].position
             if rng.random() < 0.5:
                 # guided foraging toward the best food source
-                cand = clamp(best_pos + b * mask * (m.position - best_pos), space)
+                cand = clamp(best_pos + b * mask * (x - best_pos), space)
             else:
                 # territorial foraging around the current source; the step is
                 # relative to the guiding source, not the origin, to avoid
                 # center-of-domain bias on symmetric benchmarks
-                cand = clamp(m.position + b * mask * (m.position - best_pos), space)
-            accept_if_better(m, cand, counted(cand))
+                cand = clamp(x + b * mask * (x - best_pos), space)
+            accept_if_better(pop, i, cand, counted)
         migrated, _ = migrate_worst(pop, space, rng, last_migration, t, M, counted)
         if migrated:
             last_migration = t
         if pop.best.fitness < incumbent.fitness:
-            incumbent = pop.best.copy()
+            incumbent = pop.best
         history.append(incumbent.fitness)
     return OptimizationResult(incumbent.position, incumbent.fitness, history, counted.count)
 

@@ -119,6 +119,8 @@ def _cmd_tfidf(args) -> int:
         if value is not None and value < 1:
             raise ConfigError(f"{flag}: must be >= 1, got {value}")
     rows = _parse_rows(args.input, args.format)
+    if not rows:
+        raise DataError(f"empty corpus: no documents in {args.input}")
     tokens = [textpipe.preprocess(text) for _, text, _ in rows]
     vocab = textpipe.build_vocabulary(tokens, args.min_doc_freq, args.max_terms)
     matrix = textpipe.tf_idf(tokens, vocab)

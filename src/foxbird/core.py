@@ -2,7 +2,9 @@
 
 All optimizers in this package minimize. A population is born evaluated:
 ``init_population`` scores every member, so each ``Individual`` carries a
-fitness from the start.
+fitness from the start. Members are immutable ``(position, fitness)`` values
+and no code writes a stored position array in place, so a member kept past
+later steps needs no copy: ``accept_if_better`` puts a new value in the slot.
 
 The project-wide random number generator is numpy's PCG64 (via
 ``numpy.random.Generator``): the same seed produces the same draw stream on
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,15 +69,11 @@ class SearchSpace:
                 raise ValueError(f"inverted bound at j={j}")
 
 
-@dataclass
-class Individual:
-    """Position vector plus its fitness."""
+class Individual(NamedTuple):
+    """Position vector plus its fitness; an immutable value."""
 
     position: np.ndarray
     fitness: float
-
-    def copy(self) -> "Individual":
-        return Individual(self.position.copy(), self.fitness)
 
 
 @dataclass
@@ -133,12 +132,12 @@ class CountingObjective:
         return f if math.isfinite(f) else math.inf
 
 
-def accept_if_better(member: Individual, cand: np.ndarray, f: float) -> None:
-    """Greedy acceptance: the member takes the candidate array itself and its
-    fitness unless that would worsen the member's fitness (ties accept)."""
-    if f <= member.fitness:
-        member.position = cand
-        member.fitness = f
+def accept_if_better(pop: Population, i: int, cand: np.ndarray, obj) -> None:
+    """The one greedy accept: evaluate ``cand`` once and store it, the array
+    itself, in slot ``i`` unless that worsens the slot's fitness (ties accept)."""
+    f = float(obj(cand))
+    if f <= pop.members[i].fitness:
+        pop.members[i] = Individual(cand, f)
 
 
 def clamp(position: np.ndarray, space: SearchSpace) -> np.ndarray:

@@ -52,6 +52,7 @@ __all__ = [
     "global_search_step",
     "strategy_for_delta",
     "stay_and_disguise",
+    "stay_step",
     "territorial_foraging",
     "migrate_worst",
     "habitat_center",
@@ -149,8 +150,8 @@ def step_toward(pop: Population, target: np.ndarray, step: np.ndarray,
     the member-by-member move of the global step and of RFO's guided move."""
     P = pop.positions()
     cands = clamp(P + step * (target - P), space)
-    for m, cand in zip(pop.members, cands):
-        accept_if_better(m, cand, float(obj(cand)))
+    for i, cand in enumerate(cands):
+        accept_if_better(pop, i, cand, obj)
     return pop
 
 
@@ -202,6 +203,15 @@ def stay_and_disguise(position: np.ndarray, nr: float, phis: np.ndarray,
     # ... and each middle coordinate also by nr * cos(phi_k)
     out[1:-1] += nr * np.cos(phis[1:-1])
     return clamp(out, space)
+
+
+def stay_step(pop: Population, i: int, rng, space: SearchSpace, obj) -> None:
+    """Member ``i``'s stay-and-disguise move: draw theta, then the angles,
+    and accept greedily. HRAHA's stay strategy and RFO's local move."""
+    theta = rng.random()
+    phis = rng.uniform(0.0, 2 * math.pi, space.dims)
+    cand = stay_and_disguise(pop.members[i].position, SCALING_A * theta, phis, space)
+    accept_if_better(pop, i, cand, obj)
 
 
 def territorial_foraging(position: np.ndarray, lam: float, r, phi, phi0, theta,
@@ -287,7 +297,7 @@ def move_closer_reproduce(pop: Population, rng, space: SearchSpace, obj) -> Popu
     hi = np.minimum(space.upper, C + s / 2)
     k = max(1, int(math.floor(WORST_FRACTION * len(pop))))
     worst = [int(i) for i in order[len(pop) - k:]]
-    non_alpha = [i for i in range(len(pop)) if i not in (a1, a2)]
+    non_alpha = np.sort(order[2:])
     for w in worst:
         if rng.random() < NOMAD_PROBABILITY:
             pos = np.where(hi > lo, rng.uniform(lo, np.maximum(hi, lo + 1e-300)), lo)
@@ -318,7 +328,7 @@ def run(obj, space: SearchSpace, pop_size: int, max_iters: int, rng) -> Optimiza
     counts = {k: 0 for k in FLIGHT_KINDS + LOCAL_STRATEGIES}
     history: list[float] = []
     last_migration = 0
-    incumbent = pop.best.copy()
+    incumbent = pop.best
     # territorial step scale tied to the box width so hops can cross basins
     box_scale = 0.3 * float(np.mean(space.upper - space.lower))
 
@@ -326,19 +336,14 @@ def run(obj, space: SearchSpace, pop_size: int, max_iters: int, rng) -> Optimiza
         alpha = compute_alpha(pop, OMEGA, t, max_iters)
         flight = select_flight(alpha, ALPHA_THRESHOLDS)
         counts[flight] += 1
-        global_search_step(pop, pop.best.copy(), alpha, flight, rng, space, counted)
+        global_search_step(pop, pop.best, alpha, flight, rng, space, counted)
 
         deltas = rng.random(len(pop))
         for i, delta in enumerate(deltas):
             strat = strategy_for_delta(float(delta))
             counts[strat] += 1
-            m = pop.members[i]
             if strat == STRAT_STAY:
-                theta = rng.random()
-                nr = SCALING_A * theta
-                phis = rng.uniform(0.0, 2 * math.pi, space.dims)
-                cand = stay_and_disguise(m.position, nr, phis, space)
-                accept_if_better(m, cand, counted(cand))
+                stay_step(pop, i, rng, space, counted)
             elif strat == STRAT_TERRITORIAL:
                 n_pairs = (space.dims + 1) // 2
                 lam = box_scale * rng.random()
@@ -346,8 +351,9 @@ def run(obj, space: SearchSpace, pop_size: int, max_iters: int, rng) -> Optimiza
                 phi = rng.uniform(0.0, 2 * math.pi, n_pairs)
                 phi0 = rng.uniform(0.0, 2 * math.pi, n_pairs)
                 theta = rng.random(n_pairs)
-                cand = territorial_foraging(m.position, lam, r, phi, phi0, theta, space)
-                accept_if_better(m, cand, counted(cand))
+                cand = territorial_foraging(pop.members[i].position, lam, r, phi, phi0,
+                                            theta, space)
+                accept_if_better(pop, i, cand, counted)
             elif strat == STRAT_MIGRATION:
                 migrated, _ = migrate_worst(pop, space, rng, last_migration, t, M, counted)
                 if migrated:
@@ -357,14 +363,14 @@ def run(obj, space: SearchSpace, pop_size: int, max_iters: int, rng) -> Optimiza
 
         cur_best = pop.best
         if cur_best.fitness > incumbent.fitness:
-            pop.members[pop.worst_index] = incumbent.copy()
+            pop.members[pop.worst_index] = incumbent
         else:
-            incumbent = cur_best.copy()
+            incumbent = cur_best
 
         history.append(incumbent.fitness)
 
     return OptimizationResult(
-        best_position=incumbent.position.copy(),
+        best_position=incumbent.position,
         best_fitness=float(incumbent.fitness),
         history=history,
         evaluations=counted.count,

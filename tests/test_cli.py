@@ -294,6 +294,19 @@ class TestTfidf:
         code = main(["tfidf", "--input", str(bad), "--out", str(tmp_path / "m.csv")])
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("fmt, text", [
+        ("csv", "id,text,label\n"),
+        ("jsonl", "\n  \n\n"),
+    ], ids=["csv", "jsonl"])
+    def test_empty_corpus_is_data_error(self, tmp_path, capsys, fmt, text):
+        empty = tmp_path / f"empty.{fmt}"
+        empty.write_text(text)
+        out = tmp_path / "m.csv"
+        code = main(["tfidf", "--input", str(empty), "--format", fmt, "--out", str(out)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: empty corpus: no documents in {empty}\n"
+        assert not out.exists()
+
     def test_jsonl_integer_past_the_digit_limit_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"id": ' + "1" * 5000 + ', "text": "hello", "label": "a"}\n')

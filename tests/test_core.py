@@ -139,23 +139,41 @@ class TestCountingObjective:
 
 
 class TestAcceptIfBetter:
+    @staticmethod
+    def one_member(pos, fitness=1.0):
+        return Population([Individual(pos, fitness)])
+
     def test_takes_the_candidate_array_itself(self):
-        m = Individual(np.zeros(2), 1.0)
+        # one evaluation; a member a caller kept is a value and stays as it was
+        calls = []
+        pop = self.one_member(np.zeros(2))
+        kept = pop.members[0]
         cand = np.ones(2)
-        accept_if_better(m, cand, 0.5)
-        assert m.position is cand and m.fitness == 0.5
+        accept_if_better(pop, 0, cand, lambda x: calls.append(x) or np.float64(0.5))
+        assert len(calls) == 1 and calls[0] is cand
+        assert pop.members[0].position is cand and pop.members[0].fitness == 0.5
+        assert type(pop.members[0].fitness) is float
+        assert kept.fitness == 1.0 and np.array_equal(kept.position, np.zeros(2))
 
     def test_tie_accepts(self):
-        m = Individual(np.zeros(2), 1.0)
+        pop = self.one_member(np.zeros(2))
         cand = np.ones(2)
-        accept_if_better(m, cand, 1.0)
-        assert m.position is cand
+        accept_if_better(pop, 0, cand, lambda x: 1.0)
+        assert pop.members[0].position is cand
 
     def test_worse_rejected(self):
-        pos = np.zeros(2)
-        m = Individual(pos, 1.0)
-        accept_if_better(m, np.ones(2), 1.5)
-        assert m.position is pos and m.fitness == 1.0
+        pop = self.one_member(np.zeros(2))
+        before = pop.members[0]
+        accept_if_better(pop, 0, np.ones(2), lambda x: 1.5)
+        assert pop.members[0] is before
+
+    def test_member_cannot_change_in_place(self):
+        m = Individual(np.zeros(2), 1.0)
+        with pytest.raises(AttributeError):
+            m.position = np.ones(2)
+        with pytest.raises(AttributeError):
+            m.fitness = 0.0
+        assert not hasattr(m, "copy")
 
 
 class TestClamp:

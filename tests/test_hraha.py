@@ -35,6 +35,7 @@ from foxbird.hraha import (
     run,
     select_flight,
     stay_and_disguise,
+    stay_step,
     step_toward,
     strategy_for_delta,
     territorial_foraging,
@@ -107,7 +108,7 @@ class TestGlobalSearchStep:
     def test_member_at_best_unchanged(self):
         space = SearchSpace([-5, -5], [5, 5])
         pop = evaluated([np.array([0.0, 0.0]), np.array([2.0, 0.0])])
-        global_search_step(pop, pop.best.copy(), 0.7, OMNIDIRECTIONAL,
+        global_search_step(pop, pop.best, 0.7, OMNIDIRECTIONAL,
                            make_rng(1), space, sphere)
         assert np.array_equal(pop.members[0].position, [0.0, 0.0])
         assert pop.members[0].fitness == 0.0
@@ -116,7 +117,7 @@ class TestGlobalSearchStep:
         space = SearchSpace([-5, -5], [5, 5])
         pop = evaluated([np.array([1.0, 2.0]), np.array([2.0, -1.0])])
         before = pop.positions()
-        global_search_step(pop, pop.best.copy(), 0.0, OMNIDIRECTIONAL,
+        global_search_step(pop, pop.best, 0.0, OMNIDIRECTIONAL,
                            make_rng(1), space, sphere)
         assert np.array_equal(pop.positions(), before)
 
@@ -126,7 +127,7 @@ class TestGlobalSearchStep:
         space = SearchSpace([-50.0] * 3, [50.0] * 3)
         start = np.array([[2.0, -1.0, 3.0], [-2.0, 4.0, 1.0], [1.0, 1.0, -3.0]])
         best = Individual(np.array([0.5, 0.5, 0.5]), 0.0)
-        pop = evaluated([p.copy() for p in start], lambda x: 0.0)
+        pop = evaluated(list(start), lambda x: 0.0)
         rng = make_rng(5)
         twin = copy.deepcopy(rng)
         global_search_step(pop, best, 0.5, AXIAL, rng, space, lambda x: 0.0)
@@ -142,7 +143,7 @@ class TestGlobalSearchStep:
         rng = make_rng(11)
         pop = evaluated([rng.uniform(-5, 5, 4) for _ in range(8)])
         before = pop.fitnesses()
-        global_search_step(pop, pop.best.copy(), 0.8, DIAGONAL, rng, space, sphere)
+        global_search_step(pop, pop.best, 0.8, DIAGONAL, rng, space, sphere)
         assert np.all(pop.fitnesses() <= before)
 
 
@@ -157,13 +158,12 @@ def bits(a):
 
 def global_search_step_loop(pop, best, alpha, flight, rng, space, obj):
     g = rng.standard_normal(len(pop))
-    best_pos = best.position.copy()
     for i, m in enumerate(pop.members):
         mask = flight_mask(flight, space.dims, rng)
-        cand = clamp(m.position + alpha * g[i] * mask * (best_pos - m.position), space)
+        cand = clamp(m.position + alpha * g[i] * mask * (best.position - m.position), space)
         f = float(obj(cand))
         if f <= m.fitness:
-            m.position, m.fitness = cand, f
+            pop.members[i] = Individual(cand, f)
 
 
 def rfo_guided_move_loop(pop, rng, space, obj):
@@ -171,8 +171,8 @@ def rfo_guided_move_loop(pop, rng, space, obj):
     kappa = rng.random(len(pop))
     P = pop.positions()
     cands = clamp(P + kappa[:, None] * (pop.best.position - P), space)
-    for m, cand in zip(pop.members, cands):
-        accept_if_better(m, cand, obj(cand))
+    for i, cand in enumerate(cands):
+        accept_if_better(pop, i, cand, obj)
 
 
 def stay_and_disguise_loop(position, nr, phis, space):
@@ -212,9 +212,9 @@ class TestMatchesMemberByMemberReference:
             setup = make_rng(seed)
             positions = setup.uniform(-5, 5, (9, dims))
             alpha = float(setup.random())
-            pops = [evaluated([p.copy() for p in positions]) for _ in range(2)]
+            pops = [evaluated(list(positions)) for _ in range(2)]
             rngs = [make_rng(1000 + seed), make_rng(1000 + seed)]
-            best = pops[0].best.copy()
+            best = pops[0].best
             global_search_step(pops[0], best, alpha, flight, rngs[0], space, sphere)
             global_search_step_loop(pops[1], best, alpha, flight, rngs[1], space, sphere)
             assert bits(pops[0].positions()) == bits(pops[1].positions())
@@ -227,7 +227,7 @@ class TestMatchesMemberByMemberReference:
         space = SearchSpace([-5.0] * dims, [5.0] * dims)
         for seed in range(20):
             positions = make_rng(seed).uniform(-5, 5, (9, dims))
-            pops = [evaluated([p.copy() for p in positions]) for _ in range(2)]
+            pops = [evaluated(list(positions)) for _ in range(2)]
             rngs = [make_rng(1000 + seed), make_rng(1000 + seed)]
             step_toward(pops[0], pops[0].best.position, rngs[0].random(9)[:, None],
                         space, sphere)
@@ -246,6 +246,27 @@ class TestMatchesMemberByMemberReference:
             phis = rng.uniform(0, 2 * math.pi, dims)
             assert (bits(stay_and_disguise(x, nr, phis, space))
                     == bits(stay_and_disguise_loop(x, nr, phis, space)))
+
+    @pytest.mark.parametrize("dims", REFERENCE_DIMS)
+    def test_stay_step(self, dims):
+        # theta, then the angles, then one greedy accept: the stay move
+        # as HRAHA and RFO each wrote it inline
+        space = SearchSpace([-5.0] * dims, [5.0] * dims)
+        for seed in range(20):
+            positions = make_rng(seed).uniform(-5, 5, (5, dims))
+            pops = [evaluated(list(positions)) for _ in range(2)]
+            rngs = [make_rng(1000 + seed), make_rng(1000 + seed)]
+            for i in range(5):
+                stay_step(pops[0], i, rngs[0], space, sphere)
+                theta = rngs[1].random()
+                phis = rngs[1].uniform(0.0, 2 * math.pi, dims)
+                cand = stay_and_disguise_loop(pops[1].members[i].position,
+                                              hraha.SCALING_A * theta, phis, space)
+                if sphere(cand) <= pops[1].members[i].fitness:
+                    pops[1].members[i] = Individual(cand, sphere(cand))
+            assert bits(pops[0].positions()) == bits(pops[1].positions())
+            assert bits(pops[0].fitnesses()) == bits(pops[1].fitnesses())
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
     @pytest.mark.parametrize("dims", REFERENCE_DIMS)
     @pytest.mark.parametrize("per_pair", [False, True])

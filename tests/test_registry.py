@@ -82,6 +82,30 @@ def test_nowhere_finite_objective(method):
     assert res.evaluations == obj.calls
 
 
+def read_only(fn):
+    """``fn`` that marks every array it is given read-only first."""
+    def obj(x):
+        x.flags.writeable = False
+        return fn(x)
+    return obj
+
+
+@pytest.mark.parametrize("dims, pop_size", [(10, 10), (5, 41), (1, 4), (2, 6)])
+@pytest.mark.parametrize("function", ["sphere", "rastrigin"])
+@pytest.mark.parametrize("method", harness.METHODS)
+def test_no_method_writes_an_evaluated_point(method, function, dims, pop_size):
+    # members keep the evaluated arrays themselves, uncopied: a method that
+    # wrote one in place would raise here
+    bench = get_benchmark(function)
+    space = bench.space(dims)
+    plain = harness.run_method(method, bench, space, pop_size, 20, 0)
+    frozen = harness.run_method(method, read_only(bench), space, pop_size, 20, 0)
+    assert frozen.history == plain.history
+    assert frozen.best_fitness == plain.best_fitness
+    assert frozen.best_position.tobytes() == plain.best_position.tobytes()
+    assert frozen.evaluations == plain.evaluations
+
+
 def test_every_traced_attribute_exists(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import measure
