@@ -14,7 +14,7 @@ import numpy as np
 from .core import (
     CountingObjective,
     SearchSpace,
-    accept_if_better,
+    accept_rows,
     clamp,
     init_population,
     make_rng,
@@ -74,7 +74,10 @@ def run_aha(obj, space: SearchSpace, pop_size: int, max_iters: int,
     history = []
     last_migration = 0
     for t in range(max_iters):
+        # every candidate is built before any is accepted: candidate i reads
+        # only slot i and best_pos, which no accept of this sweep changes
         best_pos = pop.best.position
+        steps = []
         for i in range(len(pop)):
             u = rng.random()
             if u < 1 / 3:
@@ -88,13 +91,13 @@ def run_aha(obj, space: SearchSpace, pop_size: int, max_iters: int,
             x = pop.members[i].position
             if rng.random() < 0.5:
                 # guided foraging toward the best food source
-                cand = clamp(best_pos + b * mask * (x - best_pos), space)
+                steps.append(best_pos + b * mask * (x - best_pos))
             else:
                 # territorial foraging around the current source; the step is
                 # relative to the guiding source, not the origin, to avoid
                 # center-of-domain bias on symmetric benchmarks
-                cand = clamp(x + b * mask * (x - best_pos), space)
-            accept_if_better(pop, i, cand, counted)
+                steps.append(x + b * mask * (x - best_pos))
+        accept_rows(pop, clamp(np.array(steps), space), counted)
         migrated, _ = migrate_worst(pop, space, rng, last_migration, t, M, counted)
         if migrated:
             last_migration = t
@@ -126,13 +129,16 @@ def run_pso(obj, space: SearchSpace, pop_size: int, max_iters: int,
         V = (PSO_INERTIA * V + PSO_COGNITIVE * r1 * (pbest_X - X)
              + PSO_SOCIAL * r2 * (gbest_x - X))
         X = clamp(X + V, space)
-        for i in range(pop_size):
-            f = counted(X[i])
-            if f < pbest_F[i]:
-                pbest_F[i] = f
-                pbest_X[i] = X[i]
-                if f < gbest_f:
-                    gbest_f = f
-                    gbest_x = X[i].copy()
+        F = np.array(counted.batch(X))
+        better = F < pbest_F
+        pbest_F[better] = F[better]
+        pbest_X[better] = X[better]
+        # gbest_f <= every old pbest, so only an improved pbest can beat it,
+        # and argmin takes the first of equal minima as a strict < in member
+        # order would
+        g = int(np.argmin(pbest_F))
+        if pbest_F[g] < gbest_f:
+            gbest_f = float(pbest_F[g])
+            gbest_x = pbest_X[g].copy()
         history.append(gbest_f)
     return OptimizationResult(gbest_x, gbest_f, history, counted.count)

@@ -4,7 +4,16 @@ All optimizers in this package minimize. A population is born evaluated:
 ``init_population`` scores every member, so each ``Individual`` carries a
 fitness from the start. Members are immutable ``(position, fitness)`` values
 and no code writes a stored position array in place, so a member kept past
-later steps needs no copy: ``accept_if_better`` puts a new value in the slot.
+later steps needs no copy: an accept puts a new value in the slot.
+
+Evaluation is ask-and-tell. A sweep that builds every candidate before
+scoring any (the initial population, the global step, AHA's foraging, the
+PSO swarm) scores them in one ``CountingObjective.batch`` call, then accepts
+them in member order (``accept_rows``). An objective may offer
+``batch(X) -> (n,)``; it must equal the scalar calls on the rows byte for
+byte. Without one, the rows are scored one call each, in order, so an
+objective never sees a difference. ``accept_if_better`` is the one-candidate
+form; both accept under the same rule (ties accept).
 
 The project-wide random number generator is numpy's PCG64 (via
 ``numpy.random.Generator``): the same seed produces the same draw stream on
@@ -27,6 +36,7 @@ __all__ = [
     "init_population",
     "CountingObjective",
     "accept_if_better",
+    "accept_rows",
     "clamp",
 ]
 
@@ -100,9 +110,9 @@ class Population:
 
 
 def init_population(space: SearchSpace, size: int, rng, obj) -> Population:
-    """Uniform random population inside the box, evaluated row by row in
-    order through ``obj`` wrapped in ``CountingObjective``, so a non-finite
-    value is stored as +inf as it is at every later evaluation.
+    """Uniform random population inside the box, evaluated as one batch of
+    rows in order through ``obj`` wrapped in ``CountingObjective``, so a
+    non-finite value is stored as +inf as it is at every later evaluation.
 
     Requires size >= 4: the reproduction step needs two parents plus
     replaceable worst members.
@@ -110,9 +120,9 @@ def init_population(space: SearchSpace, size: int, rng, obj) -> Population:
     if size < 4:
         raise ValueError(f"population size must be >= 4, got {size}")
     rng = make_rng(rng)
-    score = CountingObjective(obj)
-    return Population([Individual(x, score(x))
-                       for x in rng.uniform(space.lower, space.upper, size=(size, space.dims))])
+    rows = list(rng.uniform(space.lower, space.upper, size=(size, space.dims)))
+    return Population([Individual(x, f)
+                       for x, f in zip(rows, CountingObjective(obj).batch(rows))])
 
 
 class CountingObjective:
@@ -131,13 +141,44 @@ class CountingObjective:
         f = float(self.obj(x))
         return f if math.isfinite(f) else math.inf
 
+    def batch(self, X) -> list[float]:
+        """The values at the rows of ``X``, as ``[self(x) for x in X]`` gives
+        them: counted, non-finite as +inf, Python floats. Through
+        ``obj.batch`` when the objective has one; otherwise one call per
+        row, in order, with the row objects given."""
+        batch = getattr(self.obj, "batch", None)
+        if batch is None:
+            return [self(x) for x in X]
+        self.count += len(X)
+        f = np.asarray(batch(X), dtype=float)
+        if f.shape != (len(X),):
+            raise ValueError(f"batch returned shape {f.shape} for {len(X)} rows; "
+                             f"expected ({len(X)},)")
+        return np.where(np.isfinite(f), f, math.inf).tolist()
+
+
+def _keep_if_not_worse(pop: Population, i: int, x: np.ndarray, f: float) -> None:
+    if f <= pop.members[i].fitness:
+        pop.members[i] = Individual(x, f)
+
 
 def accept_if_better(pop: Population, i: int, cand: np.ndarray, obj) -> None:
-    """The one greedy accept: evaluate ``cand`` once and store it, the array
-    itself, in slot ``i`` unless that worsens the slot's fitness (ties accept)."""
-    f = float(obj(cand))
-    if f <= pop.members[i].fitness:
-        pop.members[i] = Individual(cand, f)
+    """The one-candidate greedy accept: evaluate ``cand`` once and store it,
+    the array itself, in slot ``i`` unless that worsens the slot's fitness
+    (ties accept)."""
+    _keep_if_not_worse(pop, i, cand, float(obj(cand)))
+
+
+def accept_rows(pop: Population, cands, obj) -> None:
+    """The row-wise greedy accept: evaluate every row of ``cands`` first
+    (through ``obj.batch`` when there is one, else one call per row in
+    order), then store row ``i``, the array itself, in slot ``i`` under the
+    rule of ``accept_if_better``."""
+    rows = list(cands)
+    batch = getattr(obj, "batch", None)
+    fs = batch(rows) if batch is not None else [obj(x) for x in rows]
+    for i, (x, f) in enumerate(zip(rows, fs, strict=True)):
+        _keep_if_not_worse(pop, i, x, float(f))
 
 
 def clamp(position: np.ndarray, space: SearchSpace) -> np.ndarray:

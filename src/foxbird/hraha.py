@@ -38,6 +38,7 @@ from .core import (
     Population,
     SearchSpace,
     accept_if_better,
+    accept_rows,
     clamp,
     init_population,
     make_rng,
@@ -146,12 +147,10 @@ def step_toward(pop: Population, target: np.ndarray, step: np.ndarray,
     """Move every member ``step`` of the way toward ``target``; greedy accept.
 
     The candidates are one clamped matrix (``step`` broadcasts against the
-    ``(n, d)`` positions), evaluated and accepted one by one in member order:
-    the member-by-member move of the global step and of RFO's guided move."""
+    ``(n, d)`` positions), evaluated as one batch and accepted in member
+    order: the move of the global step and of RFO's guided move."""
     P = pop.positions()
-    cands = clamp(P + step * (target - P), space)
-    for i, cand in enumerate(cands):
-        accept_if_better(pop, i, cand, obj)
+    accept_rows(pop, clamp(P + step * (target - P), space), obj)
     return pop
 
 

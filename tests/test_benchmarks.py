@@ -34,3 +34,24 @@ def test_known_optimum_within_tolerance(name):
         assert abs(b(x) - b.optimum_value) <= 1e-12
         space = b.space(dims)
         assert np.all(x >= space.lower) and np.all(x <= space.upper)
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_batch_equals_scalar_calls_byte_for_byte(name):
+    # the optimizers score whole sweeps through batch and single points
+    # through __call__; a platform where the two forms differ fails here
+    b = get_benchmark(name)
+    rng = np.random.default_rng(0)
+    for dims in range(1, 31):
+        X = np.vstack([
+            rng.uniform(b.lower, b.upper, (50, dims)),
+            np.full(dims, b.lower),
+            np.full(dims, b.upper),
+            np.zeros(dims),
+            b.optimum_location(dims),
+        ])
+        want = np.array([b(x) for x in X])
+        got = b.batch(X)
+        assert got.shape == (len(X),)
+        assert got.tobytes() == want.tobytes(), (name, dims)
+        assert b.batch(list(X)).tobytes() == want.tobytes(), (name, dims)

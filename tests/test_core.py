@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from foxbird.core import (
     Population,
     SearchSpace,
     accept_if_better,
+    accept_rows,
     clamp,
     init_population,
     make_rng,
@@ -136,6 +138,89 @@ class TestCountingObjective:
         counted = CountingObjective(lambda x: bad)
         assert counted(np.zeros(1)) == float("inf")
         assert counted.count == 1
+
+
+class Batched:
+    """An objective that offers ``batch`` and records what each method got."""
+
+    def __init__(self, values):
+        self.values = values
+        self.scalar_calls = 0
+        self.batches = []
+
+    def __call__(self, x):
+        self.scalar_calls += 1
+        return self.values[0]
+
+    def batch(self, X):
+        self.batches.append(X)
+        return self.values
+
+
+class TestCountingObjectiveBatch:
+    def test_uses_batch_counts_rows_and_maps_non_finite(self):
+        obj = Batched(np.array([1.5, np.nan, np.inf, -np.inf, -0.0]))
+        counted = CountingObjective(obj)
+        rows = list(np.zeros((5, 2)))
+        out = counted.batch(rows)
+        assert obj.batches == [rows] and obj.scalar_calls == 0
+        assert counted.count == 5
+        assert out == [1.5, math.inf, math.inf, math.inf, 0.0]
+        assert math.copysign(1.0, out[4]) == -1.0
+        assert all(type(f) is float for f in out)
+
+    def test_fallback_calls_each_row_object_in_order(self):
+        seen = []
+        values = iter([3, np.float64(2.0), float("nan")])
+        counted = CountingObjective(lambda x: seen.append(x) or next(values))
+        rows = list(np.arange(6.0).reshape(3, 2))
+        out = counted.batch(rows)
+        assert all(x is r for x, r in zip(seen, rows, strict=True))
+        assert out == [3.0, 2.0, math.inf]
+        assert all(type(f) is float for f in out)
+        assert counted.count == 3
+
+    @pytest.mark.parametrize("values", [np.zeros(2), np.zeros(4), np.zeros((3, 1)),
+                                        np.float64(0.0)])
+    def test_malformed_batch_names_the_shapes(self, values):
+        # zip would silently drop the rows a short batch left out
+        counted = CountingObjective(Batched(values))
+        message = f"batch returned shape {np.shape(values)} for 3 rows; expected (3,)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            counted.batch(np.zeros((3, 2)))
+
+
+class TestAcceptRows:
+    @staticmethod
+    def population(*fitnesses):
+        return Population([Individual(np.full(2, float(i)), f)
+                           for i, f in enumerate(fitnesses)])
+
+    def test_evaluates_every_row_then_accepts_under_the_tie_rule(self):
+        pop = self.population(1.0, 1.0, 1.0)
+        rejected = pop.members[2]
+        cands = np.array([[5.0, 5.0], [6.0, 6.0], [7.0, 7.0]])
+        obj = Batched(np.array([0.5, 1.0, 1.5]))
+        accept_rows(pop, cands, obj)
+        assert len(obj.batches) == 1 and obj.scalar_calls == 0
+        rows = obj.batches[0]
+        assert pop.members[0].position is rows[0] and pop.members[0].fitness == 0.5
+        assert pop.members[1].position is rows[1] and pop.members[1].fitness == 1.0
+        assert pop.members[2] is rejected
+        assert all(type(m.fitness) is float for m in pop.members)
+
+    def test_without_batch_one_call_per_row_before_any_accept(self):
+        pop = self.population(1.0, 1.0)
+        seen = []
+
+        def obj(x):
+            # no member has changed while the sweep is scored
+            assert [m.fitness for m in pop.members] == [1.0, 1.0]
+            seen.append(x)
+            return 0.0
+
+        accept_rows(pop, np.ones((2, 2)), obj)
+        assert all(m.position is x for m, x in zip(pop.members, seen, strict=True))
 
 
 class TestAcceptIfBetter:

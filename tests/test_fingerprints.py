@@ -6,13 +6,14 @@ on purpose must say so and re-record them."""
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from conftest import make_synthetic_corpus
 from foxbird.benchmarks import get_benchmark
 from foxbird.cli import EXIT_OK, main
-from foxbird.core import make_rng
-from foxbird.harness import run_method
+from foxbird.core import SearchSpace, make_rng
+from foxbird.harness import METHODS, run_method
 
 # (function, method, dims, population, iterations), seed 0. Population 41
 # makes move-closer replace two members, 5 dims leave territorial foraging an
@@ -119,6 +120,42 @@ PINNED_BEST_POSITION = {
 def test_fixed_seed_best_position_is_pinned(key):
     digest = hashlib.sha256(pinned_run(key).best_position.tobytes()).hexdigest()
     assert digest == PINNED_BEST_POSITION[key]
+
+
+# A plateau objective: whole floors of ties, so these runs pin the accept's
+# tie rule (a tie accepts) along with the rest. 5-d +-5.12 box, population 10,
+# 30 iterations, seed 0. The hash covers the fingerprint payload and the best
+# position's bytes; the same hash holds whether the plateau is scored one
+# point at a time or a sweep at a time through ``batch``.
+PINNED_PLATEAU = {
+    "hraha": "c8d91d2eaafa99e396ed9ca0dfb7a47d2e6c3fd166a6f1f47970a5356ab912ba",
+    "aha": "dbfad88f8a6e1e3327a9658b97ee7ed7fcfd97e7ac4dfb27799df554ede7d036",
+    "rfo": "0ecdcafa1f66974fb1f582ee7cfe7b22d7cc61e318703a5df7353942b0556af1",
+    "pso": "f3924808880ade64c7606ecfea3c3329a109873a674e9e5e231c1909c6f3dae6",
+}
+
+
+def plateau(x):
+    return float(np.floor(np.dot(x, x)))
+
+
+class BatchedPlateau:
+    def __call__(self, x):
+        return plateau(x)
+
+    def batch(self, X):
+        X = np.asarray(X, dtype=float)
+        return np.floor(np.vecdot(X, X))
+
+
+@pytest.mark.parametrize("objective", [plateau, BatchedPlateau()], ids=["scalar", "batch"])
+@pytest.mark.parametrize("method", METHODS)
+def test_plateau_run_is_pinned(method, objective):
+    result = run_method(method, objective, SearchSpace([-5.12] * 5, [5.12] * 5), 10, 30,
+                        make_rng(0))
+    payload = repr((repr(result.best_fitness), result.history, result.evaluations,
+                    result.best_position.tobytes().hex()))
+    assert hashlib.sha256(payload.encode()).hexdigest() == PINNED_PLATEAU[method]
 
 
 # report.json of a four-method classifier race: its accuracy and f_score

@@ -1,7 +1,8 @@
 """The method registry: every method in ``harness.METHODS``, plus random
 search, keeps the result invariants when the objective returns non-finite
-values, and every module attribute the benchmark's trace wraps exists and is
-looked up at call time."""
+values, gives the same run through an objective's ``batch`` as through its
+scalar calls, and every module attribute the benchmark's trace wraps exists
+and is looked up at call time."""
 
 import math
 from pathlib import Path
@@ -11,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from foxbird import baselines, harness
-from foxbird.benchmarks import get_benchmark
-from foxbird.core import SearchSpace
+from foxbird.benchmarks import BENCHMARKS, get_benchmark
+from foxbird.core import SearchSpace, make_rng
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 NON_FINITE = (float("nan"), float("inf"), float("-inf"))
@@ -104,6 +105,29 @@ def test_no_method_writes_an_evaluated_point(method, function, dims, pop_size):
     assert frozen.best_fitness == plain.best_fitness
     assert frozen.best_position.tobytes() == plain.best_position.tobytes()
     assert frozen.evaluations == plain.evaluations
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("dims, pop_size", [(1, 4), (2, 5), (3, 6), (5, 41), (10, 10)])
+@pytest.mark.parametrize("function", sorted(BENCHMARKS))
+@pytest.mark.parametrize("method", harness.METHODS)
+def test_batch_path_equals_scalar_path(method, function, dims, pop_size, seed):
+    # a benchmark scores whole sweeps through its batch; the wrapper has no
+    # batch, so every point goes through one scalar call
+    bench = BENCHMARKS[function]
+    space = bench.space(dims)
+    runs = []
+    for obj in (bench, lambda x: bench(x)):
+        rng = make_rng(seed)
+        runs.append((harness.run_method(method, obj, space, pop_size, 15, rng), rng))
+    (batched, rng_b), (scalar, rng_s) = runs
+    assert batched.history == scalar.history
+    assert all(type(h) is float for h in batched.history + scalar.history)
+    assert batched.best_fitness == scalar.best_fitness
+    assert batched.best_position.tobytes() == scalar.best_position.tobytes()
+    assert batched.evaluations == scalar.evaluations
+    assert batched.strategy_counts == scalar.strategy_counts
+    assert rng_b.bit_generator.state == rng_s.bit_generator.state
 
 
 def test_every_traced_attribute_exists(monkeypatch):
