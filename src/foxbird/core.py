@@ -143,18 +143,21 @@ class CountingObjective:
 
     def batch(self, X) -> list[float]:
         """The values at the rows of ``X``, as ``[self(x) for x in X]`` gives
-        them: counted, non-finite as +inf, Python floats. Through
-        ``obj.batch`` when the objective has one; otherwise one call per
-        row, in order, with the row objects given."""
-        batch = getattr(self.obj, "batch", None)
-        if batch is None:
-            return [self(x) for x in X]
+        them: counted, non-finite as +inf, Python floats. A result of the
+        wrong shape raises ``ValueError``."""
         self.count += len(X)
-        f = np.asarray(batch(X), dtype=float)
+        f = np.asarray(_score_rows(self.obj, X), dtype=float)
         if f.shape != (len(X),):
             raise ValueError(f"batch returned shape {f.shape} for {len(X)} rows; "
                              f"expected ({len(X)},)")
         return np.where(np.isfinite(f), f, math.inf).tolist()
+
+
+def _score_rows(obj, rows):
+    """``obj.batch(rows)`` when the objective has one; otherwise one call per
+    row, in order, with the row objects given."""
+    batch = getattr(obj, "batch", None)
+    return batch(rows) if batch is not None else [obj(x) for x in rows]
 
 
 def _keep_if_not_worse(pop: Population, i: int, x: np.ndarray, f: float) -> None:
@@ -175,9 +178,7 @@ def accept_rows(pop: Population, cands, obj) -> None:
     order), then store row ``i``, the array itself, in slot ``i`` under the
     rule of ``accept_if_better``."""
     rows = list(cands)
-    batch = getattr(obj, "batch", None)
-    fs = batch(rows) if batch is not None else [obj(x) for x in rows]
-    for i, (x, f) in enumerate(zip(rows, fs, strict=True)):
+    for i, (x, f) in enumerate(zip(rows, _score_rows(obj, rows), strict=True)):
         _keep_if_not_worse(pop, i, x, float(f))
 
 
