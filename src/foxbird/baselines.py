@@ -3,8 +3,9 @@
 All three return the same result shape as the hybrid optimizer so the
 harness can put them in one comparison table. The fox baseline reuses the
 hybrid's guided step (``step_toward``, its global step's move toward the
-best), stay move (``stay_step``) and reproduction operators; the hummingbird
-baseline reuses its flight masks and migration.
+best), its queued stay moves (``LocalMoves``, flushed before reproduction)
+and its reproduction operators; the hummingbird baseline reuses its flight
+masks and migration.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from .hraha import (
     AXIAL,
     DIAGONAL,
     OMNIDIRECTIONAL,
+    LocalMoves,
     OptimizationResult,
     flight_mask,
     migrate_worst,
     move_closer_reproduce,
-    stay_step,
     step_toward,
 )
 
@@ -49,11 +50,13 @@ def run_rfo(obj, space: SearchSpace, pop_size: int, max_iters: int,
     pop = init_population(space, pop_size, rng, counted)
     incumbent = pop.best
     history = []
+    local = LocalMoves(space)
     for _ in range(max_iters):
         step_toward(pop, pop.best.position, rng.random(len(pop))[:, None], space, counted)
         for i in range(len(pop)):
             if rng.random() > 0.75:
-                stay_step(pop, i, rng, space, counted)
+                local.stay(i, rng)
+        local.flush(pop, counted)
         move_closer_reproduce(pop, rng, space, counted)
         if pop.best.fitness < incumbent.fitness:
             incumbent = pop.best

@@ -8,12 +8,12 @@ later steps needs no copy: an accept puts a new value in the slot.
 
 Evaluation is ask-and-tell. A sweep that builds every candidate before
 scoring any (the initial population, the global step, AHA's foraging, the
-PSO swarm) scores them in one ``CountingObjective.batch`` call, then accepts
-them in member order (``accept_rows``). An objective may offer
-``batch(X) -> (n,)``; it must equal the scalar calls on the rows byte for
-byte. Without one, the rows are scored one call each, in order, so an
-objective never sees a difference. ``accept_if_better`` is the one-candidate
-form; both accept under the same rule (ties accept).
+PSO swarm, HRAHA's and RFO's queued local moves) scores them in one
+``CountingObjective.batch`` call, then accepts them in member order
+(``accept_rows``, the one evaluate-and-accept path; ties accept). An
+objective may offer ``batch(X) -> (n,)``; it must equal the scalar calls on
+the rows byte for byte. Without one, the rows are scored one call each, in
+order, so an objective never sees a difference.
 
 The project-wide random number generator is numpy's PCG64 (via
 ``numpy.random.Generator``): the same seed produces the same draw stream on
@@ -35,7 +35,6 @@ __all__ = [
     "make_rng",
     "init_population",
     "CountingObjective",
-    "accept_if_better",
     "accept_rows",
     "clamp",
 ]
@@ -160,26 +159,19 @@ def _score_rows(obj, rows):
     return batch(rows) if batch is not None else [obj(x) for x in rows]
 
 
-def _keep_if_not_worse(pop: Population, i: int, x: np.ndarray, f: float) -> None:
-    if f <= pop.members[i].fitness:
-        pop.members[i] = Individual(x, f)
-
-
-def accept_if_better(pop: Population, i: int, cand: np.ndarray, obj) -> None:
-    """The one-candidate greedy accept: evaluate ``cand`` once and store it,
-    the array itself, in slot ``i`` unless that worsens the slot's fitness
-    (ties accept)."""
-    _keep_if_not_worse(pop, i, cand, float(obj(cand)))
-
-
-def accept_rows(pop: Population, cands, obj) -> None:
-    """The row-wise greedy accept: evaluate every row of ``cands`` first
-    (through ``obj.batch`` when there is one, else one call per row in
-    order), then store row ``i``, the array itself, in slot ``i`` under the
-    rule of ``accept_if_better``."""
+def accept_rows(pop: Population, cands, obj, slots=None) -> None:
+    """The greedy accept: evaluate every row of ``cands`` first (through
+    ``obj.batch`` when there is one, else one call per row in order), then,
+    in row order, store row ``k``, the array itself, in slot ``slots[k]``
+    (slot ``k`` by default) unless that worsens the slot's fitness (ties
+    accept)."""
     rows = list(cands)
-    for i, (x, f) in enumerate(zip(rows, _score_rows(obj, rows), strict=True)):
-        _keep_if_not_worse(pop, i, x, float(f))
+    if slots is None:
+        slots = range(len(rows))
+    for i, x, f in zip(slots, rows, _score_rows(obj, rows), strict=True):
+        f = float(f)
+        if f <= pop.members[i].fitness:
+            pop.members[i] = Individual(x, f)
 
 
 def clamp(position: np.ndarray, space: SearchSpace) -> np.ndarray:

@@ -16,6 +16,13 @@ greedily (only if they do not worsen fitness); migration replaces the worst
 member unconditionally. Elitism reinjects the best-so-far individual, in
 place of the worst member, if an iteration loses it.
 
+The stay and territorial moves of a sweep are queued and scored in batches
+(``LocalMoves``). Each draws only uniforms and reads and writes only its own
+slot, so its candidate can wait until a step that reads another slot. The
+queue is flushed before a migration whose gate is open, before move-closer
+and at the end of the sweep. The draws, the points scored and their order
+are those of one move at a time, so every fixed-seed result is unchanged.
+
 ``run(obj, space, pop_size, max_iters, rng)`` has the signature of every
 baseline runner. Its fixed parameters are module constants, read at call
 time: ``OMEGA`` (0.5, the spread weight in alpha), ``ALPHA_THRESHOLDS``
@@ -37,7 +44,6 @@ from .core import (
     Individual,
     Population,
     SearchSpace,
-    accept_if_better,
     accept_rows,
     clamp,
     init_population,
@@ -53,8 +59,8 @@ __all__ = [
     "global_search_step",
     "strategy_for_delta",
     "stay_and_disguise",
-    "stay_step",
     "territorial_foraging",
+    "LocalMoves",
     "migrate_worst",
     "habitat_center",
     "habitat_size",
@@ -190,42 +196,100 @@ def strategy_for_delta(delta: float) -> str:
     return STRAT_MOVE_CLOSER
 
 
-def stay_and_disguise(position: np.ndarray, nr: float, phis: np.ndarray,
+def stay_and_disguise(position: np.ndarray, nr, phis: np.ndarray,
                       space: SearchSpace) -> np.ndarray:
     """Circling perturbation: chained sine offsets with one cosine cross-term
-    per middle coordinate; clamped to the box."""
+    per middle coordinate; clamped to the box.
+
+    ``position`` and ``phis`` are one point's ``(d,)`` vectors, or ``(m, d)``
+    rows with ``nr`` one radius per row; each row is that row's move alone."""
     position = np.asarray(position, dtype=float)
     phis = np.asarray(phis, dtype=float)
-    cum = np.cumsum(np.sin(phis))
+    nr = np.asarray(nr, dtype=float)[..., None]
+    cum = np.cumsum(np.sin(phis), axis=-1)
     # coordinate k moves by nr * cum[k - 1] (nr * sin(phi_0) for k = 0) ...
-    out = position + nr * np.concatenate((cum[:1], cum[:-1]))
+    out = position + nr * np.concatenate((cum[..., :1], cum[..., :-1]), axis=-1)
     # ... and each middle coordinate also by nr * cos(phi_k)
-    out[1:-1] += nr * np.cos(phis[1:-1])
+    out[..., 1:-1] += nr * np.cos(phis[..., 1:-1])
     return clamp(out, space)
 
 
-def stay_step(pop: Population, i: int, rng, space: SearchSpace, obj) -> None:
-    """Member ``i``'s stay-and-disguise move: draw theta, then the angles,
-    and accept greedily. HRAHA's stay strategy and RFO's local move."""
-    theta = rng.random()
-    phis = rng.uniform(0.0, 2 * math.pi, space.dims)
-    cand = stay_and_disguise(pop.members[i].position, SCALING_A * theta, phis, space)
-    accept_if_better(pop, i, cand, obj)
-
-
-def territorial_foraging(position: np.ndarray, lam: float, r, phi, phi0, theta,
+def territorial_foraging(position: np.ndarray, lam, r, phi, phi0, theta,
                          space: SearchSpace) -> np.ndarray:
     """Paired circular step: coordinates are processed in consecutive (x, y)
     pairs; a trailing unpaired coordinate takes the x-update alone. The angle
-    and radius parameters may be scalars or per-pair vectors."""
+    and radius parameters may be scalars or per-pair vectors.
+
+    ``position`` may also be ``(m, d)`` rows, with ``lam`` one value per row
+    and the others ``(m, pairs)``; each row is that row's move alone."""
     position = np.asarray(position, dtype=float)
-    d = position.shape[0]
+    d = position.shape[-1]
+    lam = np.asarray(lam, dtype=float)[..., None]
     r, phi, phi0, theta = (np.asarray(v, dtype=float) for v in (r, phi, phi0, theta))
-    radial = np.broadcast_to(r * np.cos(phi) + theta * np.cos(phi0), ((d + 1) // 2,))
+    radial = r * np.cos(phi) + theta * np.cos(phi0)
     out = position.copy()
-    out[0::2] += lam * np.cos(phi) * radial
-    out[1::2] += (lam * np.sin(phi) * radial)[: d // 2]
+    # a scalar parameter leaves the products one wide; they broadcast per pair
+    out[..., 0::2] += lam * np.cos(phi) * radial
+    out[..., 1::2] += (lam * np.sin(phi) * radial)[..., : d // 2]
     return clamp(out, space)
+
+
+class LocalMoves:
+    """Stay and territorial moves queued in member order, then scored as one
+    batch.
+
+    ``stay`` and ``territorial`` draw a move's uniforms at once, in one
+    ``rng.random`` call: the stream of drawing theta (or lambda's factor)
+    and then each vector, with ``2 pi * u`` for an angle as
+    ``rng.uniform(0, 2 pi)`` gives it. ``flush`` builds every queued
+    candidate from its slot's position, scores them as one batch and accepts
+    them in member order through ``accept_rows``. A move reads and writes
+    only its own slot, so it may wait; a flush must come before any step
+    that reads or writes another slot."""
+
+    def __init__(self, space: SearchSpace):
+        self.space = space
+        self.pairs = (space.dims + 1) // 2
+        # territorial step scale tied to the box width so hops can cross basins
+        self.box_scale = 0.3 * float(np.mean(space.upper - space.lower))
+        self.stays: list = []  # (slot, uniforms: theta's, then the d angles')
+        self.hops: list = []  # (slot, uniforms: lambda's, then r, phi, phi0, theta)
+
+    def stay(self, i: int, rng) -> None:
+        self.stays.append((i, rng.random(self.space.dims + 1)))
+
+    def territorial(self, i: int, rng) -> None:
+        self.hops.append((i, rng.random(1 + 4 * self.pairs)))
+
+    def flush(self, pop: Population, obj) -> None:
+        """Score and accept every queued move; the queue is left empty."""
+        slots, parts = [], []
+        if self.stays:
+            idx, P, U = self._take(self.stays, pop)
+            slots += idx
+            parts.append(stay_and_disguise(P, SCALING_A * U[:, 0], 2 * math.pi * U[:, 1:],
+                                           self.space))
+        if self.hops:
+            idx, P, U = self._take(self.hops, pop)
+            slots += idx
+            r, phi, phi0, theta = U[:, 1:].reshape(len(idx), 4, self.pairs).swapaxes(0, 1)
+            parts.append(territorial_foraging(P, self.box_scale * U[:, 0], r,
+                                              2 * math.pi * phi, 2 * math.pi * phi0,
+                                              theta, self.space))
+        if slots:
+            order = np.argsort(slots)  # member order, as one move at a time
+            accept_rows(pop, np.concatenate(parts)[order], obj,
+                        [slots[k] for k in order])
+
+    @staticmethod
+    def _take(queue: list, pop: Population):
+        """Empty ``queue``, returning its slots and, as matrices, their
+        current positions and the queued uniforms."""
+        idx = [i for i, _ in queue]
+        P = np.array([pop.members[i].position for i in idx])
+        U = np.array([u for _, u in queue])
+        queue.clear()
+        return idx, P, U
 
 
 def migrate_worst(pop: Population, space: SearchSpace, rng, last_migration: int,
@@ -328,8 +392,7 @@ def run(obj, space: SearchSpace, pop_size: int, max_iters: int, rng) -> Optimiza
     history: list[float] = []
     last_migration = 0
     incumbent = pop.best
-    # territorial step scale tied to the box width so hops can cross basins
-    box_scale = 0.3 * float(np.mean(space.upper - space.lower))
+    local = LocalMoves(space)
 
     for t in range(max_iters):
         alpha = compute_alpha(pop, OMEGA, t, max_iters)
@@ -342,23 +405,19 @@ def run(obj, space: SearchSpace, pop_size: int, max_iters: int, rng) -> Optimiza
             strat = strategy_for_delta(float(delta))
             counts[strat] += 1
             if strat == STRAT_STAY:
-                stay_step(pop, i, rng, space, counted)
+                local.stay(i, rng)
             elif strat == STRAT_TERRITORIAL:
-                n_pairs = (space.dims + 1) // 2
-                lam = box_scale * rng.random()
-                r = rng.random(n_pairs)
-                phi = rng.uniform(0.0, 2 * math.pi, n_pairs)
-                phi0 = rng.uniform(0.0, 2 * math.pi, n_pairs)
-                theta = rng.random(n_pairs)
-                cand = territorial_foraging(pop.members[i].position, lam, r, phi, phi0,
-                                            theta, space)
-                accept_if_better(pop, i, cand, counted)
+                local.territorial(i, rng)
             elif strat == STRAT_MIGRATION:
+                if t - last_migration >= M:  # an open gate rewrites the worst slot
+                    local.flush(pop, counted)
                 migrated, _ = migrate_worst(pop, space, rng, last_migration, t, M, counted)
                 if migrated:
                     last_migration = t
             elif strat == STRAT_MOVE_CLOSER:
+                local.flush(pop, counted)
                 move_closer_reproduce(pop, rng, space, counted)
+        local.flush(pop, counted)
 
         cur_best = pop.best
         if cur_best.fitness > incumbent.fitness:

@@ -10,7 +10,6 @@ from foxbird.core import (
     Individual,
     Population,
     SearchSpace,
-    accept_if_better,
     accept_rows,
     clamp,
     init_population,
@@ -224,33 +223,56 @@ class TestAcceptRows:
 
 
 class TestAcceptIfBetter:
+    """The greedy rule, one candidate into a chosen slot, through
+    ``accept_rows(pop, cands, obj, slots)``: a candidate is kept unless it
+    worsens its slot's fitness."""
+
     @staticmethod
-    def one_member(pos, fitness=1.0):
-        return Population([Individual(pos, fitness)])
+    def two_members(fitness=1.0):
+        return Population([Individual(np.full(2, 7.0), 0.0), Individual(np.zeros(2), fitness)])
 
     def test_takes_the_candidate_array_itself(self):
         # one evaluation; a member a caller kept is a value and stays as it was
         calls = []
-        pop = self.one_member(np.zeros(2))
-        kept = pop.members[0]
+        pop = self.two_members()
+        kept = pop.members[1]
         cand = np.ones(2)
-        accept_if_better(pop, 0, cand, lambda x: calls.append(x) or np.float64(0.5))
+        accept_rows(pop, [cand], lambda x: calls.append(x) or np.float64(0.5), [1])
         assert len(calls) == 1 and calls[0] is cand
-        assert pop.members[0].position is cand and pop.members[0].fitness == 0.5
-        assert type(pop.members[0].fitness) is float
+        assert pop.members[1].position is cand and pop.members[1].fitness == 0.5
+        assert type(pop.members[1].fitness) is float
         assert kept.fitness == 1.0 and np.array_equal(kept.position, np.zeros(2))
+        assert pop.members[0].fitness == 0.0
 
     def test_tie_accepts(self):
-        pop = self.one_member(np.zeros(2))
+        pop = self.two_members()
         cand = np.ones(2)
-        accept_if_better(pop, 0, cand, lambda x: 1.0)
-        assert pop.members[0].position is cand
+        accept_rows(pop, [cand], lambda x: 1.0, [1])
+        assert pop.members[1].position is cand
 
     def test_worse_rejected(self):
-        pop = self.one_member(np.zeros(2))
-        before = pop.members[0]
-        accept_if_better(pop, 0, np.ones(2), lambda x: 1.5)
-        assert pop.members[0] is before
+        pop = self.two_members()
+        before = pop.members[1]
+        accept_rows(pop, [np.ones(2)], lambda x: 1.5, [1])
+        assert pop.members[1] is before
+
+    def test_non_finite_is_stored_as_inf(self):
+        # through the counted objective every runner uses: NaN counts as +inf,
+        # which ties a slot at +inf and is stored as +inf
+        pop = self.two_members(math.inf)
+        cand = np.ones(2)
+        accept_rows(pop, [cand], CountingObjective(lambda x: float("nan")), [1])
+        assert pop.members[1].position is cand and pop.members[1].fitness == math.inf
+
+    def test_slots_are_scored_in_the_given_order(self):
+        # rows are scored in row order and row k goes to slots[k]
+        pop = Population([Individual(np.zeros(2), 9.0) for _ in range(4)])
+        cands = [np.full(2, float(k)) for k in range(3)]
+        seen = []
+        accept_rows(pop, cands, lambda x: seen.append(x) or float(x[0]), [3, 0, 2])
+        assert len(seen) == 3 and all(x is c for x, c in zip(seen, cands))
+        assert [m.fitness for m in pop.members] == [1.0, 9.0, 2.0, 0.0]
+        assert pop.members[3].position is cands[0] and pop.members[0].position is cands[1]
 
     def test_member_cannot_change_in_place(self):
         m = Individual(np.zeros(2), 1.0)

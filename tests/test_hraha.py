@@ -10,7 +10,6 @@ from foxbird.core import (
     Individual,
     Population,
     SearchSpace,
-    accept_if_better,
     clamp,
     make_rng,
 )
@@ -18,6 +17,7 @@ from foxbird.hraha import (
     AXIAL,
     DIAGONAL,
     OMNIDIRECTIONAL,
+    LocalMoves,
     STRAT_MIGRATION,
     STRAT_MOVE_CLOSER,
     STRAT_NONE,
@@ -35,7 +35,6 @@ from foxbird.hraha import (
     run,
     select_flight,
     stay_and_disguise,
-    stay_step,
     step_toward,
     strategy_for_delta,
     territorial_foraging,
@@ -172,7 +171,9 @@ def rfo_guided_move_loop(pop, rng, space, obj):
     P = pop.positions()
     cands = clamp(P + kappa[:, None] * (pop.best.position - P), space)
     for i, cand in enumerate(cands):
-        accept_if_better(pop, i, cand, obj)
+        f = float(obj(cand))
+        if f <= pop.members[i].fitness:
+            pop.members[i] = Individual(cand, f)
 
 
 def stay_and_disguise_loop(position, nr, phis, space):
@@ -249,15 +250,19 @@ class TestMatchesMemberByMemberReference:
 
     @pytest.mark.parametrize("dims", REFERENCE_DIMS)
     def test_stay_step(self, dims):
-        # theta, then the angles, then one greedy accept: the stay move
-        # as HRAHA and RFO each wrote it inline
+        # queued stays, flushed as one batch, against theta, then the angles,
+        # then one greedy accept per member: the stay move as HRAHA and RFO
+        # each wrote it inline
         space = SearchSpace([-5.0] * dims, [5.0] * dims)
         for seed in range(20):
             positions = make_rng(seed).uniform(-5, 5, (5, dims))
             pops = [evaluated(list(positions)) for _ in range(2)]
             rngs = [make_rng(1000 + seed), make_rng(1000 + seed)]
+            local = LocalMoves(space)
             for i in range(5):
-                stay_step(pops[0], i, rngs[0], space, sphere)
+                local.stay(i, rngs[0])
+            local.flush(pops[0], sphere)
+            for i in range(5):
                 theta = rngs[1].random()
                 phis = rngs[1].uniform(0.0, 2 * math.pi, dims)
                 cand = stay_and_disguise_loop(pops[1].members[i].position,
@@ -283,6 +288,87 @@ class TestMatchesMemberByMemberReference:
                 args = tuple(float(a) for a in args)
             assert (bits(territorial_foraging(x, *args, space))
                     == bits(territorial_foraging_loop(x, *args, space)))
+
+
+class TestRowForms:
+    """``(m, d)`` rows with one set of parameters per row: each output row
+    equals the 1-d form on that row alone, bit for bit."""
+
+    @pytest.mark.parametrize("m", [1, 2, 7])
+    def test_stay_and_disguise(self, m):
+        for dims in range(1, 31):
+            space = SearchSpace([-5.0] * dims, [5.0] * dims)
+            rng = make_rng(dims)
+            for _ in range(5):
+                P = rng.uniform(-5, 5, (m, dims))
+                nr = rng.uniform(0, 3, m)  # large enough that the clamp bites
+                phis = rng.uniform(0, 2 * math.pi, (m, dims))
+                rows = stay_and_disguise(P, nr, phis, space)
+                assert rows.shape == (m, dims)
+                for k in range(m):
+                    one = stay_and_disguise(P[k], float(nr[k]), phis[k], space)
+                    assert bits(rows[k]) == bits(one)
+
+    @pytest.mark.parametrize("m", [1, 2, 7])
+    def test_territorial_foraging(self, m):
+        for dims in range(1, 31):
+            space = SearchSpace([-5.0] * dims, [5.0] * dims)
+            rng = make_rng(dims)
+            h = (dims + 1) // 2
+            for _ in range(5):
+                P = rng.uniform(-5, 5, (m, dims))
+                lam = rng.uniform(0, 3, m)
+                r, phi, phi0, theta = (rng.random((m, h)), rng.uniform(0, 2 * math.pi, (m, h)),
+                                       rng.uniform(0, 2 * math.pi, (m, h)), rng.random((m, h)))
+                rows = territorial_foraging(P, lam, r, phi, phi0, theta, space)
+                assert rows.shape == (m, dims)
+                for k in range(m):
+                    one = territorial_foraging(P[k], float(lam[k]), r[k], phi[k], phi0[k],
+                                               theta[k], space)
+                    assert bits(rows[k]) == bits(one)
+
+
+class TestLocalMoveDraws:
+    """A stay or territorial move draws its uniforms in one ``random`` call.
+    That is the stream of the draws one at a time (a scalar, then vectors,
+    the angles from ``uniform(0, 2 pi, k)``) only while a scalar and a vector
+    draw consume the generator alike and ``uniform(0, 2 pi, k)`` is
+    ``2 pi * random(k)`` to the bit."""
+
+    CHANGED = ("numpy's draw stream changed: {layout} uniforms drawn in one call "
+               "no longer equal the draws one at a time at dims={dims}, so every "
+               "fixed-seed HRAHA and RFO result would change")
+
+    @staticmethod
+    def one_at_a_time(rng, layout, dims):
+        if layout == "stay":  # theta, then the angles
+            return [rng.random()], [rng.uniform(0.0, 2 * math.pi, dims)]
+        h = (dims + 1) // 2  # lambda's factor, then r, phi, phi0, theta per pair
+        return ([rng.random()],
+                [rng.random(h), rng.uniform(0.0, 2 * math.pi, h),
+                 rng.uniform(0.0, 2 * math.pi, h), rng.random(h)])
+
+    @staticmethod
+    def in_one_call(rng, layout, dims):
+        if layout == "stay":
+            u = rng.random(dims + 1)
+            return [u[0]], [2 * math.pi * u[1:]]
+        h = (dims + 1) // 2
+        u = rng.random(1 + 4 * h)
+        r, phi, phi0, theta = u[1:].reshape(4, h)
+        return [u[0]], [r, 2 * math.pi * phi, 2 * math.pi * phi0, theta]
+
+    @pytest.mark.parametrize("layout", ["stay", "territorial"])
+    def test_one_call_equals_the_draws_one_at_a_time(self, layout):
+        for dims in range(1, 31):
+            for seed in range(10):
+                a, b = make_rng(seed), make_rng(seed)
+                (s_a,), v_a = self.one_at_a_time(a, layout, dims)
+                (s_b,), v_b = self.in_one_call(b, layout, dims)
+                message = self.CHANGED.format(layout=layout, dims=dims)
+                assert type(s_a) is float and float(s_b) == s_a, message
+                assert [bits(v) for v in v_a] == [bits(v) for v in v_b], message
+                assert a.bit_generator.state == b.bit_generator.state, message
 
 
 class TestDeltaRegimes:
