@@ -342,29 +342,28 @@ class TestLocalMoveDraws:
     @staticmethod
     def one_at_a_time(rng, layout, dims):
         if layout == "stay":  # theta, then the angles
-            return [rng.random()], [rng.uniform(0.0, 2 * math.pi, dims)]
+            return rng.random(), [rng.uniform(0.0, 2 * math.pi, dims)]
         h = (dims + 1) // 2  # lambda's factor, then r, phi, phi0, theta per pair
-        return ([rng.random()],
-                [rng.random(h), rng.uniform(0.0, 2 * math.pi, h),
-                 rng.uniform(0.0, 2 * math.pi, h), rng.random(h)])
+        return rng.random(), [rng.random(h), rng.uniform(0.0, 2 * math.pi, h),
+                              rng.uniform(0.0, 2 * math.pi, h), rng.random(h)]
 
     @staticmethod
     def in_one_call(rng, layout, dims):
         if layout == "stay":
             u = rng.random(dims + 1)
-            return [u[0]], [2 * math.pi * u[1:]]
+            return u[0], [2 * math.pi * u[1:]]
         h = (dims + 1) // 2
         u = rng.random(1 + 4 * h)
         r, phi, phi0, theta = u[1:].reshape(4, h)
-        return [u[0]], [r, 2 * math.pi * phi, 2 * math.pi * phi0, theta]
+        return u[0], [r, 2 * math.pi * phi, 2 * math.pi * phi0, theta]
 
     @pytest.mark.parametrize("layout", ["stay", "territorial"])
     def test_one_call_equals_the_draws_one_at_a_time(self, layout):
         for dims in range(1, 31):
             for seed in range(10):
                 a, b = make_rng(seed), make_rng(seed)
-                (s_a,), v_a = self.one_at_a_time(a, layout, dims)
-                (s_b,), v_b = self.in_one_call(b, layout, dims)
+                s_a, v_a = self.one_at_a_time(a, layout, dims)
+                s_b, v_b = self.in_one_call(b, layout, dims)
                 message = self.CHANGED.format(layout=layout, dims=dims)
                 assert type(s_a) is float and float(s_b) == s_a, message
                 assert [bits(v) for v in v_a] == [bits(v) for v in v_b], message
