@@ -1,4 +1,5 @@
-"""Frozen member-by-member references for ``hraha.run`` and ``run_rfo``.
+"""Frozen member-by-member references for ``hraha.run``, ``run_rfo``,
+``run_aha`` and ``run_random_search``.
 
 Each reference is the runner written as one loop over the members, over
 plain lists of positions and fitnesses, with every operator spelled out
@@ -6,7 +7,9 @@ here: nothing is imported from the package but the benchmarks. Its only job
 is to equal the package's runs bit for bit. ``run_method`` must give the
 same history, best fitness, best-position bytes, evaluation count, strategy
 counts and final RNG state, and its objective must see the same points in
-the same order, whatever the package batches or reorders inside.
+the same order, whatever the package batches or reorders inside. Random
+search is the one-sample-at-a-time loop, run on every benchmark at budgets 1,
+2, 57 and 600 and once on a tuning objective, which has no ``batch``.
 
 The grid covers every benchmark, dims 1, 2, 3, 5 and 10 (an unpaired
 trailing coordinate for territorial foraging at odd dims, and diagonal flight
@@ -41,12 +44,11 @@ def iterations_for(pop_size):
 # -- the objective as the runners see it --------------------------------------
 
 class Recorder:
-    """A benchmark that notes every point it scores, in order, and returns a
-    chosen value on chosen point numbers (1-based). It offers ``batch``, so
-    the package scores its sweeps through the benchmark's row form."""
+    """An objective that notes every point it scores, in order, and returns a
+    chosen value on chosen point numbers (1-based)."""
 
-    def __init__(self, bench, bad=None):
-        self.bench = bench
+    def __init__(self, fn, bad=None):
+        self.fn = fn
         self.bad = bad or {}
         self.points = []
 
@@ -55,11 +57,16 @@ class Recorder:
         return self.bad.get(len(self.points), f)
 
     def __call__(self, x):
-        return self._value(x, self.bench(x))
+        return self._value(x, self.fn(x))
+
+
+class BatchRecorder(Recorder):
+    """A recorded benchmark that offers ``batch``, so the package scores its
+    sweeps through the benchmark's row form."""
 
     def batch(self, X):
         X = np.asarray(X, dtype=float)
-        return np.array([self._value(x, f) for x, f in zip(X, self.bench.batch(X))])
+        return np.array([self._value(x, f) for x, f in zip(X, self.fn.batch(X))])
 
 
 class Scored:
@@ -151,6 +158,12 @@ def move_closer(X, F, rng, score, lower, upper):
         X[int(w)], F[int(w)] = pos, score(pos)
 
 
+def migrate(X, F, rng, score, lower, upper):
+    w = first_max(F)
+    X[w] = lower + rng.random(lower.shape[0]) * (upper - lower)
+    F[w] = score(X[w])
+
+
 def guided_move(X, F, best, step_of, score, lower, upper):
     # candidate i reads only slot i and best, so scoring and accepting member
     # by member is the package's score-the-sweep-then-accept
@@ -233,9 +246,7 @@ def reference_hraha(fn, lower, upper, n, T, rng):
             elif delta <= 0.95:
                 counts["migration"] += 1
                 if t - last_migration >= 2 * n:
-                    w = first_max(F)
-                    X[w] = lower + rng.random(d) * (upper - lower)
-                    F[w] = score(X[w])
+                    migrate(X, F, rng, score, lower, upper)
                     last_migration = t
             else:
                 counts["move_closer"] += 1
@@ -271,20 +282,61 @@ def reference_rfo(fn, lower, upper, n, T, rng):
     return inc_x, inc_f, history, score.count, {}
 
 
-REFERENCES = {"hraha": reference_hraha, "rfo": reference_rfo}
+def reference_aha(fn, lower, upper, n, T, rng):
+    score = Scored(fn)
+    d = lower.shape[0]
+    X, F = initial_population(score, lower, upper, n, rng)
+    history = []
+    last_migration = 0
+    b = first_min(F)
+    inc_x, inc_f = X[b], F[b]
+    for t in range(T):
+        # candidate i reads only slot i and the best, so building, scoring
+        # and accepting member by member is the package's sweep
+        best = X[first_min(F)]
+        for i in range(n):
+            u = rng.random()
+            flight = ("omnidirectional" if u < 1 / 3
+                      else "axial" if u < 2 / 3 else "diagonal")
+            mask = flight_masks(flight, 1, d, rng)[0]
+            scale = rng.standard_normal()
+            if rng.random() < 0.5:  # guided: around the best
+                cand = best + scale * mask * (X[i] - best)
+            else:  # territorial: around the member itself
+                cand = X[i] + scale * mask * (X[i] - best)
+            cand = box(cand, lower, upper)
+            f = score(cand)
+            if f <= F[i]:
+                X[i], F[i] = cand, f
+        if t - last_migration >= 2 * n:
+            migrate(X, F, rng, score, lower, upper)
+            last_migration = t
+        b = first_min(F)
+        if F[b] < inc_f:
+            inc_x, inc_f = X[b], F[b]
+        history.append(inc_f)
+    return inc_x, inc_f, history, score.count, {}
 
 
-def assert_runs_equal(method, function, dims, pop_size, seed, bad=None):
-    bench = BENCHMARKS[function]
-    space = bench.space(dims)
-    T = iterations_for(pop_size)
-    seen, expected = Recorder(bench, bad), Recorder(bench, bad)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    got = harness.run_method(method, seen, space, pop_size, T, rng)
-    ref_rng = np.random.Generator(np.random.PCG64(seed))
-    position, fitness, history, evaluations, counts = REFERENCES[method](
-        expected, space.lower, space.upper, pop_size, T, ref_rng)
+def reference_random_search(fn, lower, upper, budget, rng):
+    score = Scored(fn)
+    best_x, best_f = None, math.inf
+    history = []
+    for _ in range(budget):
+        x = rng.uniform(lower, upper)
+        f = score(x)
+        if best_x is None or f < best_f:  # the first sample, then strictly better
+            best_x, best_f = x, f
+        history.append(best_f)
+    return best_x, best_f, history, score.count, {}
 
+
+REFERENCES = {"aha": reference_aha, "hraha": reference_hraha, "rfo": reference_rfo}
+BUDGETS = (1, 2, 57, 600)
+
+
+def assert_same_run(got, ref, seen, expected, rng, ref_rng):
+    position, fitness, history, evaluations, counts = ref
     assert seen.points == expected.points
     assert got.history == history
     assert all(type(h) is float for h in got.history)
@@ -293,6 +345,26 @@ def assert_runs_equal(method, function, dims, pop_size, seed, bad=None):
     assert got.evaluations == evaluations == len(seen.points)
     assert got.strategy_counts == counts
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def assert_runs_equal(method, function, dims, pop_size, seed, bad=None):
+    bench = BENCHMARKS[function]
+    space = bench.space(dims)
+    T = iterations_for(pop_size)
+    seen, expected = BatchRecorder(bench, bad), BatchRecorder(bench, bad)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    got = harness.run_method(method, seen, space, pop_size, T, rng)
+    ref_rng = np.random.Generator(np.random.PCG64(seed))
+    ref = REFERENCES[method](expected, space.lower, space.upper, pop_size, T, ref_rng)
+    assert_same_run(got, ref, seen, expected, rng, ref_rng)
+
+
+def assert_random_search_equal(seen, expected, space, budget, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    got = harness.run_random_search(seen, space, budget, rng)
+    ref_rng = np.random.Generator(np.random.PCG64(seed))
+    ref = reference_random_search(expected, space.lower, space.upper, budget, ref_rng)
+    assert_same_run(got, ref, seen, expected, rng, ref_rng)
 
 
 @pytest.mark.parametrize("pop_size", POP_SIZES)
@@ -315,3 +387,34 @@ def test_run_equals_reference_under_non_finite_values(method, dims, pop_size):
         calls = pick.choice(np.arange(1, 40 * pop_size), size=6 * pop_size, replace=False)
         bad = {int(k): NON_FINITE[int(k) % 3] for k in calls}
         assert_runs_equal(method, "rastrigin", dims, pop_size, seed, bad)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("dims", DIMS)
+@pytest.mark.parametrize("function", sorted(BENCHMARKS))
+def test_random_search_equals_one_sample_at_a_time(function, dims, budget):
+    bench = BENCHMARKS[function]
+    for seed in SEEDS:
+        assert_random_search_equal(BatchRecorder(bench), BatchRecorder(bench),
+                                   bench.space(dims), budget, seed)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("dims", (1, 3, 10))
+def test_random_search_equals_reference_under_non_finite_values(dims, budget):
+    bench = BENCHMARKS["rastrigin"]
+    for seed in SEEDS:
+        pick = np.random.Generator(np.random.PCG64(200 + seed))
+        calls = pick.choice(np.arange(1, budget + 1), size=(budget + 1) // 2, replace=False)
+        bad = {int(k): NON_FINITE[int(k) % 3] for k in calls}
+        assert_random_search_equal(BatchRecorder(bench, bad), BatchRecorder(bench, bad),
+                                   bench.space(dims), budget, seed)
+
+
+def test_random_search_equals_reference_on_a_tuning_objective(corpus_csv):
+    # the tuning objective has no batch: the package scores it one call per
+    # sample, in order
+    space = harness.default_tuning_space()
+    obj = harness.classifier_objective(harness.load_corpus(corpus_csv), space)
+    assert not hasattr(obj, "batch")
+    assert_random_search_equal(Recorder(obj), Recorder(obj), space.to_box(), 57, 0)
