@@ -76,12 +76,15 @@ def run_aha(obj, space: SearchSpace, pop_size: int, max_iters: int,
     incumbent = pop.best
     history = []
     last_migration = 0
+    n = len(pop)
     for t in range(max_iters):
         # every candidate is built before any is accepted: candidate i reads
-        # only slot i and best_pos, which no accept of this sweep changes
+        # only slot i and best_pos, which no accept of this sweep changes.
+        # The draws stay per member: the flight kind, its mask, the scale b
+        # and the guided-or-territorial coin.
         best_pos = pop.best.position
-        steps = []
-        for i in range(len(pop)):
+        masks, b, guided = np.empty((n, space.dims)), np.empty((n, 1)), np.empty((n, 1), bool)
+        for i in range(n):
             u = rng.random()
             if u < 1 / 3:
                 kind = OMNIDIRECTIONAL
@@ -89,18 +92,16 @@ def run_aha(obj, space: SearchSpace, pop_size: int, max_iters: int,
                 kind = AXIAL
             else:
                 kind = DIAGONAL
-            mask = flight_mask(kind, space.dims, rng)
-            b = rng.standard_normal()
-            x = pop.members[i].position
-            if rng.random() < 0.5:
-                # guided foraging toward the best food source
-                steps.append(best_pos + b * mask * (x - best_pos))
-            else:
-                # territorial foraging around the current source; the step is
-                # relative to the guiding source, not the origin, to avoid
-                # center-of-domain bias on symmetric benchmarks
-                steps.append(x + b * mask * (x - best_pos))
-        accept_rows(pop, clamp(np.array(steps), space), counted)
+            masks[i] = flight_mask(kind, space.dims, rng)
+            b[i] = rng.standard_normal()
+            guided[i] = rng.random() < 0.5
+        X = pop.positions()
+        # guided foraging steps from the best food source, territorial
+        # foraging from the member's own; either step is relative to the
+        # guiding source, not the origin, to avoid center-of-domain bias on
+        # symmetric benchmarks
+        source = np.where(guided, best_pos, X)
+        accept_rows(pop, clamp(source + b * masks * (X - best_pos), space), counted)
         migrated, _ = migrate_worst(pop, space, rng, last_migration, t, M, counted)
         if migrated:
             last_migration = t

@@ -10,7 +10,8 @@ Evaluation is ask-and-tell. A sweep that builds every candidate before
 scoring any (the initial population, the global step, AHA's foraging, the
 PSO swarm, HRAHA's and RFO's queued local moves) scores them in one
 ``CountingObjective.batch`` call, then accepts them in member order
-(``accept_rows``, the one evaluate-and-accept path; ties accept). An
+(``accept_rows``, the one evaluate-and-accept path; ties accept). Random
+search scores all its samples in one such call too. An
 objective may offer ``batch(X) -> (n,)``; it must equal the scalar calls on
 the rows byte for byte. Without one, the rows are scored one call each, in
 order, so an objective never sees a difference.

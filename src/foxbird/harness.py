@@ -26,8 +26,11 @@ from .benchmarks import BENCHMARKS, get_benchmark
 from .core import CountingObjective, SearchSpace, make_rng
 from .hraha import OptimizationResult
 from .hraha import run as run_hraha
-from .metrics import accuracy as accuracy_metric
-from .metrics import f_score as f_score_metric
+from .metrics import macro_f1
+
+# the label-list metrics, kept as the module attributes perfbench traces
+from .metrics import accuracy as accuracy_metric  # noqa: F401
+from .metrics import f_score as f_score_metric  # noqa: F401
 
 __all__ = [
     "LabeledCorpus",
@@ -256,9 +259,14 @@ def train_nb(X: np.ndarray, labels: list, classes: list, smoothing: float):
     return _log_prior(sizes, X.shape[0]), _nb_log_lik(_class_totals(class_rows, sizes), smoothing)
 
 
+def _nb_codes(X: np.ndarray, log_prior, log_lik) -> np.ndarray:
+    """The class code (row index of ``log_lik``) of each row's highest
+    naive-Bayes score; ties go to the lowest code."""
+    return np.argmax(X @ log_lik.T + log_prior, axis=1)
+
+
 def predict_nb(X: np.ndarray, classes: list, log_prior, log_lik) -> list:
-    scores = X @ log_lik.T + log_prior
-    return [classes[i] for i in np.argmax(scores, axis=1).tolist()]
+    return [classes[i] for i in _nb_codes(X, log_prior, log_lik).tolist()]
 
 
 def _weighted_counts(docs, vocab, idf) -> np.ndarray:
@@ -278,14 +286,24 @@ class _PreparedCorpus:
     column order by (-df, term). The terms with df >= ``min_doc_freq`` are a
     prefix of that order, so an evaluation only selects columns: the same
     values, summed in the same order, as building its own vocabulary and
-    matrices would give."""
+    matrices would give.
+
+    The test labels are held as class codes (indices into ``classes``), with
+    the classes' ``repr`` order, in which ``metrics.f_score`` sums them, and
+    the gold count of each class in that order."""
 
     def __init__(self, corpus: LabeledCorpus, max_terms_cap: int | None):
         plain = [textpipe.preprocess(t, use_stemming=False) for t in corpus.texts]
         stems = {w: textpipe.stem(w) for w in {w for doc in plain for w in doc}}
         self.classes = corpus.label_set
         train_labels = [corpus.labels[i] for i in corpus.train_idx]
-        self.test_labels = [corpus.labels[i] for i in corpus.test_idx]
+        code = {c: k for k, c in enumerate(self.classes)}
+        self.test_codes = np.array([code[corpus.labels[i]] for i in corpus.test_idx],
+                                   dtype=np.intp)
+        self.repr_order = np.array(sorted(range(len(self.classes)),
+                                          key=lambda k: repr(self.classes[k])), dtype=np.intp)
+        self.gold_counts = np.bincount(self.test_codes,
+                                       minlength=len(self.classes))[self.repr_order].tolist()
         n_train = len(train_labels)
         self.variants = {}
         for stemmed in (False, True):
@@ -316,7 +334,11 @@ def _fit_score(prep: _PreparedCorpus, params: dict) -> tuple[float, float]:
     """Train on the train split, score on the test split.
 
     Returns (accuracy, macro_f); (0, 0) for degenerate hyperparameters,
-    such as an ``nb_smoothing`` <= 0, whose log likelihoods would not be finite."""
+    such as an ``nb_smoothing`` <= 0, whose log likelihoods would not be finite.
+    Predictions stay class codes: ``np.bincount`` counts the predictions and
+    true positives per class, and accuracy and macro-F are the int/int
+    divisions and ``repr``-ordered sums ``metrics.accuracy`` and
+    ``metrics.f_score`` make from label lists, so every bit is theirs."""
     min_doc_freq = int(params["min_doc_freq"])
     max_terms = int(params["max_terms"])
     smoothing = float(params["nb_smoothing"])
@@ -333,8 +355,12 @@ def _fit_score(prep: _PreparedCorpus, params: dict) -> tuple[float, float]:
         totals = np.take(totals, cols, axis=1)
     # F-ordered, as test[:, cols] is: a matrix product may round by layout
     X_test = np.take(test_t, cols, axis=0).T
-    pred = predict_nb(X_test, prep.classes, prep.log_prior, _nb_log_lik(totals, smoothing))
-    return accuracy_metric(pred, prep.test_labels), f_score_metric(pred, prep.test_labels)
+    codes = _nb_codes(X_test, prep.log_prior, _nb_log_lik(totals, smoothing))
+    n_classes = len(prep.classes)
+    tp = np.bincount(codes[codes == prep.test_codes], minlength=n_classes)[prep.repr_order]
+    n_pred = np.bincount(codes, minlength=n_classes)[prep.repr_order]
+    return (int(tp.sum()) / len(codes),
+            macro_f1(tp.tolist(), n_pred.tolist(), prep.gold_counts))
 
 
 def classifier_objective(corpus: LabeledCorpus, space: HyperparamSpace):
@@ -383,20 +409,24 @@ def run_random_search(obj, space: SearchSpace, budget: int, rng) -> Optimization
     """Uniform random sampling at a fixed evaluation budget; a non-finite
     value counts as +inf, as it does for every method. The first sample is
     the best until a later one is strictly better, so the best point is in
-    the box even when no evaluation is finite."""
+    the box even when no evaluation is finite.
+
+    Ask-and-tell: every sample is drawn in one ``uniform`` call, which gives
+    the bytes and final state of one call per sample, then scored as one
+    batch (one call per sample, in order, for an objective without
+    ``batch``)."""
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     rng = make_rng(rng)
     counted = CountingObjective(obj)
-    best_x, best_f = None, math.inf
+    X = rng.uniform(space.lower, space.upper, size=(budget, space.dims))
+    best, best_f = 0, math.inf
     history = []
-    for _ in range(budget):
-        x = rng.uniform(space.lower, space.upper)
-        f = counted(x)
-        if best_x is None or f < best_f:
-            best_f, best_x = f, x
+    for k, f in enumerate(counted.batch(X)):
+        if k == 0 or f < best_f:
+            best, best_f = k, f
         history.append(best_f)
-    return OptimizationResult(best_x, best_f, history, counted.count, {})
+    return OptimizationResult(X[best].copy(), best_f, history, counted.count, {})
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import json
 import math
@@ -383,10 +384,13 @@ class TestClassifierObjective:
             assert obj(x(0.5)) < 0.5
 
     def test_miss_calls_each_stage_once_and_hit_none(self, corpus_csv, monkeypatch):
-        # the stages a miss runs, called through the module attributes that
-        # perfbench's trace wraps; train_nb is the adapter for other callers
+        # the stages a miss runs, called through module attributes: the NB
+        # kernel and the class-code scorer once each. The label-list
+        # adapters (train_nb, predict_nb and the two metrics, which
+        # perfbench's trace wraps) are for other callers and never run.
         calls = Counter()
-        stages = ("_fit_score", "train_nb", "predict_nb", "accuracy_metric", "f_score_metric")
+        stages = ("_fit_score", "_nb_log_lik", "_nb_codes", "train_nb", "predict_nb",
+                  "accuracy_metric", "f_score_metric")
         for name in stages:
             def counted(*args, _fn=getattr(harness, name), _name=name):
                 calls[_name] += 1
@@ -395,7 +399,7 @@ class TestClassifierObjective:
         obj = classifier_objective(load_corpus(corpus_csv), default_tuning_space())
         x = default_tuning_space().encode({"min_doc_freq": 2, "max_terms": 100,
                                            "use_stemming": False, "nb_smoothing": 0.5})
-        once = {"_fit_score": 1, "predict_nb": 1, "accuracy_metric": 1, "f_score_metric": 1}
+        once = {"_fit_score": 1, "_nb_log_lik": 1, "_nb_codes": 1}
         obj(x)
         assert calls == once
         obj(x)
@@ -406,9 +410,9 @@ class TestClassifierObjective:
         # The objective selects columns of per-class totals summed once; the
         # reference selects columns of the train and test count matrices,
         # weights them and fits with a mask per class, as every evaluation
-        # once did. The kernel and predict_nb must get the same bits, and
-        # the test matrix the same layout (the strides of its axes longer
-        # than 1), since a matrix product's rounding can follow its
+        # once did. The kernel and the class-code scorer must get the same
+        # bits, and the test matrix the same layout (the strides of its axes
+        # longer than 1), since a matrix product's rounding can follow its
         # operands' layout. max_terms 1 covers the one-column sum.
         corpus = load_corpus(request.getfixturevalue(corpus_name))
         classes = corpus.label_set
@@ -444,8 +448,9 @@ class TestClassifierObjective:
         kernel = harness._nb_log_lik
         monkeypatch.setattr(harness, "_nb_log_lik",
                             lambda *args: seen.append(args[0]) or kernel(*args))
-        monkeypatch.setattr(harness, "predict_nb",
-                            lambda X, c, *fit: seen.extend((X,) + fit) or predict_nb(X, c, *fit))
+        scorer = harness._nb_codes
+        monkeypatch.setattr(harness, "_nb_codes",
+                            lambda *args: seen.extend(args) or scorer(*args))
         space = default_tuning_space()
         space = HyperparamSpace((HyperparamDim("min_doc_freq", "integer", 1, 5),
                                  HyperparamDim("max_terms", "integer", 1, 2000))
@@ -470,6 +475,45 @@ class TestClassifierObjective:
                 assert_same_bits(seen, inputs)
             distinct.add(want)
         assert len(distinct) > 5
+
+    def test_coded_scores_equal_label_metrics(self, graded_corpus_csv, tmp_path, monkeypatch):
+        # A miss counts class codes; metrics.accuracy and f_score on the same
+        # predictions as labels must give the same bits. By repr, "ab c" and
+        # "it's" come before "ab", unlike their str order, and "solo" has a
+        # single document, so no test document.
+        with open(graded_corpus_csv, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        names = {"a": "ab", "b": "ab c", "c": "it's"}
+        path = tmp_path / "relabelled.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["id", "text", "label"])
+            writer.writerows([(i, text, names[label]) for i, text, label in rows])
+            writer.writerow(("lone", rows[0][1], "solo"))
+        corpus = load_corpus(str(path))
+        classes = corpus.label_set
+        assert sorted(classes, key=repr) != classes
+        test_labels = [corpus.labels[i] for i in corpus.test_idx]
+        assert "solo" not in test_labels
+
+        codes = []
+        scorer = harness._nb_codes
+        monkeypatch.setattr(harness, "_nb_codes",
+                            lambda *args: codes.append(scorer(*args)) or codes[-1])
+        space = default_tuning_space()
+        box = space.to_box()
+        obj = classifier_objective(corpus, space)
+        rng = make_rng(6)
+        distinct = set()
+        for _ in range(400):
+            x = rng.uniform(box.lower, box.upper)
+            codes.clear()
+            got = obj.fit_score(x)
+            pred = [classes[c] for c in codes[0].tolist()]
+            want = accuracy(pred, test_labels), f_score(pred, test_labels)
+            assert [v.hex() for v in got] == [v.hex() for v in want], space.decode(x)
+            distinct.add(got)
+        assert len(distinct) > 20
 
     def test_fit_score_equals_per_evaluation_oracle(self, graded_corpus_csv):
         # The objective selects columns of count matrices built once; the
@@ -588,6 +632,25 @@ class TestRunners:
         assert res.best_fitness == math.inf
         assert res.history == [math.inf] * 5
         assert res.evaluations == 5
+
+    def test_random_search_draws_its_samples_in_one_call(self):
+        # run_random_search draws every sample with one uniform call; that is
+        # the stream of one call per sample only while numpy fills a
+        # (budget, d) draw row by row, as it does today
+        changed = ("numpy's draw stream changed: {budget} samples from one uniform call "
+                   "no longer equal one call per sample at dims={dims}, so every "
+                   "fixed-seed random-search result would change")
+        for dims in range(1, 31):
+            for seed in range(10):
+                bounds = make_rng(1000 + seed).uniform(-50.0, 50.0, (2, dims))
+                lower, upper = bounds.min(axis=0) - 1.0, bounds.max(axis=0)
+                budget = 1 + seed * 7
+                a, b = make_rng(seed), make_rng(seed)
+                rows = [a.uniform(lower, upper) for _ in range(budget)]
+                X = b.uniform(lower, upper, size=(budget, dims))
+                message = changed.format(budget=budget, dims=dims)
+                assert np.array(rows).tobytes() == X.tobytes(), message
+                assert a.bit_generator.state == b.bit_generator.state, message
 
     @pytest.mark.parametrize("budget", [0, -3])
     def test_random_search_rejects_an_empty_budget(self, budget):

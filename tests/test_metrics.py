@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from foxbird.metrics import (
@@ -9,6 +10,7 @@ from foxbird.metrics import (
     bleu4,
     f_score,
     lcs_length,
+    macro_f1,
     rouge_l,
 )
 
@@ -229,3 +231,55 @@ class TestFScore:
                     else rnd.choice(alphabet) for _ in range(n)]
             assert f_score(pred, gold) == f_score_reference(pred, gold), (pred, gold)
             assert f_score(iter(pred), iter(gold)) == f_score_reference(pred, gold)
+
+
+class TestMacroF1FromCodes:
+    """``macro_f1`` fed with per-class ``np.bincount``s of class codes, the
+    classes taken in ``repr`` order, gives ``f_score``'s bits on the labels:
+    the tuning objective scores its predictions this way."""
+
+    # "ab c" < "ab" and "it's" < "ab" by repr, but not as strings
+    LABELS = ("ab", "ab c", "it's", 'a"b', "Z", "\u00e9", "c1", "c10")
+
+    @staticmethod
+    def coded(pred, gold, classes):
+        k = len(classes)
+        order = sorted(range(k), key=lambda c: repr(classes[c]))
+        tp = np.bincount(pred[pred == gold], minlength=k)[order]
+        n_pred = np.bincount(pred, minlength=k)[order]
+        n_gold = np.bincount(gold, minlength=k)[order]
+        return (int(tp.sum()) / len(pred),
+                macro_f1(tp.tolist(), n_pred.tolist(), n_gold.tolist()))
+
+    def test_equals_label_metrics_byte_for_byte(self):
+        rng = np.random.Generator(np.random.PCG64(0))
+        seen = Counter()
+        for _ in range(1500):
+            classes = sorted(rng.choice(self.LABELS, size=int(rng.integers(1, 9)),
+                                        replace=False).tolist())
+            k, n = len(classes), int(rng.integers(1, 41))
+            # predictions and gold labels from random subsets of the classes,
+            # so a class may be missing from either or both
+            pred = rng.choice(rng.permutation(k)[:int(rng.integers(1, k + 1))], size=n)
+            gold = rng.choice(rng.permutation(k)[:int(rng.integers(1, k + 1))], size=n)
+            got = self.coded(pred, gold, classes)
+            labels = [classes[c] for c in pred], [classes[c] for c in gold]
+            assert got[0].hex() == accuracy(*labels).hex(), labels
+            assert got[1].hex() == f_score(*labels).hex() == f_score_reference(*labels).hex(), labels
+            present = set(pred.tolist()) | set(gold.tolist())
+            seen["single class"] += len(present) == 1
+            seen["missing from predictions"] += bool(set(gold.tolist()) - set(pred.tolist()))
+            seen["missing from gold"] += bool(set(pred.tolist()) - set(gold.tolist()))
+            seen["in neither"] += len(present) < k
+            seen["repr order is not str order"] += (
+                sorted(classes, key=repr) != classes and len(present) > 1)
+        assert min(seen.values()) > 50, seen
+
+    def test_repr_order_changes_the_bits(self):
+        # the per-class F1s 2/3, 2/4 and 2/5 sum to another last bit in the
+        # reverse order, so the classes' order is part of the result
+        tp, n_pred, n_gold = [1, 1, 1], [2, 2, 3], [1, 2, 2]
+        assert macro_f1(tp, n_pred, n_gold) != macro_f1(tp[::-1], n_pred[::-1], n_gold[::-1])
+
+    def test_classes_with_no_count_take_no_part(self):
+        assert macro_f1([1, 0, 0], [1, 0, 1], [1, 0, 0]) == (1.0 + 0.0) / 2
