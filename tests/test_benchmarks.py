@@ -4,6 +4,36 @@ import pytest
 from foxbird.benchmarks import BENCHMARKS, get_benchmark
 
 
+# The 1-d formulas the fixed-seed fingerprints were recorded with, frozen
+# here: every evaluation, of one point or of a batch, must equal them byte
+# for byte.
+
+def sphere_reference(x):
+    return float(np.dot(x, x))
+
+
+def rastrigin_reference(x):
+    return float(10 * x.size + np.sum(x * x - 10 * np.cos(2 * np.pi * x)))
+
+
+def rosenbrock_reference(x):
+    return float(np.sum(100 * (x[1:] - x[:-1] ** 2) ** 2 + (1 - x[:-1]) ** 2))
+
+
+def ackley_reference(x):
+    n = x.size
+    return float(
+        -20 * np.exp(-0.2 * np.sqrt(np.sum(x * x) / n))
+        - np.exp(np.sum(np.cos(2 * np.pi * x)) / n)
+        + 20
+        + np.e
+    )
+
+
+REFERENCES = {"sphere": sphere_reference, "rastrigin": rastrigin_reference,
+              "rosenbrock": rosenbrock_reference, "ackley": ackley_reference}
+
+
 def test_sphere_optimum():
     assert get_benchmark("sphere")(np.zeros(5)) == 0.0
 
@@ -39,8 +69,8 @@ def test_known_optimum_within_tolerance(name):
 @pytest.mark.parametrize("name", sorted(BENCHMARKS))
 def test_batch_equals_scalar_calls_byte_for_byte(name):
     # the optimizers score whole sweeps through batch and single points
-    # through __call__; a platform where the two forms differ fails here
-    b = get_benchmark(name)
+    # through __call__; both must give the frozen reference's bits
+    b, reference = get_benchmark(name), REFERENCES[name]
     rng = np.random.default_rng(0)
     for dims in range(1, 31):
         X = np.vstack([
@@ -50,7 +80,8 @@ def test_batch_equals_scalar_calls_byte_for_byte(name):
             np.zeros(dims),
             b.optimum_location(dims),
         ])
-        want = np.array([b(x) for x in X])
+        want = np.array([reference(x) for x in X])
+        assert np.array([b(x) for x in X]).tobytes() == want.tobytes(), (name, dims)
         got = b.batch(X)
         assert got.shape == (len(X),)
         assert got.tobytes() == want.tobytes(), (name, dims)
