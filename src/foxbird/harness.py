@@ -101,6 +101,8 @@ def _parse_rows(path, fmt: str):
                     obj = json.loads(line)
                 except ValueError as e:  # malformed JSON, or an integer past int's digit limit
                     raise DataError(f"malformed row at line {lineno}: {e}") from None
+                if not isinstance(obj, dict):
+                    raise DataError(f"malformed row at line {lineno}: expected an object")
                 if not {"id", "text", "label"} <= set(obj):
                     missing = {"id", "text", "label"} - set(obj)
                     raise DataError(f"missing column(s) at line {lineno}: {', '.join(sorted(missing))}")

@@ -315,6 +315,16 @@ class TestTfidf:
         assert code == EXIT_DATA
         assert "malformed row at line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ['42', 'null', '["id", "text", "label"]', '"id text label"'])
+    def test_jsonl_line_that_is_not_an_object_is_data_error(self, tmp_path, capsys, value):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"id": "d0", "text": "hello", "label": "a"}\n' + value + "\n")
+        code = main(["tfidf", "--input", str(bad), "--format", "jsonl",
+                     "--out", str(tmp_path / "m.csv")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == ("data error: malformed row at line 2: "
+                                           "expected an object\n")
+
 
 class TestMetrics:
     def test_perfect_pair(self, tmp_path, capsys):
