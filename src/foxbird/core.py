@@ -11,7 +11,9 @@ scoring any (the initial population, the global step, AHA's foraging, the
 PSO swarm, HRAHA's and RFO's queued local moves) scores them in one
 ``CountingObjective.batch`` call, then accepts them in member order
 (``accept_rows``, the one evaluate-and-accept path; ties accept). Random
-search scores all its samples in one such call too. An
+search scores all its samples in one such call too, and a single point
+(a migrant or a move-closer child) is scored as a one-row batch, so the
+count, the float conversion and the non-finite rule are written once. An
 objective may offer ``batch(X) -> (n,)``; it must equal the scalar calls on
 the rows byte for byte. Without one, the rows are scored one call each, in
 order, so an objective never sees a difference.
@@ -137,14 +139,12 @@ class CountingObjective:
         self.count = 0
 
     def __call__(self, x) -> float:
-        self.count += 1
-        f = float(self.obj(x))
-        return f if math.isfinite(f) else math.inf
+        """The value at one point, scored as the one-row batch ``[x]``."""
+        return self.batch([x])[0]
 
     def batch(self, X) -> list[float]:
-        """The values at the rows of ``X``, as ``[self(x) for x in X]`` gives
-        them: counted, non-finite as +inf, Python floats. A result of the
-        wrong shape raises ``ValueError``."""
+        """The values at the rows of ``X``: counted, non-finite as +inf,
+        Python floats. A result of the wrong shape raises ``ValueError``."""
         self.count += len(X)
         f = np.asarray(_score_rows(self.obj, X), dtype=float)
         if f.shape != (len(X),):

@@ -216,17 +216,11 @@ def default_tuning_space() -> HyperparamSpace:
 # Naive Bayes classifier objective
 # ---------------------------------------------------------------------------
 
-def _class_rows(X: np.ndarray, labels, classes: list) -> tuple[np.ndarray, np.ndarray]:
-    """The zero-padded ``(classes, largest class size, features)`` tensor whose
-    row ``[k, i]`` is the i-th row of ``X`` labelled ``classes[k]``, and the
-    class sizes. Rows labelled outside ``classes`` are left out."""
+def _codes(labels, classes: list) -> np.ndarray:
+    """The class code (index into ``classes``) of each label; -1 for a label
+    outside ``classes``."""
     index = {c: k for k, c in enumerate(classes)}
-    codes = np.array([index.get(lab, -1) for lab in labels], dtype=np.intp)
-    sizes = np.bincount(codes[codes >= 0], minlength=len(classes))
-    tensor = np.zeros((len(classes), sizes.max(initial=0), X.shape[1]), dtype=X.dtype)
-    for k, n in enumerate(sizes):
-        tensor[k, :n] = X[codes == k]
-    return tensor, sizes
+    return np.array([index.get(lab, -1) for lab in labels], dtype=np.intp)
 
 
 def _log_prior(sizes, n_rows: int) -> np.ndarray:
@@ -234,14 +228,13 @@ def _log_prior(sizes, n_rows: int) -> np.ndarray:
     return np.array([math.log(max(int(n), 1) / n_rows) for n in sizes])
 
 
-def _class_totals(class_rows: np.ndarray, sizes) -> np.ndarray:
-    """Per-class feature totals of a ``_class_rows`` tensor, summed as numpy
-    sums one class's own rows: one by one in row order (padding adds zeros),
-    but pairwise for a single feature, where padding would regroup them."""
-    if class_rows.shape[2] == 1:
-        return np.array([class_rows[k, :n].sum(axis=0)
-                         for k, n in enumerate(sizes)]).reshape(len(sizes), 1)
-    return class_rows.sum(axis=1)
+def _class_totals(X: np.ndarray, codes: np.ndarray, n_classes: int) -> np.ndarray:
+    """Per-class feature totals ``X[codes == k].sum(axis=0)``, C-ordered. Numpy
+    sums a class's rows one by one in row order, but a single feature
+    pairwise, so the totals of one column are not that column of the totals
+    of several."""
+    return np.array([X[codes == k].sum(axis=0)
+                     for k in range(n_classes)]).reshape(n_classes, X.shape[1])
 
 
 def _nb_log_lik(totals: np.ndarray, smoothing: float) -> np.ndarray:
@@ -257,8 +250,10 @@ def _nb_log_lik(totals: np.ndarray, smoothing: float) -> np.ndarray:
 
 def train_nb(X: np.ndarray, labels: list, classes: list, smoothing: float):
     """Multinomial naive Bayes on non-negative feature rows."""
-    class_rows, sizes = _class_rows(X, labels, classes)
-    return _log_prior(sizes, X.shape[0]), _nb_log_lik(_class_totals(class_rows, sizes), smoothing)
+    codes = _codes(labels, classes)
+    sizes = np.bincount(codes[codes >= 0], minlength=len(classes))
+    return (_log_prior(sizes, X.shape[0]),
+            _nb_log_lik(_class_totals(X, codes, len(classes)), smoothing))
 
 
 def _nb_codes(X: np.ndarray, log_prior, log_lik) -> np.ndarray:
@@ -283,30 +278,29 @@ class _PreparedCorpus:
     Per stemming variant this holds, over the ``max_terms_cap`` most
     document-frequent training terms (ties lexicographic), columns in
     lexicographic order and weighted by IDF (which depends on the column
-    alone): the training class tensor and its per-class totals, the
-    transposed test matrix, the training document frequencies and the
-    column order by (-df, term). The terms with df >= ``min_doc_freq`` are a
+    alone): the training matrix and its per-class totals, the transposed
+    test matrix, the training document frequencies and the column order by
+    (-df, term). The terms with df >= ``min_doc_freq`` are a
     prefix of that order, so an evaluation only selects columns: the same
     values, summed in the same order, as building its own vocabulary and
     matrices would give.
 
-    The test labels are held as class codes (indices into ``classes``), with
-    the classes' ``repr`` order, in which ``metrics.f_score`` sums them, and
-    the gold count of each class in that order."""
+    The train and test labels are held as class codes (indices into
+    ``classes``), with the classes' ``repr`` order, in which
+    ``metrics.f_score`` sums them, and the gold count of each class in that
+    order."""
 
     def __init__(self, corpus: LabeledCorpus, max_terms_cap: int | None):
         plain = [textpipe.preprocess(t, use_stemming=False) for t in corpus.texts]
         stems = {w: textpipe.stem(w) for w in {w for doc in plain for w in doc}}
         self.classes = corpus.label_set
-        train_labels = [corpus.labels[i] for i in corpus.train_idx]
-        code = {c: k for k, c in enumerate(self.classes)}
-        self.test_codes = np.array([code[corpus.labels[i]] for i in corpus.test_idx],
-                                   dtype=np.intp)
+        self.train_codes = _codes([corpus.labels[i] for i in corpus.train_idx], self.classes)
+        self.test_codes = _codes([corpus.labels[i] for i in corpus.test_idx], self.classes)
         self.repr_order = np.array(sorted(range(len(self.classes)),
                                           key=lambda k: repr(self.classes[k])), dtype=np.intp)
         self.gold_counts = np.bincount(self.test_codes,
                                        minlength=len(self.classes))[self.repr_order].tolist()
-        n_train = len(train_labels)
+        n_classes, n_train = len(self.classes), len(self.train_codes)
         self.variants = {}
         for stemmed in (False, True):
             tokens = [[stems[w] for w in doc] for doc in plain] if stemmed else plain
@@ -316,12 +310,11 @@ class _PreparedCorpus:
             df = textpipe.doc_frequencies(train_tokens, vocab)
             order = np.lexsort((np.arange(len(vocab)), -df))
             idf = np.log(n_train / np.maximum(df, 1))
-            class_rows, self.sizes = _class_rows(_weighted_counts(train_tokens, vocab, idf),
-                                                 train_labels, self.classes)
+            train = _weighted_counts(train_tokens, vocab, idf)
             test_t = np.ascontiguousarray(_weighted_counts(test_tokens, vocab, idf).T)
-            self.variants[stemmed] = (class_rows, _class_totals(class_rows, self.sizes),
+            self.variants[stemmed] = (train, _class_totals(train, self.train_codes, n_classes),
                                       test_t, df, order)
-        self.log_prior = _log_prior(self.sizes, n_train)
+        self.log_prior = _log_prior(np.bincount(self.train_codes, minlength=n_classes), n_train)
 
 
 def _max_terms_cap(space: HyperparamSpace) -> int | None:
@@ -346,19 +339,19 @@ def _fit_score(prep: _PreparedCorpus, params: dict) -> tuple[float, float]:
     smoothing = float(params["nb_smoothing"])
     if min_doc_freq < 1 or max_terms < 1 or smoothing <= 0:
         return 0.0, 0.0
-    class_rows, totals, test_t, df, order = prep.variants[bool(params["use_stemming"])]
+    train, totals, test_t, df, order = prep.variants[bool(params["use_stemming"])]
     n_terms = min(int(np.count_nonzero(df >= min_doc_freq)), max_terms)
     if n_terms == 0:
         return 0.0, 0.0
     cols = np.sort(order[:n_terms])
+    n_classes = len(prep.classes)
     if n_terms == 1:  # summed pairwise, see _class_totals
-        totals = _class_totals(np.take(class_rows, cols, axis=2), prep.sizes)
+        totals = _class_totals(np.take(train, cols, axis=1), prep.train_codes, n_classes)
     else:
         totals = np.take(totals, cols, axis=1)
     # F-ordered, as test[:, cols] is: a matrix product may round by layout
     X_test = np.take(test_t, cols, axis=0).T
     codes = _nb_codes(X_test, prep.log_prior, _nb_log_lik(totals, smoothing))
-    n_classes = len(prep.classes)
     tp = np.bincount(codes[codes == prep.test_codes], minlength=n_classes)[prep.repr_order]
     n_pred = np.bincount(codes, minlength=n_classes)[prep.repr_order]
     return (int(tp.sum()) / len(codes),

@@ -138,6 +138,34 @@ class TestCountingObjective:
         assert counted(np.zeros(1)) == float("inf")
         assert counted.count == 1
 
+    @pytest.mark.parametrize("value, want", [(1.5, 1.5), (np.nan, math.inf), (np.inf, math.inf),
+                                             (-np.inf, math.inf), (-0.0, -0.0)])
+    @pytest.mark.parametrize("kind", ["function", "batched"])
+    def test_one_point_is_a_one_row_batch(self, kind, value, want):
+        # one counting rule: a point goes through batch as the one row [x]
+        x = np.array([0.25, -1.0])
+        seen = []
+        obj = (Batched(np.array([value])) if kind == "batched"
+               else lambda x: seen.append(x) or np.float64(value))
+        counted = CountingObjective(obj)
+        out = counted(x)
+        if kind == "batched":
+            assert obj.scalar_calls == 0
+            assert obj.batches == [[x]] and obj.batches[0][0] is x
+        else:
+            assert len(seen) == 1 and seen[0] is x
+        assert counted.count == 1
+        assert type(out) is float
+        assert out == want and math.copysign(1.0, out) == math.copysign(1.0, want)
+
+    @pytest.mark.parametrize("values", [np.zeros(0), np.zeros(2), np.zeros((1, 1)),
+                                        np.float64(0.0)])
+    def test_one_point_malformed_batch_names_the_shapes(self, values):
+        counted = CountingObjective(Batched(values))
+        message = f"batch returned shape {np.shape(values)} for 1 rows; expected (1,)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            counted(np.zeros(2))
+
 
 class Batched:
     """An objective that offers ``batch`` and records what each method got."""

@@ -39,7 +39,8 @@ from test_metrics import f_score_reference
 
 def train_nb_reference(X, labels, classes, smoothing):
     """Naive Bayes with a boolean row mask per class, each class summed on
-    its own: the fit that the class tensor must reproduce bit for bit."""
+    its own: the fit that train_nb and the tuning objective must reproduce
+    bit for bit."""
     n_feat = X.shape[1]
     log_prior = np.empty(len(classes))
     log_lik = np.empty((len(classes), n_feat))
@@ -56,8 +57,8 @@ def nb_cases(seed: int, n: int, n_feats=(1, 2, 3, 8, 9, 40, 300)):
     """Random non-negative count-like matrices, C- and F-ordered, with a
     label outside ``classes`` and classes of 0, 1 or more rows.
 
-    Classes of unequal size pad the class tensor, which regroups numpy's
-    pairwise sum of a single column."""
+    One-column cases matter: numpy sums a lone column pairwise, but each
+    column of several row by row."""
     rng = make_rng(seed)
     yield np.arange(12.0).reshape(4, 3), ["b", "a", "x", "b"], ["a", "b", "c"]
     for case in range(n):
@@ -298,18 +299,20 @@ class TestNaiveBayes:
 
     def test_kernel_on_selected_totals_bytes_equal_mask_reference(self):
         # an evaluation selects columns of totals summed once over every
-        # column; a single column is summed from the class tensor instead
+        # column; a single column is summed from the selected matrix instead
         rng = make_rng(1)
         for X, labels, classes in itertools.chain(nb_cases(2, 150), nb_cases(3, 50, (1,))):
-            class_rows, sizes = harness._class_rows(X, labels, classes)
-            totals = harness._class_totals(class_rows, sizes)
+            codes = harness._codes(labels, classes)
+            sizes = np.bincount(codes[codes >= 0], minlength=len(classes))
+            totals = harness._class_totals(X, codes, len(classes))
             assert_same_bits([totals], [class_sums(X, labels, classes)])
             n_feat = X.shape[1]
             picks = [np.sort(rng.choice(n_feat, size=int(rng.integers(1, n_feat + 1)),
                                         replace=False)) for _ in range(3)]
             for cols in picks + [np.array([int(rng.integers(n_feat))])]:
                 if len(cols) == 1:
-                    selected = harness._class_totals(np.take(class_rows, cols, axis=2), sizes)
+                    selected = harness._class_totals(np.take(X, cols, axis=1), codes,
+                                                     len(classes))
                 else:
                     selected = np.take(totals, cols, axis=1)
                 for smoothing in (0.01, 1.0, 5.0):

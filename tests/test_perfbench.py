@@ -1,5 +1,5 @@
-"""The benchmark's own machinery passes its self-test, and the tuning
-workload's short runs check their pinned fingerprints."""
+"""The benchmark's own machinery passes its self-test, and short runs of
+its workloads check their pinned fingerprints."""
 
 import json
 import subprocess
@@ -18,13 +18,25 @@ def test_selftest_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-@pytest.mark.parametrize("trace", [0, 1])
-def test_tuning_workload_is_correct(trace):
-    # seed 0 checks the tuning runs against perfbench/fingerprints.json
-    proc = subprocess.run([sys.executable, str(PERFBENCH / "run.py"), "--workload", "tuning-nb",
+def run_workload(workload, trace):
+    """The last-line result of a seed-0, 0.1 s run, which checks the runs
+    against perfbench/fingerprints.json."""
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
                            "--seed", "0", "--seconds", "0.1", "--trace", str(trace)],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True, proc.stdout
     assert result["failed"] == 0 and result["attempted"] > 0, proc.stdout
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_tuning_workload_is_correct(trace):
+    run_workload("tuning-nb", trace)
+
+
+@pytest.mark.parametrize("workload", ["sphere-hraha", "rastrigin-race"])
+def test_traced_benchmark_workload_is_correct(workload):
+    # a traced run hides the benchmark's batch, so every evaluation of the
+    # whole run goes through BenchmarkFn.__call__, the one-row form
+    run_workload(workload, 1)
