@@ -150,7 +150,7 @@ class CountingObjective:
         if f.shape != (len(X),):
             raise ValueError(f"batch returned shape {f.shape} for {len(X)} rows; "
                              f"expected ({len(X)},)")
-        return np.where(np.isfinite(f), f, math.inf).tolist()
+        return [v if math.isfinite(v) else math.inf for v in f.tolist()]
 
 
 def _score_rows(obj, rows):

@@ -280,10 +280,9 @@ class _PreparedCorpus:
     lexicographic order and weighted by IDF (which depends on the column
     alone): the training matrix and its per-class totals, the transposed
     test matrix, the training document frequencies and the column order by
-    (-df, term). The terms with df >= ``min_doc_freq`` are a
-    prefix of that order, so an evaluation only selects columns: the same
-    values, summed in the same order, as building its own vocabulary and
-    matrices would give.
+    (-df, term). The terms with df >= ``min_doc_freq`` are a prefix of that
+    order, so an evaluation only selects columns: the same values, summed in
+    the same order, as building its own vocabulary and matrices would give.
 
     The train and test labels are held as class codes (indices into
     ``classes``), with the classes' ``repr`` order, in which
