@@ -19,8 +19,8 @@ def test_selftest_passes():
 
 
 def run_workload(workload, trace):
-    """The last-line result of a seed-0, 0.1 s run, which checks the runs
-    against perfbench/fingerprints.json."""
+    """Run a workload for 0.1 s at seed 0, which checks its runs against
+    perfbench/fingerprints.json, and assert that every run passed."""
     proc = subprocess.run([sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
                            "--seed", "0", "--seconds", "0.1", "--trace", str(trace)],
                           capture_output=True, text=True, timeout=300)
