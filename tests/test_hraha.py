@@ -3,19 +3,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from foxbird import hraha
 from foxbird.core import (
+    CountingObjective,
     Individual,
     Population,
     SearchSpace,
     clamp,
+    init_population,
     make_rng,
 )
 from foxbird.hraha import (
     AXIAL,
     DIAGONAL,
+    FLIGHT_KINDS,
     OMNIDIRECTIONAL,
     LocalMoves,
     STRAT_MIGRATION,
@@ -635,3 +638,65 @@ class TestRun:
         assert np.all(np.diff(hist) <= 0)
         assert result.evaluations == calls
 
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+def injecting(period):
+    """The sphere, with every ``period``-th call NaN, +inf or -inf in turn."""
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        calls += 1
+        return NON_FINITE[calls // period % 3] if calls % period == 0 else sphere(x)
+    return f
+
+
+INVARIANT_OBJECTIVES = {
+    "sphere": lambda period: sphere,
+    "plateau": lambda period: lambda x: math.floor(sphere(x) / 10),
+    "constant": lambda period: lambda x: 1.0,
+    "injecting": injecting,
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(dims=st.integers(1, 5), n=st.integers(4, 41),
+       objective=st.sampled_from(sorted(INVARIANT_OBJECTIVES)), period=st.integers(2, 7),
+       worst_fraction=st.sampled_from([0.05, 0.25, 0.9]), seed=st.integers(0, 2**32 - 1))
+def test_no_step_raises_the_population_best(dims, n, objective, period, worst_fraction, seed):
+    # run's best-so-far is the population best because, while
+    # WORST_FRACTION < 1, no step raises min(fitnesses): greedy accepts never
+    # worsen a slot, migration rewrites the worst slot and move-closer never
+    # rewrites the first-ranked member
+    space = SearchSpace([-5.0] * dims, [5.0] * dims)
+    obj = CountingObjective(INVARIANT_OBJECTIVES[objective](period))
+    rng = make_rng(seed)
+    pop = init_population(space, n, rng, obj)
+    local = LocalMoves(space)
+    rounds = 6
+
+    def step(move):
+        before = pop.fitnesses().min()
+        move()
+        assert pop.fitnesses().min() <= before
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hraha, "WORST_FRACTION", worst_fraction)
+        for t in range(rounds):
+            alpha = compute_alpha(pop, hraha.OMEGA, t, rounds)
+            flight = FLIGHT_KINDS[int(rng.integers(3))]
+            step(lambda: global_search_step(pop, pop.best, alpha, flight, rng, space, obj))
+            for i, u in enumerate(rng.random(n)):
+                if u < 1 / 3:
+                    local.stay(i, rng)
+                elif u < 2 / 3:
+                    local.territorial(i, rng)
+            step(lambda: local.flush(pop, obj))
+            step(lambda: migrate_worst(pop, space, rng, 0, 2 * n, 2 * n, obj))
+            first = int(np.argsort(pop.fitnesses(), kind="stable")[0])
+            kept = pop.members[first]
+            step(lambda: move_closer_reproduce(pop, rng, space, obj))
+            assert pop.members[first] is kept
