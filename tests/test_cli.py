@@ -190,6 +190,10 @@ class TestRun:
             *SPACE[:3], categorical("nb_smoothing", [None])]}),
         ("space[0].choices", {"task": CLASSIFIER, "space": [
             categorical("min_doc_freq", [2, None]), *SPACE[1:]]}),
+        # a section of the wrong type
+        ("task", {"task": 5}),
+        ("budget", {"budget": []}),
+        ("space[0]", {"task": CLASSIFIER, "space": [5]}),
     ])
     def test_bad_field_is_usage_error(self, tmp_path, capsys, monkeypatch, corpus_csv,
                                       field, over):
@@ -314,6 +318,22 @@ class TestTfidf:
                      "--out", str(tmp_path / "m.csv")])
         assert code == EXIT_DATA
         assert "malformed row at line 1" in capsys.readouterr().err
+
+    def test_jsonl_missing_column_names_the_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"id": "d0", "text": "hello", "label": "a"}\n'
+                       '{"id": "d1", "text": "hello"}\n')
+        code = main(["tfidf", "--input", str(bad), "--format", "jsonl",
+                     "--out", str(tmp_path / "m.csv")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == "data error: missing column(s) at line 2: label\n"
+
+    def test_csv_short_row_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("id,text,label\nd0,hello,a\nd1,hello\n")
+        code = main(["tfidf", "--input", str(bad), "--out", str(tmp_path / "m.csv")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == "data error: malformed row at line 3\n"
 
     @pytest.mark.parametrize("value", ['42', 'null', '["id", "text", "label"]', '"id text label"'])
     def test_jsonl_line_that_is_not_an_object_is_data_error(self, tmp_path, capsys, value):

@@ -50,6 +50,10 @@ class TestSearchSpace:
         with pytest.raises(ValueError, match="bounds must have at least one coordinate"):
             SearchSpace([], [])
 
+    def test_two_dimensional_bounds(self):
+        with pytest.raises(ValueError, match="bounds must be 1-D vectors"):
+            SearchSpace([[0, 0], [0, 0]], [[1, 1], [1, 1]])
+
 
 class TestInitPopulation:
     def test_bounds_and_size(self):

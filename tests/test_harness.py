@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import itertools
 import json
 import math
@@ -407,6 +408,26 @@ class TestClassifierObjective:
         assert calls == once
         obj(x)
         assert calls == once
+
+    def test_fit_score_is_pinned_over_a_grid(self, graded_corpus_csv):
+        # 400 configurations on three classes, where the order of macro-F's
+        # sum shows in the last bits; recorded before the objective changed
+        prep = harness._PreparedCorpus(load_corpus(graded_corpus_csv), 2000)
+        grid = itertools.product(range(1, 6), (1, 2, 3, 10, 30, 100, 400, 2000),
+                                 (False, True), (0.01, 0.1, 0.5, 1, 5))
+        scores = [harness._fit_score(prep, {"min_doc_freq": m, "max_terms": t,
+                                            "use_stemming": s, "nb_smoothing": a})
+                  for m, t, s, a in grid]
+        assert len(scores) == 400
+        assert hashlib.sha256(repr(scores).encode()).hexdigest() == \
+            "1181a85a57fe1e6cc834f370d33ce5ff40508d5972b73b1e683b3de57de2823a"
+
+    def test_min_doc_freq_above_every_document_frequency_scores_zero(self, graded_corpus_csv):
+        corpus = load_corpus(graded_corpus_csv)
+        prep = harness._PreparedCorpus(corpus, 2000)
+        params = {"min_doc_freq": len(corpus.train_idx) + 1, "max_terms": 2000,
+                  "use_stemming": False, "nb_smoothing": 1.0}
+        assert harness._fit_score(prep, params) == (0.0, 0.0)
 
     @pytest.mark.parametrize("corpus_name", ["graded_corpus_csv", "lopsided_corpus_csv"])
     def test_fit_score_equals_two_matrix_reference(self, corpus_name, request, monkeypatch):

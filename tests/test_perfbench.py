@@ -40,3 +40,10 @@ def test_traced_benchmark_workload_is_correct(workload):
     # a traced run hides the benchmark's batch, so every evaluation of the
     # whole run goes through BenchmarkFn.__call__, the one-row form
     run_workload(workload, 1)
+
+
+@pytest.mark.parametrize("workload", ["sphere-hraha", "rastrigin-race"])
+def test_untraced_benchmark_workload_is_correct(workload):
+    # only an untraced run takes the benchmark's batch path and checks the
+    # quality panel against its fingerprints
+    run_workload(workload, 0)
