@@ -82,33 +82,37 @@ class LabeledCorpus:
 
 def _parse_rows(path, fmt: str):
     rows = []
-    if fmt == "csv":
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or not {"id", "text", "label"} <= set(reader.fieldnames):
+    try:
+        if fmt == "csv":
+            with open(path, newline="", encoding="utf-8") as fh:
+                reader = csv.DictReader(fh)
                 missing = {"id", "text", "label"} - set(reader.fieldnames or [])
-                raise DataError(f"missing column(s): {', '.join(sorted(missing))}")
-            for lineno, row in enumerate(reader, start=2):
-                if row.get("id") is None or row.get("text") is None or row.get("label") is None:
-                    raise DataError(f"malformed row at line {lineno}")
-                rows.append((row["id"], row["text"], row["label"]))
-    elif fmt == "jsonl":
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except ValueError as e:  # malformed JSON, or an integer past int's digit limit
-                    raise DataError(f"malformed row at line {lineno}: {e}") from None
-                if not isinstance(obj, dict):
-                    raise DataError(f"malformed row at line {lineno}: expected an object")
-                if not {"id", "text", "label"} <= set(obj):
-                    missing = {"id", "text", "label"} - set(obj)
-                    raise DataError(f"missing column(s) at line {lineno}: {', '.join(sorted(missing))}")
-                rows.append((str(obj["id"]), str(obj["text"]), str(obj["label"])))
-    else:
-        raise DataError(f"unknown corpus format {fmt!r} (expected csv or jsonl)")
+                if missing:
+                    raise DataError(f"missing column(s): {', '.join(sorted(missing))}")
+                for lineno, row in enumerate(reader, start=2):
+                    if row.get("id") is None or row.get("text") is None or row.get("label") is None:
+                        raise DataError(f"malformed row at line {lineno}")
+                    rows.append((row["id"], row["text"], row["label"]))
+        elif fmt == "jsonl":
+            with open(path, encoding="utf-8") as fh:
+                for lineno, line in enumerate(fh, start=1):
+                    if not line.strip():
+                        continue
+                    try:
+                        obj = json.loads(line)
+                    except ValueError as e:  # malformed JSON, or an integer past int's digit limit
+                        raise DataError(f"malformed row at line {lineno}: {e}") from None
+                    if not isinstance(obj, dict):
+                        raise DataError(f"malformed row at line {lineno}: expected an object")
+                    if not {"id", "text", "label"} <= set(obj):
+                        missing = {"id", "text", "label"} - set(obj)
+                        raise DataError(f"missing column(s) at line {lineno}: "
+                                        f"{', '.join(sorted(missing))}")
+                    rows.append((str(obj["id"]), str(obj["text"]), str(obj["label"])))
+        else:
+            raise DataError(f"unknown corpus format {fmt!r} (expected csv or jsonl)")
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path} is not UTF-8 text: {e}") from None
     return rows
 
 
@@ -133,8 +137,7 @@ def load_corpus(path, fmt: str = "csv", split_ratio: float = 0.8, seed: int = 0)
     for lab in sorted(by_label):
         idx = np.array(by_label[lab])
         perm = rng.permutation(len(idx))
-        n_train = max(1, round(split_ratio * len(idx)))
-        n_train = min(n_train, len(idx))
+        n_train = max(1, round(split_ratio * len(idx)))  # <= len(idx): split_ratio < 1
         shuffled = idx[perm]
         train_idx.extend(int(i) for i in shuffled[:n_train])
         test_idx.extend(int(i) for i in shuffled[n_train:])

@@ -13,8 +13,10 @@ uniform draw delta:
 
 Candidate moves in the global, stay and territorial phases are accepted
 greedily (only if they do not worsen fitness); migration replaces the worst
-member unconditionally. Elitism reinjects the best-so-far individual, in
-place of the worst member, if an iteration loses it.
+member unconditionally. HRAHA is elitist by construction: greedy accepts
+never worsen a slot, migration rewrites the worst slot (the best only when all
+members tie) and, while ``WORST_FRACTION < 1``, move-closer never rewrites the
+first-ranked member. So no step raises the population's best fitness.
 
 The stay and territorial moves of a sweep are queued and scored in batches
 (``LocalMoves``). Each draws only uniforms and reads and writes only its own
@@ -391,7 +393,6 @@ def run(obj, space: SearchSpace, pop_size: int, max_iters: int, rng) -> Optimiza
     counts = {k: 0 for k in FLIGHT_KINDS + LOCAL_STRATEGIES}
     history: list[float] = []
     last_migration = 0
-    incumbent = pop.best
     local = LocalMoves(space)
 
     for t in range(max_iters):
@@ -418,18 +419,12 @@ def run(obj, space: SearchSpace, pop_size: int, max_iters: int, rng) -> Optimiza
                 local.flush(pop, counted)
                 move_closer_reproduce(pop, rng, space, counted)
         local.flush(pop, counted)
+        history.append(pop.best.fitness)
 
-        cur_best = pop.best
-        if cur_best.fitness > incumbent.fitness:
-            pop.members[pop.worst_index] = incumbent
-        else:
-            incumbent = cur_best
-
-        history.append(incumbent.fitness)
-
+    best = pop.best
     return OptimizationResult(
-        best_position=incumbent.position,
-        best_fitness=float(incumbent.fitness),
+        best_position=best.position,
+        best_fitness=float(best.fitness),
         history=history,
         evaluations=counted.count,
         strategy_counts=counts,

@@ -143,7 +143,7 @@ def gelu(a):
 
     Uses numpy/math erf (abs error well below 1e-7)."""
     a = np.asarray(a, dtype=float)
-    erf = np.vectorize(math.erf)(a / math.sqrt(2.0))
+    erf = np.vectorize(math.erf, otypes=[float])(a / math.sqrt(2.0))
     out = 0.5 * a * (1.0 + erf)
     return float(out) if out.ndim == 0 else out
 
@@ -191,31 +191,26 @@ class LstmWeights:
                    zi(), zh(), zh(), zb(), zi(), zh(), zb())
 
 
-def lstm_step(x_t, h_prev, s_prev, w: LstmWeights, gru_coupled: bool = False):
-    """One LSTM step with peephole gates; returns (h, s).
-
-    With gru_coupled=True the candidate's recurrent term is damped by the
-    forget gate (a reset-style coupling); default is the standard candidate.
-    """
+def lstm_step(x_t, h_prev, s_prev, w: LstmWeights):
+    """One LSTM step with peephole gates; returns (h, s)."""
     x_t = np.asarray(x_t, dtype=float)
     h_prev = np.asarray(h_prev, dtype=float)
     s_prev = np.asarray(s_prev, dtype=float)
     f = sigmoid(w.WE_xf @ x_t + w.WE_hf @ h_prev + w.WE_gf @ s_prev + w.de_f)
     i = sigmoid(w.WE_xi @ x_t + w.WE_hi @ h_prev + w.WE_gi @ s_prev + w.de_i)
     o = sigmoid(w.WE_xo @ x_t + w.WE_ho @ h_prev + w.WE_go @ s_prev + w.de_o)
-    h_rec = f * h_prev if gru_coupled else h_prev
-    s_cand = np.tanh(w.WE_xm @ x_t + w.WE_xh @ h_rec + w.de_g)
+    s_cand = np.tanh(w.WE_xm @ x_t + w.WE_xh @ h_prev + w.de_g)
     s = f * s_prev + i * s_cand
     h = o * np.tanh(s)
     return h, s
 
 
 def bilstm_step(x_t, h_fwd_prev, s_fwd_prev, h_bwd_prev, s_bwd_prev,
-                w_fwd: LstmWeights, w_bwd: LstmWeights, gru_coupled: bool = False):
+                w_fwd: LstmWeights, w_bwd: LstmWeights):
     """One step of both directions; returns (h_fwd, s_fwd, h_bwd, s_bwd,
     h_concat) with concatenation order (forward, backward)."""
-    h_f, s_f = lstm_step(x_t, h_fwd_prev, s_fwd_prev, w_fwd, gru_coupled)
-    h_b, s_b = lstm_step(x_t, h_bwd_prev, s_bwd_prev, w_bwd, gru_coupled)
+    h_f, s_f = lstm_step(x_t, h_fwd_prev, s_fwd_prev, w_fwd)
+    h_b, s_b = lstm_step(x_t, h_bwd_prev, s_bwd_prev, w_bwd)
     return h_f, s_f, h_b, s_b, np.concatenate([h_f, h_b])
 
 
@@ -265,8 +260,9 @@ def encoder_layer(x: np.ndarray, attn: AttentionWeights,
 def gumbel_softmax_st(logits, tau: float, rng):
     """Straight-through Gumbel-Softmax sample.
 
-    Returns (soft, hard): soft is softmax((logits + gumbel)/tau), hard is the
-    one-hot argmax of soft (ties break to the lowest index).
+    Returns (soft, hard), both along the last axis: soft is
+    softmax((logits + gumbel)/tau), hard is one-hot at soft's argmax (ties
+    break to the lowest index).
     """
     if tau <= 0:
         raise ValueError(f"tau must be > 0, got {tau}")
@@ -276,5 +272,5 @@ def gumbel_softmax_st(logits, tau: float, rng):
     g = -np.log(-np.log(u))
     soft = softmax_rows((logits + g) / tau)
     hard = np.zeros_like(soft)
-    hard[np.argmax(soft)] = 1.0
+    np.put_along_axis(hard, np.argmax(soft, axis=-1)[..., None], 1.0, axis=-1)
     return soft, hard

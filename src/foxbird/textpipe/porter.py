@@ -49,10 +49,9 @@ def _cvc(word: str) -> bool:
             and word[-1] not in "wxy")
 
 
-def _replace(word: str, suffix: str, repl: str, min_m: int) -> str | None:
-    """Replace suffix if present and the remaining stem has measure > min_m."""
-    if not word.endswith(suffix):
-        return None
+def _replace(word: str, suffix: str, repl: str, min_m: int) -> str:
+    """Replace ``word``'s suffix, which the caller has matched, if the
+    remaining stem has measure > min_m."""
     stem = word[: len(word) - len(suffix)]
     if _measure(stem) > min_m:
         return stem + repl

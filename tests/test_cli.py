@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -100,6 +101,15 @@ class TestRun:
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == EXIT_DATA
         assert capsys.readouterr().err.startswith("data error: split_ratio 0.95 ")
+
+    def test_corpus_that_is_not_utf8_is_data_error(self, tmp_path, capsys, corpus_csv):
+        corpus = tmp_path / "latin1.csv"
+        corpus.write_bytes(Path(corpus_csv).read_bytes() + "d200,caf\xe9,pos\n".encode("latin-1"))
+        cfg = write_config(tmp_path / "cfg.json", methods=["pso"],
+                           task={"kind": "classifier", "corpus": str(corpus)})
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"data error: {corpus} is not UTF-8 text: ")
 
     def test_space_section_as_the_default(self, tmp_path, corpus_csv):
         out = {}
@@ -334,6 +344,18 @@ class TestTfidf:
         code = main(["tfidf", "--input", str(bad), "--out", str(tmp_path / "m.csv")])
         assert code == EXIT_DATA
         assert capsys.readouterr().err == "data error: malformed row at line 3\n"
+
+    @pytest.mark.parametrize("fmt, row", [
+        ("csv", "id,text,label\nd0,caf\xe9,a\n"),
+        ("jsonl", '{"id": "d0", "text": "caf\xe9", "label": "a"}\n'),
+    ], ids=["csv", "jsonl"])
+    def test_corpus_that_is_not_utf8_is_data_error(self, tmp_path, capsys, fmt, row):
+        bad = tmp_path / f"latin1.{fmt}"
+        bad.write_bytes(row.encode("latin-1"))
+        code = main(["tfidf", "--input", str(bad), "--format", fmt,
+                     "--out", str(tmp_path / "m.csv")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"data error: {bad} is not UTF-8 text: ")
 
     @pytest.mark.parametrize("value", ['42', 'null', '["id", "text", "label"]', '"id text label"'])
     def test_jsonl_line_that_is_not_an_object_is_data_error(self, tmp_path, capsys, value):

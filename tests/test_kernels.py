@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from foxbird import kernels
 from foxbird.core import make_rng
 from foxbird.kernels import (
     AttentionWeights,
@@ -297,6 +298,10 @@ class TestActivations:
     def test_gelu_large(self):
         assert gelu(10.0) == pytest.approx(10.0, abs=1e-6)
 
+    def test_gelu_empty(self):
+        out = gelu(np.array([]))
+        assert out.shape == (0,) and out.dtype == float
+
     def test_relu(self):
         assert relu(-1.0) == 0.0
         assert relu(2.0) == 2.0
@@ -434,6 +439,19 @@ class TestGumbelSoftmaxSt:
     def test_bad_tau(self):
         with pytest.raises(ValueError):
             gumbel_softmax_st(np.zeros(2), 0.0, make_rng(0))
+
+    def test_two_dimensional_logits_are_one_hot_per_row(self):
+        logits = make_rng(18).standard_normal((3, 4))
+        soft, hard = gumbel_softmax_st(logits, 0.5, make_rng(19))
+        gumbel = -np.log(-np.log(make_rng(19).random((3, 4))))
+        assert np.array_equal(soft, softmax_rows((logits + gumbel) / 0.5))
+        assert np.array_equal(hard, np.eye(4)[np.argmax(soft, axis=1)])
+
+    def test_two_dimensional_ties_break_to_the_lowest_index(self, monkeypatch):
+        monkeypatch.setattr(kernels, "softmax_rows",
+                            lambda m: np.array([[0.5, 0.5, 0.0], [0.2, 0.4, 0.4]]))
+        _, hard = gumbel_softmax_st(np.zeros((2, 3)), 1.0, make_rng(0))
+        assert np.array_equal(hard, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
 # ---------------------------------------------------------------------------
