@@ -1,8 +1,14 @@
 """Every name a module lists in ``__all__`` resolves, so a deleted helper
-cannot linger in an export list."""
+cannot linger in an export list, and every private module-level name in
+``src/`` is used somewhere, so a helper whose last caller went cannot linger
+either."""
 
+import ast
 import importlib
 import pkgutil
+import re
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -24,3 +30,36 @@ def test_all_names_resolve(name):
     exported = getattr(module, "__all__", [])
     assert len(set(exported)) == len(exported)
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+ROOT = Path(foxbird.__file__).resolve().parents[2]
+SOURCES = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
+
+
+def private_definitions():
+    """(module path, name) of every module-level private function, class or
+    constant under ``src/``."""
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    yield path.relative_to(ROOT).as_posix(), name
+
+
+def test_every_private_definition_is_used():
+    # a private helper is referenced somewhere besides its definition:
+    # by src, a test or perfbench (which may name it in a string)
+    text = "\n".join(p.read_text(encoding="utf-8") for p in SOURCES)
+    defs = list(private_definitions())
+    assert len(defs) > 10
+    n_defs = Counter(name for _, name in defs)
+    unused = [(path, name) for path, name in defs
+              if len(re.findall(rf"\b{re.escape(name)}\b", text)) <= n_defs[name]]
+    assert unused == []

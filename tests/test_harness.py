@@ -202,6 +202,28 @@ class TestLoadCorpus:
         with pytest.raises(DataError, match=r"split_ratio 0\.95 .*10 train, 0 test"):
             load_corpus(path, split_ratio=0.95)
 
+    def test_split_equals_permuted_index_arrays(self, tmp_path):
+        # the split as each label's index array permuted by position,
+        # frozen: labels of 1 to 23 documents, interleaved, over several seeds
+        # and ratios
+        sizes = {"a": 1, "b": 2, "c": 5, "d": 9, "e": 23}
+        labels = [lab for k in range(23) for lab, n in sizes.items() if k < n]
+        path = tmp_path / "sizes.csv"
+        path.write_text("id,text,label\n"
+                        + "".join(f"d{i},t,{lab}\n" for i, lab in enumerate(labels)))
+        for seed in range(6):
+            for ratio in (0.2, 0.5, 0.8):
+                rng = make_rng(seed)
+                train, test = [], []
+                for lab in sorted(sizes):
+                    idx = np.array([i for i, x in enumerate(labels) if x == lab])
+                    shuffled = idx[rng.permutation(len(idx))]
+                    n_train = max(1, round(ratio * len(idx)))
+                    train += shuffled[:n_train].tolist()
+                    test += shuffled[n_train:].tolist()
+                corpus = load_corpus(path, split_ratio=ratio, seed=seed)
+                assert (corpus.train_idx, corpus.test_idx) == (sorted(train), sorted(test))
+
     def test_unknown_format(self, corpus_csv):
         with pytest.raises(DataError, match="unknown corpus format"):
             load_corpus(corpus_csv, fmt="xml")
@@ -408,6 +430,41 @@ class TestClassifierObjective:
         assert calls == once
         obj(x)
         assert calls == once
+
+    def test_fit_score_runs_once_per_distinct_configuration(self, corpus_csv, monkeypatch):
+        configs = Counter()
+
+        def counted(prep, params, _fn=harness._fit_score):
+            configs[tuple(sorted(params.items()))] += 1
+            return _fn(prep, params)
+
+        monkeypatch.setattr(harness, "_fit_score", counted)
+        space = default_tuning_space()
+        box = space.to_box()
+        obj = classifier_objective(load_corpus(corpus_csv), space)
+        rng = make_rng(3)
+        # a coarse grid of points, so that many decode alike, each visited twice
+        X = rng.uniform(box.lower, box.upper, size=(150, box.dims))
+        X[:, 1] = np.round(X[:, 1], -3)
+        X[:, 3] = np.round(X[:, 3])
+        for x in np.concatenate([X, X[::-1]]):
+            obj(x)
+        want = {tuple(sorted(space.decode(x).items())) for x in X}
+        assert len(want) < len(X)
+        assert configs == dict.fromkeys(want, 1)
+
+    def test_repeated_point_returns_the_identical_float(self, corpus_csv):
+        corpus = load_corpus(corpus_csv)
+        space = default_tuning_space()
+        obj = classifier_objective(corpus, space)
+        rng = make_rng(4)
+        box = space.to_box()
+        for x in rng.uniform(box.lower, box.upper, size=(20, box.dims)):
+            first = obj(x)
+            assert obj(x) is first
+            assert obj(x.copy()) is first
+            fresh = classifier_objective(corpus, space)(x)
+            assert fresh.hex() == first.hex() == (1.0 - obj.fit_score(x)[1]).hex()
 
     def test_fit_score_is_pinned_over_a_grid(self, graded_corpus_csv):
         # 400 configurations on three classes, where the order of macro-F's

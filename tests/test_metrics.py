@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 
@@ -41,6 +42,39 @@ def f_score_reference(pred, gold):
         denom = 2 * tp + fp + fn
         f1s.append(2 * tp / denom if denom else 0.0)
     return sum(f1s) / len(f1s)
+
+
+def bleu4_clipping_loops(candidate, references):
+    """BLEU-4 with its clipped counts taken by hand loops: the largest count
+    of each n-gram over the references, then each candidate count clipped to
+    it. Frozen, so that ``bleu4`` must keep every bit of it."""
+    candidate = list(candidate)
+    references = [list(r) for r in references]
+    if not candidate:
+        return 0.0
+    log_sum = 0.0
+    for n in range(1, 5):
+        cand_ngrams = Counter(tuple(candidate[i:i + n]) for i in range(len(candidate) - n + 1))
+        total = sum(cand_ngrams.values())
+        if total == 0:
+            matched = 0
+        else:
+            max_ref = Counter()
+            for ref in references:
+                for gram, c in Counter(tuple(ref[i:i + n])
+                                       for i in range(len(ref) - n + 1)).items():
+                    if c > max_ref[gram]:
+                        max_ref[gram] = c
+            matched = sum(min(c, max_ref[g]) for g, c in cand_ngrams.items())
+        if matched == 0 or total == 0:
+            p = (matched + BLEU_SMOOTHING) / (total + BLEU_SMOOTHING)
+        else:
+            p = matched / total
+        log_sum += math.log(p)
+    c_len = len(candidate)
+    r_len = min((abs(len(r) - c_len), len(r)) for r in references)[1]
+    bp = 1.0 if c_len > r_len else math.exp(1 - r_len / c_len)
+    return min(1.0, bp * math.exp(log_sum / 4))
 
 
 class TestBleu4:
@@ -100,6 +134,27 @@ class TestBleu4:
         in_order = bleu4(ref, [ref])
         shuffled = bleu4(["fox", "the", "jumps", "quick", "brown"], [ref])
         assert in_order > shuffled
+
+    def test_bits_equal_the_clipping_loops(self):
+        # small alphabets, so n-grams repeat within and across references;
+        # candidates of 0-3 tokens have orders with no n-gram at all, and a
+        # candidate over its own alphabet overlaps no reference
+        rng = np.random.Generator(np.random.PCG64(11))
+        for case in range(3000):
+            words = ["a", "b", "c", "d", "e"][:int(rng.integers(1, 6))]
+            refs = [list(rng.choice(words, int(rng.integers(1, 13))))
+                    for _ in range(int(rng.integers(1, 4)))]
+            cand_words = ["x", "y"] if case % 5 == 0 else words
+            cand = list(rng.choice(cand_words, int(rng.integers(0, 13))))
+            assert bleu4(cand, refs).hex() == bleu4_clipping_loops(cand, refs).hex()
+
+    def test_bits_equal_the_clipping_loops_on_short_candidates(self):
+        refs = [["a", "b", "a", "b"], ["b", "a"], ["a", "a", "a"]]
+        for k in range(1, 4):
+            for cand in itertools.product("abz", repeat=k):
+                for m in range(1, 4):
+                    assert bleu4(cand, refs[:m]).hex() == \
+                        bleu4_clipping_loops(cand, refs[:m]).hex()
 
 
 class TestLcs:

@@ -1,5 +1,5 @@
 """Frozen member-by-member references for ``hraha.run``, ``run_rfo``,
-``run_aha`` and ``run_random_search``.
+``run_aha``, ``run_pso`` and ``run_random_search``.
 
 Each reference is the runner written as one loop over the members, over
 plain lists of positions and fitnesses, with every operator spelled out
@@ -318,6 +318,34 @@ def reference_aha(fn, lower, upper, n, T, rng):
     return inc_x, inc_f, history, score.count, {}
 
 
+def reference_pso(fn, lower, upper, n, T, rng):
+    # global-best PSO with the constriction constants w = 0.729 and
+    # c1 = c2 = 1.49445; every velocity of a sweep reads the global best
+    # from before it
+    score = Scored(fn)
+    X, F = initial_population(score, lower, upper, n, rng)
+    X = np.array(X)
+    V = np.zeros_like(X)
+    P, PF = X.copy(), list(F)
+    g = first_min(F)
+    G, GF = X[g].copy(), F[g]
+    history = []
+    for _ in range(T):
+        r1 = rng.random(X.shape)
+        r2 = rng.random(X.shape)
+        for i in range(n):
+            V[i] = 0.729 * V[i] + 1.49445 * r1[i] * (P[i] - X[i]) + 1.49445 * r2[i] * (G - X[i])
+            X[i] = box(X[i] + V[i], lower, upper)
+            f = score(X[i])
+            if f < PF[i]:
+                P[i], PF[i] = X[i], f
+        for i in range(n):
+            if PF[i] < GF:
+                G, GF = P[i].copy(), PF[i]
+        history.append(GF)
+    return G, GF, history, score.count, {}
+
+
 def reference_random_search(fn, lower, upper, budget, rng):
     score = Scored(fn)
     best_x, best_f = None, math.inf
@@ -331,7 +359,8 @@ def reference_random_search(fn, lower, upper, budget, rng):
     return best_x, best_f, history, score.count, {}
 
 
-REFERENCES = {"aha": reference_aha, "hraha": reference_hraha, "rfo": reference_rfo}
+REFERENCES = {"aha": reference_aha, "hraha": reference_hraha, "pso": reference_pso,
+              "rfo": reference_rfo}
 BUDGETS = (1, 2, 57, 600)
 
 

@@ -203,6 +203,20 @@ class TestBowTfIdf:
         np.testing.assert_allclose(m, tf_idf_oracle(corpus, v),
                                    atol=1e-12)
 
+    def test_bytes_equal_counts_times_log_of_document_frequencies(self):
+        # words repeat within documents, and the vocabulary's frequency floor
+        # and cap leave some of them out of vocabulary
+        rng = np.random.Generator(np.random.PCG64(5))
+        words = [f"w{k}" for k in range(30)]
+        for _ in range(200):
+            corpus = [list(rng.choice(words[:int(rng.integers(1, 31))], int(rng.integers(0, 20))))
+                      for _ in range(int(rng.integers(1, 25)))]
+            vocab = build_vocabulary(corpus, int(rng.integers(1, 4)),
+                                     int(rng.integers(1, 40)) if rng.random() < 0.5 else None)
+            want = bow_vectorize(corpus, vocab) * np.log(
+                len(corpus) / textpipe.doc_frequencies(corpus, vocab))
+            assert tf_idf(corpus, vocab).tobytes() == want.tobytes()
+
     def test_unseen_vocab_term_rejected(self):
         with pytest.raises(ValueError, match="inconsistent vocabulary"):
             tf_idf([["a"]], ("a", "ghost"))
