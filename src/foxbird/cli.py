@@ -23,6 +23,8 @@ from .harness import (
     ConfigError,
     DataError,
     METHODS,
+    _parse_rows,
+    _read_text,
     child_rng,
     emit_report,
     parse_config,
@@ -76,11 +78,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    with open(args.config, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except ValueError as e:  # malformed JSON, or an integer past int's digit limit
-            raise DataError(str(e)) from None
+    text = _read_text(args.config)
+    try:
+        raw = json.loads(text)
+    except ValueError as e:  # malformed JSON, or an integer past int's digit limit
+        raise DataError(str(e)) from None
     exp = parse_config(raw)
     if args.seed is not None:
         exp = exp.with_master_seed(args.seed)
@@ -113,8 +115,6 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_tfidf(args) -> int:
-    from .harness import _parse_rows
-
     for flag, value in (("--min-doc-freq", args.min_doc_freq), ("--max-terms", args.max_terms)):
         if value is not None and value < 1:
             raise ConfigError(f"{flag}: must be >= 1, got {value}")
@@ -134,10 +134,8 @@ def _cmd_tfidf(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    with open(args.cand, encoding="utf-8") as fh:
-        cands = [line.split() for line in fh.read().splitlines()]
-    with open(args.ref, encoding="utf-8") as fh:
-        refs = [line.split() for line in fh.read().splitlines()]
+    cands = [line.split() for line in _read_text(args.cand).splitlines()]
+    refs = [line.split() for line in _read_text(args.ref).splitlines()]
     if len(cands) != len(refs):
         raise DataError(f"line count mismatch: {len(cands)} candidates vs {len(refs)} references")
     if not refs or any(not r for r in refs):

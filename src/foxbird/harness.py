@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -80,39 +81,47 @@ class LabeledCorpus:
         return sorted(set(self.labels))
 
 
-def _parse_rows(path, fmt: str):
-    rows = []
+def _read_text(path) -> str:
+    """The whole text of a UTF-8 file, newlines untranslated; a file that
+    cannot be read or decoded is a DataError naming it."""
     try:
-        if fmt == "csv":
-            with open(path, newline="", encoding="utf-8") as fh:
-                reader = csv.DictReader(fh)
-                missing = {"id", "text", "label"} - set(reader.fieldnames or [])
-                if missing:
-                    raise DataError(f"missing column(s): {', '.join(sorted(missing))}")
-                for lineno, row in enumerate(reader, start=2):
-                    if row.get("id") is None or row.get("text") is None or row.get("label") is None:
-                        raise DataError(f"malformed row at line {lineno}")
-                    rows.append((row["id"], row["text"], row["label"]))
-        elif fmt == "jsonl":
-            with open(path, encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    if not line.strip():
-                        continue
-                    try:
-                        obj = json.loads(line)
-                    except ValueError as e:  # malformed JSON, or an integer past int's digit limit
-                        raise DataError(f"malformed row at line {lineno}: {e}") from None
-                    if not isinstance(obj, dict):
-                        raise DataError(f"malformed row at line {lineno}: expected an object")
-                    if not {"id", "text", "label"} <= set(obj):
-                        missing = {"id", "text", "label"} - set(obj)
-                        raise DataError(f"missing column(s) at line {lineno}: "
-                                        f"{', '.join(sorted(missing))}")
-                    rows.append((str(obj["id"]), str(obj["text"]), str(obj["label"])))
-        else:
-            raise DataError(f"unknown corpus format {fmt!r} (expected csv or jsonl)")
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
     except UnicodeDecodeError as e:
         raise DataError(f"{path} is not UTF-8 text: {e}") from None
+    except OSError as e:
+        raise DataError(f"cannot read {path}: {e.strerror or e}") from None
+
+
+def _parse_rows(path, fmt: str):
+    rows = []
+    if fmt == "csv":
+        reader = csv.DictReader(io.StringIO(_read_text(path), newline=""))
+        missing = {"id", "text", "label"} - set(reader.fieldnames or [])
+        if missing:
+            raise DataError(f"missing column(s): {', '.join(sorted(missing))}")
+        for lineno, row in enumerate(reader, start=2):
+            if row.get("id") is None or row.get("text") is None or row.get("label") is None:
+                raise DataError(f"malformed row at line {lineno}")
+            rows.append((row["id"], row["text"], row["label"]))
+    elif fmt == "jsonl":
+        # newline=None splits lines as a file opened in text mode does
+        for lineno, line in enumerate(io.StringIO(_read_text(path), newline=None), start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except ValueError as e:  # malformed JSON, or an integer past int's digit limit
+                raise DataError(f"malformed row at line {lineno}: {e}") from None
+            if not isinstance(obj, dict):
+                raise DataError(f"malformed row at line {lineno}: expected an object")
+            if not {"id", "text", "label"} <= set(obj):
+                missing = {"id", "text", "label"} - set(obj)
+                raise DataError(f"missing column(s) at line {lineno}: "
+                                f"{', '.join(sorted(missing))}")
+            rows.append((str(obj["id"]), str(obj["text"]), str(obj["label"])))
+    else:
+        raise DataError(f"unknown corpus format {fmt!r} (expected csv or jsonl)")
     return rows
 
 
@@ -135,10 +144,8 @@ def load_corpus(path, fmt: str = "csv", split_ratio: float = 0.8, seed: int = 0)
         by_label.setdefault(lab, []).append(i)
     train_idx, test_idx = [], []
     for lab in sorted(by_label):
-        idx = np.array(by_label[lab])
-        perm = rng.permutation(len(idx))
-        n_train = max(1, round(split_ratio * len(idx)))  # <= len(idx): split_ratio < 1
-        shuffled = idx[perm]
+        shuffled = rng.permutation(by_label[lab])
+        n_train = max(1, round(split_ratio * len(shuffled)))  # <= len: split_ratio < 1
         train_idx.extend(int(i) for i in shuffled[:n_train])
         test_idx.extend(int(i) for i in shuffled[n_train:])
     if not test_idx:
@@ -269,12 +276,6 @@ def predict_nb(X: np.ndarray, classes: list, log_prior, log_lik) -> list:
     return [classes[i] for i in _nb_codes(X, log_prior, log_lik).tolist()]
 
 
-def _weighted_counts(docs, vocab, idf) -> np.ndarray:
-    counts = textpipe.bow_vectorize(docs, vocab)
-    counts *= idf  # in place, to hold one matrix
-    return counts
-
-
 class _PreparedCorpus:
     """Everything an evaluation needs that its hyperparameters do not change.
 
@@ -282,7 +283,8 @@ class _PreparedCorpus:
     document-frequent training terms (ties lexicographic), columns in
     lexicographic order and weighted by IDF (which depends on the column
     alone): the training matrix and its per-class totals, the transposed
-    test matrix, the training document frequencies and the column order by
+    test matrix, the training document frequencies (the nonzero counts of
+    each column of the training count matrix) and the column order by
     (-df, term). The terms with df >= ``min_doc_freq`` are a prefix of that
     order, so an evaluation only selects columns: the same values, summed in
     the same order, as building its own vocabulary and matrices would give.
@@ -309,11 +311,12 @@ class _PreparedCorpus:
             train_tokens = [tokens[i] for i in corpus.train_idx]
             test_tokens = [tokens[i] for i in corpus.test_idx]
             vocab = textpipe.build_vocabulary(train_tokens, 1, max_terms_cap)
-            df = textpipe.doc_frequencies(train_tokens, vocab)
+            train = textpipe.bow_vectorize(train_tokens, vocab)
+            df = np.count_nonzero(train, axis=0)  # >= 1: every term is a training term
             order = np.lexsort((np.arange(len(vocab)), -df))
-            idf = np.log(n_train / np.maximum(df, 1))
-            train = _weighted_counts(train_tokens, vocab, idf)
-            test_t = np.ascontiguousarray(_weighted_counts(test_tokens, vocab, idf).T)
+            idf = np.log(n_train / df)
+            train *= idf  # in place, to hold one matrix
+            test_t = np.ascontiguousarray((textpipe.bow_vectorize(test_tokens, vocab) * idf).T)
             self.variants[stemmed] = (train, _class_totals(train, self.train_codes, n_classes),
                                       test_t, df, order)
         self.log_prior = _log_prior(np.bincount(self.train_codes, minlength=n_classes), n_train)
@@ -365,18 +368,13 @@ def classifier_objective(corpus: LabeledCorpus, space: HyperparamSpace):
     TF-IDF/naive-Bayes classifier. Degenerate regions score worst (1.0)
     instead of raising."""
     prep = _PreparedCorpus(corpus, _max_terms_cap(space))
-    cache: dict[tuple, float] = {}
+
+    @functools.cache
+    def fitness(params: tuple) -> float:
+        return 1.0 - _fit_score(prep, dict(params))[1]
 
     def objective(x) -> float:
-        params = space.decode(x)
-        key = tuple(sorted(params.items()))
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        _, macro_f = _fit_score(prep, params)
-        fitness = 1.0 - macro_f
-        cache[key] = fitness
-        return fitness
+        return fitness(tuple(space.decode(x).items()))
 
     objective.fit_score = lambda x: _fit_score(prep, space.decode(x))
     return objective
@@ -387,8 +385,7 @@ def classifier_objective(corpus: LabeledCorpus, space: HyperparamSpace):
 # ---------------------------------------------------------------------------
 
 def child_rng(master_seed: int, method_index: int, run_index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(master_seed, spawn_key=(method_index, run_index))
-    return np.random.Generator(np.random.PCG64(ss))
+    return make_rng(np.random.SeedSequence(master_seed, spawn_key=(method_index, run_index)))
 
 
 def run_method(method: str, obj, space: SearchSpace, pop_size: int,

@@ -106,7 +106,8 @@ def multi_head_attention(x: np.ndarray, w: AttentionWeights) -> np.ndarray:
 
 @dataclass
 class GruWeights:
-    """Reset/update/candidate weights; biases default to zero."""
+    """Reset/update/candidate weights; each bias defaults to the scalar 0.0,
+    which broadcasts over the hidden units."""
 
     G_r: np.ndarray
     W_r: np.ndarray
@@ -114,9 +115,9 @@ class GruWeights:
     W_z: np.ndarray
     G_h: np.ndarray
     W: np.ndarray
-    b_r: np.ndarray | None = None
-    b_z: np.ndarray | None = None
-    b_h: np.ndarray | None = None
+    b_r: np.ndarray | float = 0.0
+    b_z: np.ndarray | float = 0.0
+    b_h: np.ndarray | float = 0.0
 
     @classmethod
     def zeros(cls, n_in: int, n_hidden: int) -> "GruWeights":
@@ -129,12 +130,9 @@ def gru_step(x_t: np.ndarray, h_prev: np.ndarray, w: GruWeights) -> np.ndarray:
     """One GRU step: h = (1 - z) * h_prev + z * tanh(G_h x + W(r * h_prev))."""
     x_t = np.asarray(x_t, dtype=float)
     h_prev = np.asarray(h_prev, dtype=float)
-    b_r = 0.0 if w.b_r is None else w.b_r
-    b_z = 0.0 if w.b_z is None else w.b_z
-    b_h = 0.0 if w.b_h is None else w.b_h
-    r = sigmoid(w.G_r @ x_t + w.W_r @ h_prev + b_r)
-    z = sigmoid(w.G_z @ x_t + w.W_z @ h_prev + b_z)
-    h_tilde = np.tanh(w.G_h @ x_t + w.W @ (r * h_prev) + b_h)
+    r = sigmoid(w.G_r @ x_t + w.W_r @ h_prev + w.b_r)
+    z = sigmoid(w.G_z @ x_t + w.W_z @ h_prev + w.b_z)
+    h_tilde = np.tanh(w.G_h @ x_t + w.W @ (r * h_prev) + w.b_h)
     return (1 - z) * h_prev + z * h_tilde
 
 

@@ -28,18 +28,13 @@ def bleu4(candidate, references) -> float:
         return 0.0
     log_sum = 0.0
     for n in range(1, 5):
-        cand_ngrams = _ngrams(candidate, n)
-        total = sum(cand_ngrams.values())
-        if total == 0:
-            matched = 0
-        else:
-            max_ref = Counter()
-            for ref in references:
-                for gram, c in _ngrams(ref, n).items():
-                    if c > max_ref[gram]:
-                        max_ref[gram] = c
-            matched = sum(min(c, max_ref[g]) for g, c in cand_ngrams.items())
-        if matched == 0 or total == 0:
+        cand = _ngrams(candidate, n)
+        max_ref = Counter()
+        for ref in references:
+            max_ref |= _ngrams(ref, n)  # the largest count over the references
+        total = sum(cand.values())
+        matched = sum((cand & max_ref).values())  # counts clipped to max_ref
+        if matched == 0:  # also total == 0, where the smoothed p is 1
             p = (matched + BLEU_SMOOTHING) / (total + BLEU_SMOOTHING)
         else:
             p = matched / total

@@ -156,12 +156,13 @@ def doc_frequencies(corpus, vocab: tuple[str, ...]) -> np.ndarray:
 
 
 def tf_idf(corpus, vocab: tuple[str, ...]) -> np.ndarray:
-    """TF (raw count) times IDF = ln(N / n_w), docs x terms. Terms present in
-    every document get exactly zero."""
+    """TF (raw count) times IDF = ln(N / n_w), docs x terms, where the
+    document frequency n_w is the number of nonzero counts in term w's
+    column. Terms present in every document get exactly zero."""
     if not corpus:
         raise ValueError("empty corpus")
     counts = bow_vectorize(corpus, vocab)
-    n_w = doc_frequencies(corpus, vocab)
+    n_w = np.count_nonzero(counts, axis=0)
     if np.any(n_w == 0):
         j = int(np.argmin(n_w))
         raise ValueError(f"inconsistent vocabulary: term {vocab[j]!r} appears in no document")

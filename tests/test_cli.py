@@ -77,6 +77,20 @@ class TestRun:
         assert code == EXIT_DATA
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["latin1", "directory"])
+    def test_config_that_cannot_be_read_is_data_error(self, tmp_path, capsys, kind):
+        cfg = tmp_path / "cfg.json"
+        if kind == "latin1":
+            cfg.write_bytes('{"task": {"kind": "caf\xe9"}}'.encode("latin-1"))
+            want = f"data error: {cfg} is not UTF-8 text: "
+        else:
+            cfg.mkdir()
+            want = f"data error: cannot read {cfg}: "
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.startswith(want)
+        assert not (tmp_path / "o").exists()
+
     def test_invalid_json_config(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")
@@ -302,6 +316,14 @@ class TestTfidf:
                      "--out", str(tmp_path / "m.csv")])
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_input_that_is_a_directory_is_data_error(self, tmp_path, capsys, fmt):
+        out = tmp_path / "m.csv"
+        code = main(["tfidf", "--input", str(tmp_path), "--format", fmt, "--out", str(out)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"data error: cannot read {tmp_path}: ")
+        assert not out.exists()
+
     def test_malformed_corpus(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("id,text\na,hello\n")
@@ -392,6 +414,24 @@ class TestMetrics:
         cand.write_text("a\n")
         ref.write_text("\n")
         assert main(["metrics", "--cand", str(cand), "--ref", str(ref)]) == EXIT_DATA
+
+
+    @pytest.mark.parametrize("flag", ["--cand", "--ref"])
+    @pytest.mark.parametrize("kind", ["latin1", "directory"])
+    def test_file_that_cannot_be_read_is_data_error(self, tmp_path, capsys, flag, kind):
+        good = tmp_path / "good.txt"
+        good.write_text("the cat sat\n")
+        bad = tmp_path / "bad"
+        if kind == "latin1":
+            bad.write_bytes("the caf\xe9 sat\n".encode("latin-1"))
+            want = f"data error: {bad} is not UTF-8 text: "
+        else:
+            bad.mkdir()
+            want = f"data error: cannot read {bad}: "
+        files = {"--cand": good, "--ref": good, flag: bad}
+        code = main(["metrics", "--cand", str(files["--cand"]), "--ref", str(files["--ref"])])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.startswith(want)
 
 
 class TestUsage:
