@@ -13,10 +13,10 @@ PSO swarm, HRAHA's and RFO's queued local moves) scores them in one
 (``accept_rows``, the one evaluate-and-accept path; ties accept). Random
 search scores all its samples in one such call too, and a single point
 (a migrant or a move-closer child) is scored as a one-row batch, so the
-count, the float conversion and the non-finite rule are written once. An
-objective may offer ``batch(X) -> (n,)``; it must equal the scalar calls on
-the rows byte for byte. Without one, the rows are scored one call each, in
-order, so an objective never sees a difference.
+count, the float conversion and the non-finite rule are written once: every
+population write, given any objective, scores through ``CountingObjective``.
+An objective may offer ``batch(X) -> (n,)`` equal byte for byte to its calls
+on the rows; without one, each row is one call, in order.
 
 The project-wide random number generator is numpy's PCG64 (via
 ``numpy.random.Generator``): the same seed produces the same draw stream on
@@ -113,8 +113,8 @@ class Population:
 
 def init_population(space: SearchSpace, size: int, rng, obj) -> Population:
     """Uniform random population inside the box, evaluated as one batch of
-    rows in order through ``obj`` wrapped in ``CountingObjective``, so a
-    non-finite value is stored as +inf as it is at every later evaluation.
+    rows in order through ``_counting(obj)``, so a non-finite value is stored
+    as +inf as it is at every later evaluation.
 
     Requires size >= 4: the reproduction step needs two parents plus
     replaceable worst members.
@@ -124,7 +124,7 @@ def init_population(space: SearchSpace, size: int, rng, obj) -> Population:
     rng = make_rng(rng)
     rows = list(rng.uniform(space.lower, space.upper, size=(size, space.dims)))
     return Population([Individual(x, f)
-                       for x, f in zip(rows, CountingObjective(obj).batch(rows))])
+                       for x, f in zip(rows, _counting(obj).batch(rows))])
 
 
 class CountingObjective:
@@ -143,34 +143,33 @@ class CountingObjective:
         return self.batch([x])[0]
 
     def batch(self, X) -> list[float]:
-        """The values at the rows of ``X``: counted, non-finite as +inf,
+        """The values at the rows of ``X`` (by the objective's ``batch``, else
+        one call per row object, in order): counted, non-finite as +inf,
         Python floats. A result of the wrong shape raises ``ValueError``."""
         self.count += len(X)
-        f = np.asarray(_score_rows(self.obj, X), dtype=float)
+        batch = getattr(self.obj, "batch", None)
+        f = np.asarray(batch(X) if batch is not None else [self.obj(x) for x in X], dtype=float)
         if f.shape != (len(X),):
             raise ValueError(f"batch returned shape {f.shape} for {len(X)} rows; "
                              f"expected ({len(X)},)")
         return [v if math.isfinite(v) else math.inf for v in f.tolist()]
 
 
-def _score_rows(obj, rows):
-    """``obj.batch(rows)`` when the objective has one; otherwise one call per
-    row, in order, with the row objects given."""
-    batch = getattr(obj, "batch", None)
-    return batch(rows) if batch is not None else [obj(x) for x in rows]
+def _counting(obj) -> CountingObjective:
+    """``obj`` when it already counts (so a run's counter sees each
+    evaluation once), else ``obj`` wrapped: the scorer of every write."""
+    return obj if isinstance(obj, CountingObjective) else CountingObjective(obj)
 
 
 def accept_rows(pop: Population, cands, obj, slots=None) -> None:
-    """The greedy accept: evaluate every row of ``cands`` first (through
-    ``obj.batch`` when there is one, else one call per row in order), then,
-    in row order, store row ``k``, the array itself, in slot ``slots[k]``
-    (slot ``k`` by default) unless that worsens the slot's fitness (ties
-    accept)."""
+    """The greedy accept: score every row of ``cands`` first, as one
+    ``_counting(obj).batch``, then, in row order, store row ``k``, the array
+    itself, in slot ``slots[k]`` (slot ``k`` by default) unless that worsens
+    the slot's fitness (ties accept)."""
     rows = list(cands)
     if slots is None:
         slots = range(len(rows))
-    for i, x, f in zip(slots, rows, _score_rows(obj, rows), strict=True):
-        f = float(f)
+    for i, x, f in zip(slots, rows, _counting(obj).batch(rows), strict=True):
         if f <= pop.members[i].fitness:
             pop.members[i] = Individual(x, f)
 

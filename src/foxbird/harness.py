@@ -420,7 +420,7 @@ def run_random_search(obj, space: SearchSpace, budget: int, rng) -> Optimization
         if k == 0 or f < best_f:
             best, best_f = k, f
         history.append(best_f)
-    return OptimizationResult(X[best].copy(), best_f, history, counted.count, {})
+    return OptimizationResult(X[best].copy(), best_f, history, counted.count)
 
 
 @dataclass

@@ -16,7 +16,8 @@ greedily (only if they do not worsen fitness); migration replaces the worst
 member unconditionally. HRAHA is elitist by construction: greedy accepts
 never worsen a slot, migration rewrites the worst slot (the best only when all
 members tie) and, while ``WORST_FRACTION < 1``, move-closer never rewrites the
-first-ranked member. So no step raises the population's best fitness.
+first-ranked member. So no step raises the population's best fitness. Every
+writer scores through ``CountingObjective``: a stored fitness is finite or +inf.
 
 The stay and territorial moves of a sweep are queued and scored in batches
 (``LocalMoves``). Each draws only uniforms and reads and writes only its own
@@ -46,6 +47,7 @@ from .core import (
     Individual,
     Population,
     SearchSpace,
+    _counting,
     accept_rows,
     clamp,
     init_population,
@@ -151,7 +153,7 @@ def flight_mask(kind: str, dims: int, rng) -> np.ndarray:
 
 
 def step_toward(pop: Population, target: np.ndarray, step: np.ndarray,
-                space: SearchSpace, obj) -> Population:
+                space: SearchSpace, obj) -> None:
     """Move every member ``step`` of the way toward ``target``; greedy accept.
 
     The candidates are one clamped matrix (``step`` broadcasts against the
@@ -159,11 +161,10 @@ def step_toward(pop: Population, target: np.ndarray, step: np.ndarray,
     order: the move of the global step and of RFO's guided move."""
     P = pop.positions()
     accept_rows(pop, clamp(P + step * (target - P), space), obj)
-    return pop
 
 
 def global_search_step(pop: Population, best: Individual, alpha: float,
-                       flight: str, rng, space: SearchSpace, obj) -> Population:
+                       flight: str, rng, space: SearchSpace, obj) -> None:
     """Move every member toward the best along the flight mask; greedy accept.
 
     The step is ``alpha * g * mask`` per member, with g a standard normal
@@ -179,7 +180,7 @@ def global_search_step(pop: Population, best: Individual, alpha: float,
         masks[np.arange(n), rng.integers(0, d, size=n)] = 1.0
     else:
         masks = np.array([flight_mask(flight, d, rng) for _ in range(n)])
-    return step_toward(pop, best.position, alpha * g[:, None] * masks, space, obj)
+    step_toward(pop, best.position, alpha * g[:, None] * masks, space, obj)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +310,7 @@ def migrate_worst(pop: Population, space: SearchSpace, rng, last_migration: int,
     w = pop.worst_index
     r = rng.random(space.dims)
     pos = space.lower + r * (space.upper - space.lower)
-    pop.members[w] = Individual(pos, float(obj(pos)))
+    pop.members[w] = Individual(pos, _counting(obj)(pos))
     return True, r
 
 
@@ -346,7 +347,7 @@ def mutate(child: np.ndarray, C: np.ndarray, r2: float) -> np.ndarray:
     return child + r2 * (C - child)
 
 
-def move_closer_reproduce(pop: Population, rng, space: SearchSpace, obj) -> Population:
+def move_closer_reproduce(pop: Population, rng, space: SearchSpace, obj) -> None:
     """Replace the worst share of the population with nomads spawned around
     the alpha couple's habitat or crossover/mutation offspring."""
     if len(pop) < 4:
@@ -374,8 +375,7 @@ def move_closer_reproduce(pop: Population, rng, space: SearchSpace, obj) -> Popu
                               pop.members[non_alpha[q]].position, r1)
             pos = mutate(child, C, r2)
         pos = clamp(pos, space)
-        pop.members[w] = Individual(pos, float(obj(pos)))
-    return pop
+        pop.members[w] = Individual(pos, _counting(obj)(pos))
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +424,7 @@ def run(obj, space: SearchSpace, pop_size: int, max_iters: int, rng) -> Optimiza
     best = pop.best
     return OptimizationResult(
         best_position=best.position,
-        best_fitness=float(best.fitness),
+        best_fitness=best.fitness,
         history=history,
         evaluations=counted.count,
         strategy_counts=counts,

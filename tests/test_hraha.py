@@ -11,6 +11,7 @@ from foxbird.core import (
     Individual,
     Population,
     SearchSpace,
+    accept_rows,
     clamp,
     init_population,
     make_rng,
@@ -106,6 +107,10 @@ class TestFlightMask:
 
     def test_diagonal_small_dims_all_active(self):
         assert np.array_equal(flight_mask(DIAGONAL, 2, make_rng(0)), np.ones(2))
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown flight kind"):
+            flight_mask("spiral", 3, make_rng(0))
 
 
 class TestGlobalSearchStep:
@@ -530,6 +535,16 @@ class TestCrossoverMutate:
         np.testing.assert_array_equal(
             mutate(np.array([0.0, 0.0]), np.array([2.0, 4.0]), 0.5), [1.0, 2.0])
 
+    @pytest.mark.parametrize("op, args", [
+        (habitat_center, (np.zeros(2), np.zeros(3))),
+        (habitat_size, (np.zeros(2), np.zeros(2), np.zeros(3))),
+        (crossover, (np.zeros(3), np.zeros(2), 0.5)),
+        (mutate, (np.zeros(2), np.zeros(3), 0.5)),
+    ], ids=["habitat_center", "habitat_size", "crossover", "mutate"])
+    def test_length_mismatch_rejected(self, op, args):
+        with pytest.raises(ValueError, match="length mismatch"):
+            op(*args)
+
     @given(st.floats(0, 1))
     def test_mutate_between_child_and_center(self, r2):
         child, c = np.array([-3.0, 5.0]), np.array([2.0, 4.0])
@@ -688,3 +703,63 @@ def test_no_step_raises_the_population_best(dims, n, objective, bad, worst_fract
             kept = pop.members[first]
             step(lambda: move_closer_reproduce(pop, rng, space, obj))
             assert pop.members[first] is kept
+
+
+class Recording(Injecting):
+    """``Injecting`` that also keeps every row it is called with."""
+
+    def __init__(self, bad: dict):
+        super().__init__(bad)
+        self.rows = []
+
+    def __call__(self, x) -> float:
+        self.rows.append(np.array(x))
+        return super().__call__(x)
+
+
+def queued_flush(pop, rng, space, obj):
+    local = LocalMoves(space)
+    for i in range(len(pop)):
+        (local.stay if i % 2 else local.territorial)(i, rng)
+    local.flush(pop, obj)
+
+
+# each public operator that writes a population, as (pop, rng, space, obj)
+WRITERS = {
+    "accept_rows": lambda pop, rng, space, obj: accept_rows(
+        pop, clamp(pop.positions() * rng.random((len(pop), 1)), space), obj),
+    "step_toward": lambda pop, rng, space, obj: step_toward(
+        pop, pop.best.position, rng.random(len(pop))[:, None], space, obj),
+    "global_search_step": lambda pop, rng, space, obj: global_search_step(
+        pop, pop.best, 0.7, OMNIDIRECTIONAL, rng, space, obj),
+    "LocalMoves.flush": queued_flush,
+    "migrate_worst": lambda pop, rng, space, obj: migrate_worst(
+        pop, space, rng, 0, 40, 40, obj),
+    "move_closer_reproduce": lambda pop, rng, space, obj: move_closer_reproduce(
+        pop, rng, space, obj),
+}
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_every_writer_stores_a_non_finite_value_as_inf(writer, value, monkeypatch):
+    # a plain objective handed to a public operator is scored as the runners'
+    # CountingObjective scores it: the same rows in the same order, a
+    # non-finite value stored as +inf, and never a NaN best
+    monkeypatch.setattr(hraha, "WORST_FRACTION", 0.1)  # move-closer rewrites 4 slots
+    space = SearchSpace([-5.0] * 3, [5.0] * 3)
+    start = evaluated([make_rng(i).uniform(-5, 5, 3) for i in range(40)])
+    bad = {k: value for k in range(1, 41, 2)}
+    plain, counted = Recording(bad), CountingObjective(Recording(bad))
+    pops = [copy.deepcopy(start), copy.deepcopy(start)]
+    for pop, obj in zip(pops, (plain, counted)):
+        WRITERS[writer](pop, make_rng(7), space, obj)
+
+    for m in pops[0].members:
+        assert type(m.fitness) is float
+        assert math.isfinite(m.fitness) or m.fitness == math.inf
+    assert not math.isnan(pops[0].best.fitness)
+    assert plain.rows and len(plain.rows) == len(counted.obj.rows) == counted.count
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(plain.rows, counted.obj.rows))
+    assert [m.fitness for m in pops[0].members] == [m.fitness for m in pops[1].members]
+    assert np.array_equal(pops[0].positions(), pops[1].positions())
