@@ -161,7 +161,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, FileNotFoundError) as e:
+    except DataError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except Exception as e:  # noqa: BLE001 - CLI boundary

@@ -9,7 +9,7 @@ gradients. Matrices are dense row-major 2-D arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from foxbird.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from foxbird.cli import EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 
 
 def write_config(path, **over):
@@ -90,6 +90,17 @@ class TestRun:
         assert code == EXIT_DATA
         assert capsys.readouterr().err.startswith(want)
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("where", ["existing file", "under a file"])
+    def test_output_that_cannot_be_written_is_runtime_failure(self, tmp_path, capsys, where):
+        # an unwritable output is exit 3, as every tfidf --out is; exit 2 is
+        # for input
+        cfg = write_config(tmp_path / "cfg.json")
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken if where == "existing file" else taken / "sub"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith("runtime failure: ")
 
     def test_invalid_json_config(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -323,6 +334,14 @@ class TestTfidf:
         assert code == EXIT_DATA
         assert capsys.readouterr().err.startswith(f"data error: cannot read {tmp_path}: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_output_that_cannot_be_written_is_runtime_failure(self, tmp_path, corpus_csv,
+                                                               capsys, where):
+        out = tmp_path / "missing" / "m.csv" if where == "missing directory" else tmp_path
+        code = main(["tfidf", "--input", corpus_csv, "--out", str(out)])
+        assert code == EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith("runtime failure: ")
 
     def test_malformed_corpus(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

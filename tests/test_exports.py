@@ -1,7 +1,7 @@
 """Every name a module lists in ``__all__`` resolves, so a deleted helper
-cannot linger in an export list, and every private module-level name in
-``src/`` is used somewhere, so a helper whose last caller went cannot linger
-either."""
+cannot linger in an export list; every private module-level name in ``src/``
+is used somewhere, so a helper whose last caller went cannot linger either;
+and every module-level import in ``src/`` is used by its module."""
 
 import ast
 import importlib
@@ -63,3 +63,33 @@ def test_every_private_definition_is_used():
     unused = [(path, name) for path, name in defs
               if len(re.findall(rf"\b{re.escape(name)}\b", text)) <= n_defs[name]]
     assert unused == []
+
+
+def unused_imports(path):
+    """Names a module-level import binds in ``path`` that the module never
+    references, does not list in ``__all__`` and does not mark
+    ``# noqa: F401``; ``from __future__`` imports are exempt."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    exported = {e.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                for e in node.value.elts}
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used and name not in exported:
+                yield name
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),
+                         ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_every_import_is_used(path):
+    assert list(unused_imports(path)) == []

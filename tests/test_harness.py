@@ -599,8 +599,9 @@ class TestClassifierObjective:
     def test_fit_score_equals_per_evaluation_oracle(self, graded_corpus_csv):
         # The objective selects columns of count matrices built once; the
         # oracle builds its own vocabulary and matrices for every point. The
-        # corpus has document frequencies from 1 up, and the second space
-        # caps max_terms below its vocabulary.
+        # corpus has document frequencies from 1 up, the second space caps
+        # max_terms below its vocabulary, and the third lists max_terms as
+        # categories, so it has no cap to prepare with.
         corpus = load_corpus(graded_corpus_csv)
         classes = corpus.label_set
         train_labels = [corpus.labels[i] for i in corpus.train_idx]
@@ -634,16 +635,25 @@ class TestClassifierObjective:
             default.dims[2],
             default.dims[3],
         ))
+        terms = {}
+        for use_stemming in (False, True):
+            n_vocab = len(textpipe.build_vocabulary(
+                [tokens[use_stemming][i] for i in corpus.train_idx]))
+            assert n_vocab > 60
+            terms[use_stemming] = (0, 10, 11, 50, 500, n_vocab - 1, n_vocab, n_vocab + 1, 2000)
+        listed = HyperparamSpace((
+            default.dims[0],
+            HyperparamDim("max_terms", "categorical",
+                          choices=tuple(sorted(set(terms[False] + terms[True])))),
+            default.dims[2],
+            default.dims[3],
+        ))
         distinct = set()
-        for space in (default, capped):
+        for space in (default, capped, listed):
             obj = classifier_objective(corpus, space)
             for use_stemming in (False, True):
-                n_vocab = len(textpipe.build_vocabulary(
-                    [tokens[use_stemming][i] for i in corpus.train_idx]))
-                assert n_vocab > 60
                 for min_doc_freq in range(0, 6):
-                    for max_terms in (0, 10, 11, 50, 500, n_vocab - 1, n_vocab,
-                                      n_vocab + 1, 2000):
+                    for max_terms in terms[use_stemming]:
                         for nb_smoothing in (0.01, 1.0, 5.0):
                             x = space.encode({"min_doc_freq": min_doc_freq,
                                               "max_terms": max_terms,

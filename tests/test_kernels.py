@@ -144,6 +144,8 @@ class TestAttention:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             attention(np.ones((2, 3)), np.ones((2, 4)), np.ones((2, 2)))
+        with pytest.raises(ValueError, match="key/value row mismatch"):
+            attention(np.ones((2, 3)), np.ones((2, 3)), np.ones((3, 2)))
 
     def test_weight_rows_sum_to_one(self):
         rng = make_rng(0)
@@ -182,6 +184,12 @@ class TestMultiHeadAttention:
         w = AttentionWeights.random(4, 2, rng)
         np.testing.assert_allclose(multi_head_attention(x, w),
                                    mhsa_oracle(x, w), atol=1e-12)
+
+    def test_output_matrix_of_the_wrong_height_rejected(self):
+        w = AttentionWeights.identity(4)
+        w.wo = np.zeros((3, 4))
+        with pytest.raises(ValueError, match="concatenated head width"):
+            multi_head_attention(np.ones((2, 4)), w)
 
     def test_indivisible_heads_rejected(self):
         with pytest.raises(ValueError):
@@ -369,6 +377,8 @@ class TestGnn:
         w = GnnWeights(np.ones((2, 2)), np.zeros(2))
         with pytest.raises(ValueError):
             gnn_block(np.ones((2, 3)), np.ones((2, 2)), w)
+        with pytest.raises(ValueError, match="node count"):
+            gnn_block(np.eye(3), np.ones((2, 2)), w)
         with pytest.raises(ValueError):
             gnn_forward(np.eye(2), np.ones((2, 2)), [], readout="max")
 

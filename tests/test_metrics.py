@@ -251,6 +251,10 @@ class TestFScore:
         with pytest.raises(ValueError, match="length mismatch"):
             f_score([1], [1, 2])
 
+    def test_empty(self):
+        with pytest.raises(ValueError, match="empty input"):
+            f_score([], [])
+
     def test_binary_agrees_with_counter_oracle(self):
         import random
         rnd = random.Random(3)

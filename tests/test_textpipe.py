@@ -93,6 +93,19 @@ class TestStemming:
         ("probate", "probat"),
         ("controller", "control"),
         ("generalization", "gener"),
+        # Porter (1980)'s examples of the rules no word above reaches: step
+        # 1a's "ss", both "+e" fix-ups of step 1b, a "y" after a consonant,
+        # a stem too short for *o, a measure-0 stem kept and step 4's "ion"
+        # after neither s nor t
+        ("caress", "caress"),
+        ("conflated", "conflat"),
+        ("troubled", "troubl"),
+        ("sized", "size"),
+        ("filing", "file"),
+        ("sky", "sky"),
+        ("are", "ar"),
+        ("rational", "ration"),
+        ("opinion", "opinion"),
     ])
     def test_known_stems(self, word, expected):
         assert stem(word) == expected
@@ -129,6 +142,9 @@ class TestPosTag:
         assert got["famous"] == "ADJ"
         assert got["7"] == "NUM"
         assert got["x1"] == "X"
+
+    def test_empty_token_is_x(self):
+        assert pos_tag(["", "fox"]) == [("", "X"), ("fox", "NOUN")]
 
     def test_default_noun(self):
         assert pos_tag(["fox"]) == [("fox", "NOUN")]
