@@ -1,7 +1,10 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import NEG_WORDS, POS_WORDS, SHARED_WORDS
 
 from foxbird import textpipe
 from foxbird.textpipe import (
@@ -28,6 +31,197 @@ def tf_idf_oracle(corpus, terms):
         for d, doc in enumerate(corpus):
             out[d, j] = doc.count(term) * idf
     return out
+
+
+# The Porter stemmer as it was written before it became rule tables over
+# one consonant/vowel form, frozen, so that ``stem`` must keep every output
+# of it.
+FROZEN_VOWELS = "aeiou"
+
+
+def frozen_is_cons(word, i):
+    c = word[i]
+    if c in FROZEN_VOWELS:
+        return False
+    if c == "y":
+        return i == 0 or not frozen_is_cons(word, i - 1)
+    return True
+
+
+def frozen_measure(stem_part):
+    m = 0
+    prev_vowel = False
+    for i in range(len(stem_part)):
+        if frozen_is_cons(stem_part, i):
+            if prev_vowel:
+                m += 1
+            prev_vowel = False
+        else:
+            prev_vowel = True
+    return m
+
+
+def frozen_has_vowel(stem_part):
+    return any(not frozen_is_cons(stem_part, i) for i in range(len(stem_part)))
+
+
+def frozen_double_cons(word):
+    return (len(word) >= 2 and word[-1] == word[-2]
+            and frozen_is_cons(word, len(word) - 1))
+
+
+def frozen_cvc(word):
+    if len(word) < 3:
+        return False
+    return (frozen_is_cons(word, len(word) - 3)
+            and not frozen_is_cons(word, len(word) - 2)
+            and frozen_is_cons(word, len(word) - 1)
+            and word[-1] not in "wxy")
+
+
+def frozen_replace(word, suffix, repl, min_m):
+    stem_part = word[: len(word) - len(suffix)]
+    if frozen_measure(stem_part) > min_m:
+        return stem_part + repl
+    return word
+
+
+FROZEN_STEP2 = [
+    ("ational", "ate"), ("tional", "tion"), ("enci", "ence"), ("anci", "ance"),
+    ("izer", "ize"), ("abli", "able"), ("alli", "al"), ("entli", "ent"),
+    ("eli", "e"), ("ousli", "ous"), ("ization", "ize"), ("ation", "ate"),
+    ("ator", "ate"), ("alism", "al"), ("iveness", "ive"), ("fulness", "ful"),
+    ("ousness", "ous"), ("aliti", "al"), ("iviti", "ive"), ("biliti", "ble"),
+]
+
+FROZEN_STEP3 = [
+    ("icate", "ic"), ("ative", ""), ("alize", "al"), ("iciti", "ic"),
+    ("ical", "ic"), ("ful", ""), ("ness", ""),
+]
+
+FROZEN_STEP4 = [
+    "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
+    "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
+]
+
+
+def frozen_stem(token):
+    word = token
+    if len(word) <= 2 or not word.isalpha() or not word.isascii():
+        return word
+
+    if word.endswith("sses"):
+        word = word[:-2]
+    elif word.endswith("ies"):
+        word = word[:-2]
+    elif word.endswith("ss"):
+        pass
+    elif word.endswith("s"):
+        word = word[:-1]
+
+    fixup = False
+    if word.endswith("eed"):
+        if frozen_measure(word[:-3]) > 0:
+            word = word[:-1]
+    elif word.endswith("ed") and frozen_has_vowel(word[:-2]):
+        word = word[:-2]
+        fixup = True
+    elif word.endswith("ing") and frozen_has_vowel(word[:-3]):
+        word = word[:-3]
+        fixup = True
+    if fixup:
+        if word.endswith(("at", "bl", "iz")):
+            word += "e"
+        elif frozen_double_cons(word) and word[-1] not in "lsz":
+            word = word[:-1]
+        elif frozen_measure(word) == 1 and frozen_cvc(word):
+            word += "e"
+
+    if word.endswith("y") and frozen_has_vowel(word[:-1]):
+        word = word[:-1] + "i"
+
+    for suffix, repl in FROZEN_STEP2:
+        if word.endswith(suffix):
+            word = frozen_replace(word, suffix, repl, 0)
+            break
+
+    for suffix, repl in FROZEN_STEP3:
+        if word.endswith(suffix):
+            word = frozen_replace(word, suffix, repl, 0)
+            break
+
+    for suffix in FROZEN_STEP4:
+        if word.endswith(suffix):
+            stem_part = word[: len(word) - len(suffix)]
+            if frozen_measure(stem_part) > 1:
+                if suffix == "ion" and (not stem_part or stem_part[-1] not in "st"):
+                    continue
+                word = stem_part
+            break
+
+    if word.endswith("e"):
+        m = frozen_measure(word[:-1])
+        if m > 1 or (m == 1 and not frozen_cvc(word[:-1])):
+            word = word[:-1]
+
+    if frozen_measure(word) > 1 and frozen_double_cons(word) and word.endswith("l"):
+        word = word[:-1]
+
+    return word
+
+
+# Stems to join with one and two suffixes: ending in a consonant, a vowel,
+# a y after a consonant and after a vowel, a double consonant, a *o stem,
+# Porter's own examples and the syllables of perfbench's corpus.
+PIN_STEMS = ["", "a", "e", "y", "yy", "b", "tr", "sky", "ray", "boy", "hop",
+             "fil", "siz", "wax", "bow", "happ", "fall", "agr", "feed",
+             "relat", "condit", "gener", "adjust", "oper", "syzyg", "kalo",
+             "termi", "vansol"]
+PIN_PAIR_STEMS = ["", "y", "hop", "ray", "relat", "syzyg", "kalo"]
+PIN_SUFFIXES = sorted(
+    {"sses", "ies", "ss", "s", "eed", "ed", "ing", "at", "bl", "iz", "y",
+     "e", "ll", "ly", "sion", "tion"}
+    | {part for rule in FROZEN_STEP2 + FROZEN_STEP3 for part in rule if part}
+    | set(FROZEN_STEP4))
+
+
+def suffixed_words():
+    one = [s + a for s in PIN_STEMS for a in PIN_SUFFIXES]
+    two = [s + a + b for s in PIN_PAIR_STEMS for a in PIN_SUFFIXES
+           for b in PIN_SUFFIXES]
+    return one + two
+
+
+def aeyst_words():
+    words = [""]
+    for _ in range(5):
+        words = [w + c for w in words for c in "aeyst"]
+        yield from words
+
+
+def random_words():
+    rng = np.random.Generator(np.random.PCG64(19))
+    letters = np.array(list("yyyyyyaeioubcdlnrstwxzY"))
+    return ["".join(rng.choice(letters, size=int(rng.integers(3, 12))))
+            for _ in range(4000)]
+
+
+def corpus_words():
+    words = set(POS_WORDS + NEG_WORDS + SHARED_WORDS) | textpipe._STOPWORDS
+    for key, value in textpipe._CONTRACTIONS.items():
+        words |= {key, *re.split(r"\W+", key), *value.split()}
+    # and every word the suite's own files write into their corpora
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        words |= set(re.findall(r"[a-z]+", path.read_text(encoding="utf-8")))
+    return sorted(words)
+
+
+PINNED_WORDS = {
+    "suffixed": suffixed_words,
+    "aeyst": lambda: list(aeyst_words()),
+    "random": random_words,
+    "corpus": corpus_words,
+}
 
 
 class TestCleanText:
@@ -109,6 +303,12 @@ class TestStemming:
     ])
     def test_known_stems(self, word, expected):
         assert stem(word) == expected
+
+    @pytest.mark.parametrize("kind", sorted(PINNED_WORDS))
+    def test_equals_frozen_stemmer(self, kind):
+        words = PINNED_WORDS[kind]()
+        assert len(words) > 500
+        assert [w for w in words if stem(w) != frozen_stem(w)] == []
 
     def test_short_words_untouched(self):
         assert stem("is") == "is"
