@@ -1,62 +1,45 @@
-"""Porter stemmer, original 1980 rule set (steps 1a-5b)."""
+"""Porter stemmer, original 1980 rule set (steps 1a-5b), written as its
+rule tables.
+
+Every condition of the rules is read from one [C](VC)^m[V] form of the
+word, which ``_cv`` spells as one "c" or "v" per letter.
+"""
 
 from __future__ import annotations
 
 __all__ = ["stem"]
 
-_VOWELS = "aeiou"
 
-
-def _is_cons(word: str, i: int) -> bool:
-    c = word[i]
-    if c in _VOWELS:
-        return False
-    if c == "y":
-        return i == 0 or not _is_cons(word, i - 1)
-    return True
+def _cv(word: str) -> str:
+    """"c" or "v" per letter; a "y" is a consonant at the start of the word
+    and after a vowel."""
+    form = ""
+    for ch in word:
+        form += "v" if ch in "aeiou" or (ch == "y" and form[-1:] == "c") else "c"
+    return form
 
 
 def _measure(stem: str) -> int:
-    """Count of vowel-consonant sequences (the m in [C](VC)^m[V])."""
-    m = 0
-    prev_vowel = False
-    for i in range(len(stem)):
-        if _is_cons(stem, i):
-            if prev_vowel:
-                m += 1
-            prev_vowel = False
-        else:
-            prev_vowel = True
-    return m
-
-
-def _has_vowel(stem: str) -> bool:
-    return any(not _is_cons(stem, i) for i in range(len(stem)))
-
-
-def _double_cons(word: str) -> bool:
-    return (len(word) >= 2 and word[-1] == word[-2]
-            and _is_cons(word, len(word) - 1))
+    """The m in [C](VC)^m[V]."""
+    return _cv(stem).count("vc")
 
 
 def _cvc(word: str) -> bool:
-    """Ends consonant-vowel-consonant, final consonant not w, x, or y."""
-    if len(word) < 3:
-        return False
-    return (_is_cons(word, len(word) - 3)
-            and not _is_cons(word, len(word) - 2)
-            and _is_cons(word, len(word) - 1)
-            and word[-1] not in "wxy")
+    """*o: ends consonant-vowel-consonant, final consonant not w, x, or y."""
+    return _cv(word).endswith("cvc") and word[-1] not in "wxy"
 
 
-def _replace(word: str, suffix: str, repl: str, min_m: int) -> str:
-    """Replace ``word``'s suffix, which the caller has matched, if the
-    remaining stem has measure > min_m."""
-    stem = word[: len(word) - len(suffix)]
-    if _measure(stem) > min_m:
-        return stem + repl
+def _first_rule(word: str, rules, min_m: int) -> str:
+    """The first rule whose suffix ends ``word`` decides, and no later rule
+    is tried: its suffix is replaced when the stem left has m > min_m."""
+    for suffix, repl in rules:
+        if word.endswith(suffix):
+            stem = word[: len(word) - len(suffix)]
+            return stem + repl if _measure(stem) > min_m else word
     return word
 
+
+_STEP1A = [("sses", "ss"), ("ies", "i"), ("ss", "ss"), ("s", "")]
 
 _STEP2 = [
     ("ational", "ate"), ("tional", "tion"), ("enci", "ence"), ("anci", "ance"),
@@ -83,58 +66,40 @@ def stem(token: str) -> str:
     if len(word) <= 2 or not word.isalpha() or not word.isascii():
         return word
 
-    # step 1a
-    if word.endswith("sses"):
-        word = word[:-2]
-    elif word.endswith("ies"):
-        word = word[:-2]
-    elif word.endswith("ss"):
-        pass
-    elif word.endswith("s"):
-        word = word[:-1]
+    word = _first_rule(word, _STEP1A, -1)
 
     # step 1b
     fixup = False
     if word.endswith("eed"):
         if _measure(word[:-3]) > 0:
             word = word[:-1]
-    elif word.endswith("ed") and _has_vowel(word[:-2]):
+    elif word.endswith("ed") and "v" in _cv(word[:-2]):
         word = word[:-2]
         fixup = True
-    elif word.endswith("ing") and _has_vowel(word[:-3]):
+    elif word.endswith("ing") and "v" in _cv(word[:-3]):
         word = word[:-3]
         fixup = True
     if fixup:
         if word.endswith(("at", "bl", "iz")):
             word += "e"
-        elif _double_cons(word) and word[-1] not in "lsz":
+        elif (word.endswith(word[-1] * 2) and _cv(word).endswith("c")
+              and word[-1] not in "lsz"):
             word = word[:-1]
         elif _measure(word) == 1 and _cvc(word):
             word += "e"
 
     # step 1c
-    if word.endswith("y") and _has_vowel(word[:-1]):
+    if word.endswith("y") and "v" in _cv(word[:-1]):
         word = word[:-1] + "i"
 
-    # step 2
-    for suffix, repl in _STEP2:
-        if word.endswith(suffix):
-            word = _replace(word, suffix, repl, 0)
-            break
+    word = _first_rule(word, _STEP2, 0)
+    word = _first_rule(word, _STEP3, 0)
 
-    # step 3
-    for suffix, repl in _STEP3:
-        if word.endswith(suffix):
-            word = _replace(word, suffix, repl, 0)
-            break
-
-    # step 4
+    # step 4: "ion" goes only after s or t, and no later suffix ends in "n"
     for suffix in _STEP4:
         if word.endswith(suffix):
             stem_part = word[: len(word) - len(suffix)]
-            if _measure(stem_part) > 1:
-                if suffix == "ion" and (not stem_part or stem_part[-1] not in "st"):
-                    continue
+            if _measure(stem_part) > 1 and (suffix != "ion" or stem_part[-1] in "st"):
                 word = stem_part
             break
 
@@ -145,7 +110,7 @@ def stem(token: str) -> str:
             word = word[:-1]
 
     # step 5b
-    if _measure(word) > 1 and _double_cons(word) and word.endswith("l"):
+    if word.endswith("ll") and _measure(word) > 1:
         word = word[:-1]
 
     return word
