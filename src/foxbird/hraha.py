@@ -112,7 +112,7 @@ class OptimizationResult:
 # Global flight phase
 # ---------------------------------------------------------------------------
 
-def compute_alpha(pop: Population, omega: float, t: int, T: int) -> float:
+def compute_alpha(pop: Population, t: int, T: int) -> float:
     """Scaling factor blending normalized fitness spread with an iteration
     schedule; clamped to [0, 1]."""
     fits = pop.fitnesses()
@@ -121,12 +121,12 @@ def compute_alpha(pop: Population, omega: float, t: int, T: int) -> float:
     if fits.size:
         f_best = fits.min()
         spread = (fits.mean() - f_best) / (fits.max() - f_best + 1e-12)
-    alpha = omega * spread + (1 - omega) * (1 - t / T)
+    alpha = OMEGA * spread + (1 - OMEGA) * (1 - t / T)
     return float(min(1.0, max(0.0, alpha)))
 
 
-def select_flight(alpha: float, thresholds) -> str:
-    a1, a2 = thresholds
+def select_flight(alpha: float) -> str:
+    a1, a2 = ALPHA_THRESHOLDS
     if alpha <= a1:
         return OMNIDIRECTIONAL
     if alpha <= a2:
@@ -396,8 +396,8 @@ def run(obj, space: SearchSpace, pop_size: int, max_iters: int, rng) -> Optimiza
     local = LocalMoves(space)
 
     for t in range(max_iters):
-        alpha = compute_alpha(pop, OMEGA, t, max_iters)
-        flight = select_flight(alpha, ALPHA_THRESHOLDS)
+        alpha = compute_alpha(pop, t, max_iters)
+        flight = select_flight(alpha)
         counts[flight] += 1
         global_search_step(pop, pop.best, alpha, flight, rng, space, counted)
 

@@ -61,34 +61,35 @@ def pop_with_fitnesses(fits):
 
 
 class TestComputeAlpha:
-    def test_zero_spread(self):
-        assert compute_alpha(pop_with_fitnesses([2, 2, 2]), 1.0, 0, 10) == 0.0
+    def test_zero_spread(self, monkeypatch):
+        monkeypatch.setattr(hraha, "OMEGA", 1.0)
+        assert compute_alpha(pop_with_fitnesses([2, 2, 2]), 0, 10) == 0.0
 
-    def test_schedule_only(self):
+    def test_schedule_only(self, monkeypatch):
+        monkeypatch.setattr(hraha, "OMEGA", 0.0)
         pop = pop_with_fitnesses([1, 2, 3])
-        assert compute_alpha(pop, 0.0, 0, 10) == 1.0
-        assert compute_alpha(pop, 0.0, 9, 10) == pytest.approx(0.1)
+        assert compute_alpha(pop, 0, 10) == 1.0
+        assert compute_alpha(pop, 9, 10) == pytest.approx(0.1)
 
-    def test_hand_value(self):
+    def test_hand_value(self, monkeypatch):
+        monkeypatch.setattr(hraha, "OMEGA", 1.0)
         pop = pop_with_fitnesses([0, 1, 2])
-        assert compute_alpha(pop, 1.0, 0, 10) == pytest.approx(0.5, abs=1e-9)
+        assert compute_alpha(pop, 0, 10) == pytest.approx(0.5, abs=1e-9)
 
 
 class TestSelectFlight:
-    THRESHOLDS = (1 / 3, 2 / 3)
-
     def test_low_alpha(self):
-        assert select_flight(0.1, self.THRESHOLDS) == OMNIDIRECTIONAL
+        assert select_flight(0.1) == OMNIDIRECTIONAL
 
     def test_boundary_right_inclusive(self):
-        assert select_flight(1 / 3, self.THRESHOLDS) == OMNIDIRECTIONAL
-        assert select_flight(2 / 3, self.THRESHOLDS) == AXIAL
+        assert select_flight(1 / 3) == OMNIDIRECTIONAL
+        assert select_flight(2 / 3) == AXIAL
 
     def test_high_alpha(self):
-        assert select_flight(0.9, self.THRESHOLDS) == DIAGONAL
+        assert select_flight(0.9) == DIAGONAL
 
     def test_overflow_clamps(self):
-        assert select_flight(1.5, self.THRESHOLDS) == DIAGONAL
+        assert select_flight(1.5) == DIAGONAL
 
 
 class TestFlightMask:
@@ -689,7 +690,7 @@ def test_no_step_raises_the_population_best(dims, n, objective, bad, worst_fract
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hraha, "WORST_FRACTION", worst_fraction)
         for t in range(rounds):
-            alpha = compute_alpha(pop, hraha.OMEGA, t, rounds)
+            alpha = compute_alpha(pop, t, rounds)
             flight = FLIGHT_KINDS[int(rng.integers(3))]
             step(lambda: global_search_step(pop, pop.best, alpha, flight, rng, space, obj))
             for i, u in enumerate(rng.random(n)):
