@@ -79,6 +79,8 @@ class SearchSpace:
                 raise ValueError(f"non-finite bound at j={j}")
             if not lo < hi:
                 raise ValueError(f"inverted bound at j={j}")
+            if not math.isfinite(hi - lo):  # no uniform draw spans it
+                raise ValueError(f"width hi - lo is not finite at j={j}")
 
 
 class Individual(NamedTuple):

@@ -119,6 +119,10 @@ def _parse_rows(path, fmt: str):
                 missing = {"id", "text", "label"} - set(obj)
                 raise DataError(f"missing column(s) at line {lineno}: "
                                 f"{', '.join(sorted(missing))}")
+            for key in ("id", "text", "label"):
+                if isinstance(obj[key], bool) or not isinstance(obj[key], (str, int, float)):
+                    raise DataError(f"malformed row at line {lineno}: "
+                                    f"{key} must be a string or a number")
             rows.append((str(obj["id"]), str(obj["text"]), str(obj["label"])))
     else:
         raise DataError(f"unknown corpus format {fmt!r} (expected csv or jsonl)")
@@ -642,6 +646,8 @@ def _space_from_config(space_cfg) -> HyperparamSpace:
             hi = _check_number(d.get("hi"), f"{at}.hi")
             if not lo < hi:
                 raise ConfigError(f"{at}.lo: must be below hi, got lo={lo}, hi={hi}")
+            if not math.isfinite(hi - lo):
+                raise ConfigError(f"{at}.hi: width hi - lo must be finite, got lo={lo}, hi={hi}")
             dims.append(HyperparamDim(name, kind, lo, hi))
         else:
             raise ConfigError(f"{at}.kind: unknown kind {kind!r}; "

@@ -229,6 +229,9 @@ class TestRun:
         ("task", {"task": 5}),
         ("budget", {"budget": []}),
         ("space[0]", {"task": CLASSIFIER, "space": [5]}),
+        # finite bounds whose width hi - lo is not: no uniform draw spans them
+        ("space[3].hi", {"task": CLASSIFIER, "space": [
+            *SPACE[:3], {**SPACE[3], "lo": -1e308, "hi": 1e308}]}),
     ])
     def test_bad_field_is_usage_error(self, tmp_path, capsys, monkeypatch, corpus_csv,
                                       field, over):
@@ -397,6 +400,21 @@ class TestTfidf:
                      "--out", str(tmp_path / "m.csv")])
         assert code == EXIT_DATA
         assert capsys.readouterr().err.startswith(f"data error: {bad} is not UTF-8 text: ")
+
+    @pytest.mark.parametrize("key, value", [("text", None), ("label", None),
+                                            ("text", ["a", "list"]), ("id", False),
+                                            ("label", {"a": 1})])
+    def test_jsonl_field_that_is_not_text_is_data_error(self, tmp_path, capsys, key, value):
+        rows = [{"id": f"d{i}", "text": "good film", "label": "ab"[i % 2]} for i in range(12)]
+        rows[7][key] = value
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        out = tmp_path / "m.csv"
+        code = main(["tfidf", "--input", str(bad), "--format", "jsonl", "--out", str(out)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (f"data error: malformed row at line 8: {key} "
+                                           "must be a string or a number\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ['42', 'null', '["id", "text", "label"]', '"id text label"'])
     def test_jsonl_line_that_is_not_an_object_is_data_error(self, tmp_path, capsys, value):

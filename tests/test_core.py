@@ -42,6 +42,15 @@ class TestSearchSpace:
         with pytest.raises(ValueError, match="non-finite bound at j=2"):
             SearchSpace(bounds["lower"], bounds["upper"])
 
+    @pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (-1e308, 8e307)])
+    def test_width_that_is_not_finite(self, lo, hi):
+        with pytest.raises(ValueError, match=r"width hi - lo is not finite at j=1"):
+            SearchSpace([0.0, lo], [1.0, hi])
+
+    def test_wide_finite_box_accepted(self):
+        space = SearchSpace([-8e307], [8e307])
+        assert space.upper[0] - space.lower[0] == 1.6e308
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             SearchSpace([0, 0], [1, 1, 1])

@@ -1,7 +1,8 @@
 """Every name a module lists in ``__all__`` resolves, so a deleted helper
 cannot linger in an export list; every private module-level name in ``src/``
 is used somewhere, so a helper whose last caller went cannot linger either;
-and every module-level import in ``src/`` is used by its module."""
+and every module-level import in ``src/`` and ``tests/`` is used by its
+module."""
 
 import ast
 import importlib
@@ -89,7 +90,8 @@ def unused_imports(path):
                 yield name
 
 
-@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),
+@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py"))
+                         + sorted((ROOT / "tests").glob("*.py")),
                          ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_every_import_is_used(path):
     assert list(unused_imports(path)) == []

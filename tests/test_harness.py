@@ -34,7 +34,6 @@ from foxbird.harness import (
 )
 from foxbird.metrics import accuracy, f_score
 
-from conftest import make_synthetic_corpus
 from test_metrics import f_score_reference
 
 
@@ -178,6 +177,28 @@ class TestLoadCorpus:
         path.write_text('{"id": "a", "text": "t", "label": "x"}\nnot json\n')
         with pytest.raises(DataError, match="line 2"):
             load_corpus(path, fmt="jsonl")
+
+    @pytest.mark.parametrize("key", ["id", "text", "label"])
+    @pytest.mark.parametrize("value", [None, True, ["a", "list"], {"a": 1}],
+                             ids=["null", "boolean", "array", "object"])
+    def test_jsonl_field_that_is_not_text_names_line_and_field(self, tmp_path, key, value):
+        rows = [{"id": f"d{i}", "text": f"text {i}", "label": "ab"[i % 2]}
+                for i in range(12)]
+        rows[4][key] = value
+        path = tmp_path / "c.jsonl"
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        with pytest.raises(DataError, match=f"^malformed row at line 5: {key} must be "
+                                            "a string or a number$"):
+            load_corpus(path, fmt="jsonl")
+
+    def test_jsonl_numbers_are_kept_as_text(self, tmp_path):
+        rows = [{"id": i, "text": 2.5, "label": i % 2} for i in range(12)]
+        path = tmp_path / "c.jsonl"
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        corpus = load_corpus(path, fmt="jsonl")
+        assert corpus.ids == [str(i) for i in range(12)]
+        assert corpus.texts == ["2.5"] * 12
+        assert corpus.labels == ["0", "1"] * 6
 
     def test_too_small(self, tmp_path):
         path = tmp_path / "tiny.csv"
