@@ -75,12 +75,14 @@ class SearchSpace:
         if self.lower.shape[0] == 0:
             raise ValueError("bounds must have at least one coordinate")
         for j, (lo, hi) in enumerate(zip(self.lower.tolist(), self.upper.tolist())):
+            if lo < hi and math.isfinite(hi - lo):
+                continue
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ValueError(f"non-finite bound at j={j}")
             if not lo < hi:
                 raise ValueError(f"inverted bound at j={j}")
-            if not math.isfinite(hi - lo):  # no uniform draw spans it
-                raise ValueError(f"width hi - lo is not finite at j={j}")
+            # finite bounds, but no uniform draw spans them
+            raise ValueError(f"width hi - lo is not finite at j={j}")
 
 
 class Individual(NamedTuple):
