@@ -403,7 +403,9 @@ class TestTfidf:
 
     @pytest.mark.parametrize("key, value", [("text", None), ("label", None),
                                             ("text", ["a", "list"]), ("id", False),
-                                            ("label", {"a": 1})])
+                                            ("label", {"a": 1})],
+                             ids=["text-null", "label-null", "text-array", "id-false",
+                                  "label-object"])
     def test_jsonl_field_that_is_not_text_is_data_error(self, tmp_path, capsys, key, value):
         rows = [{"id": f"d{i}", "text": "good film", "label": "ab"[i % 2]} for i in range(12)]
         rows[7][key] = value

@@ -193,10 +193,11 @@ def suffixed_words():
 
 
 def aeyst_words():
-    words = [""]
+    words, level = [], [""]
     for _ in range(5):
-        words = [w + c for w in words for c in "aeyst"]
-        yield from words
+        level = [w + c for w in level for c in "aeyst"]
+        words += level
+    return words
 
 
 def random_words():
@@ -218,7 +219,7 @@ def corpus_words():
 
 PINNED_WORDS = {
     "suffixed": suffixed_words,
-    "aeyst": lambda: list(aeyst_words()),
+    "aeyst": aeyst_words,
     "random": random_words,
     "corpus": corpus_words,
 }
