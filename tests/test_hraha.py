@@ -44,6 +44,7 @@ from foxbird.hraha import (
     territorial_foraging,
 )
 
+from test_reference_runners import stay_move, territorial_move
 from test_registry import NON_FINITE, Injecting
 
 
@@ -159,6 +160,8 @@ class TestGlobalSearchStep:
 
 # Member-by-member forms of the vectorised operators, kept as references: the
 # operators must reproduce them bit for bit and draw the same random numbers.
+# The stay and territorial moves are the whole-run references' own
+# (``stay_move``, ``territorial_move``).
 REFERENCE_DIMS = (1, 2, 3, 5, 10, 31)
 
 
@@ -185,34 +188,6 @@ def rfo_guided_move_loop(pop, rng, space, obj):
         f = float(obj(cand))
         if f <= pop.members[i].fitness:
             pop.members[i] = Individual(cand, f)
-
-
-def stay_and_disguise_loop(position, nr, phis, space):
-    d = space.dims
-    out = position.copy()
-    sines = np.sin(phis)
-    out[0] = position[0] + nr * sines[0]
-    if d >= 2:
-        cum = np.cumsum(sines)
-        for k in range(1, d - 1):
-            out[k] = position[k] + nr * cum[k - 1] + nr * math.cos(phis[k])
-        out[d - 1] = position[d - 1] + nr * cum[d - 2]
-    return clamp(out, space)
-
-
-def territorial_foraging_loop(position, lam, r, phi, phi0, theta, space):
-    d = position.shape[0]
-    n_pairs = (d + 1) // 2
-    r, phi, phi0, theta = (np.broadcast_to(np.asarray(v, dtype=float), (n_pairs,))
-                           for v in (r, phi, phi0, theta))
-    out = position.copy()
-    radial = r * np.cos(phi) + theta * np.cos(phi0)
-    for p in range(n_pairs):
-        i = 2 * p
-        out[i] = position[i] + lam * math.cos(phi[p]) * radial[p]
-        if i + 1 < d:
-            out[i + 1] = position[i + 1] + lam * math.sin(phi[p]) * radial[p]
-    return clamp(out, space)
 
 
 class TestMatchesMemberByMemberReference:
@@ -257,7 +232,7 @@ class TestMatchesMemberByMemberReference:
             nr = float(rng.uniform(0, 3))  # large enough that the clamp bites
             phis = rng.uniform(0, 2 * math.pi, dims)
             assert (bits(stay_and_disguise(x, nr, phis, space))
-                    == bits(stay_and_disguise_loop(x, nr, phis, space)))
+                    == bits(stay_move(x, nr, phis, space.lower, space.upper)))
 
     @pytest.mark.parametrize("dims", REFERENCE_DIMS)
     def test_stay_step(self, dims):
@@ -276,10 +251,70 @@ class TestMatchesMemberByMemberReference:
             for i in range(5):
                 theta = rngs[1].random()
                 phis = rngs[1].uniform(0.0, 2 * math.pi, dims)
-                cand = stay_and_disguise_loop(pops[1].members[i].position,
-                                              hraha.SCALING_A * theta, phis, space)
+                cand = stay_move(pops[1].members[i].position, hraha.SCALING_A * theta,
+                                 phis, space.lower, space.upper)
                 if sphere(cand) <= pops[1].members[i].fitness:
                     pops[1].members[i] = Individual(cand, sphere(cand))
+            assert bits(pops[0].positions()) == bits(pops[1].positions())
+            assert bits(pops[0].fitnesses()) == bits(pops[1].fitnesses())
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    @pytest.mark.parametrize("dims", REFERENCE_DIMS)
+    def test_mixed_queue_flushed_around_a_barrier(self, dims):
+        # stay and territorial moves queued in member order, flushed before a
+        # migration (a step that reads another slot) and at the end, against
+        # one move at a time: the objective sees the same rows in the same
+        # order, and the population and the RNG end the same
+        space = SearchSpace([-5.0] * dims, [5.0] * dims)
+        lower, upper = space.lower, space.upper
+        pairs = (dims + 1) // 2
+        box_scale = 0.3 * float(np.mean(upper - lower))
+        n = 9
+        for seed in range(20):
+            setup = make_rng(seed)
+            positions = setup.uniform(-5, 5, (n, dims))
+            kinds = setup.choice(["none", "stay", "territorial"], size=n)
+            barrier = int(setup.integers(0, n + 1))
+            bad = {int(k): math.nan for k in setup.integers(1, n + 3, size=2)}
+            pops = [evaluated(list(positions)) for _ in range(2)]
+            rngs = [make_rng(1000 + seed), make_rng(1000 + seed)]
+            objs = [CountingObjective(Recording(bad)), CountingObjective(Recording(bad))]
+
+            local = LocalMoves(space)
+            for i, kind in enumerate(kinds):
+                if i == barrier:
+                    local.flush(pops[0], objs[0])
+                    migrate_worst(pops[0], space, rngs[0], 0, 2 * n, 2 * n, objs[0])
+                if kind == "stay":
+                    local.stay(i, rngs[0])
+                elif kind == "territorial":
+                    local.territorial(i, rngs[0])
+            local.flush(pops[0], objs[0])
+
+            pop, rng = pops[1], rngs[1]
+            for i, kind in enumerate(kinds):
+                if i == barrier:
+                    migrate_worst(pop, space, rng, 0, 2 * n, 2 * n, objs[1])
+                x = pop.members[i].position
+                if kind == "stay":
+                    theta = rng.random()
+                    cand = stay_move(x, hraha.SCALING_A * theta,
+                                     rng.uniform(0.0, 2 * math.pi, dims), lower, upper)
+                elif kind == "territorial":
+                    lam = box_scale * rng.random()
+                    r = rng.random(pairs)
+                    phi = rng.uniform(0.0, 2 * math.pi, pairs)
+                    phi0 = rng.uniform(0.0, 2 * math.pi, pairs)
+                    theta = rng.random(pairs)
+                    cand = territorial_move(x, lam, r, phi, phi0, theta, lower, upper)
+                else:
+                    continue
+                f = objs[1](cand)
+                if f <= pop.members[i].fitness:
+                    pop.members[i] = Individual(cand, f)
+
+            rows = [[x.tobytes() for x in obj.obj.rows] for obj in objs]
+            assert rows[0] == rows[1] and objs[0].count == objs[1].count
             assert bits(pops[0].positions()) == bits(pops[1].positions())
             assert bits(pops[0].fitnesses()) == bits(pops[1].fitnesses())
             assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
@@ -297,8 +332,9 @@ class TestMatchesMemberByMemberReference:
                     rng.uniform(0, 2 * math.pi, shape), rng.random(shape))
             if not per_pair:
                 args = tuple(float(a) for a in args)
+            pairs = (np.broadcast_to(a, (dims + 1) // 2) for a in args[1:])
             assert (bits(territorial_foraging(x, *args, space))
-                    == bits(territorial_foraging_loop(x, *args, space)))
+                    == bits(territorial_move(x, lam, *pairs, space.lower, space.upper)))
 
 
 class TestRowForms:
