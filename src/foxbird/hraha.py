@@ -238,61 +238,53 @@ def territorial_foraging(position: np.ndarray, lam, r, phi, phi0, theta,
 
 
 class LocalMoves:
-    """Stay and territorial moves queued in member order, then scored as one
-    batch.
+    """Stay and territorial moves queued, then scored as one batch in queue
+    order (member order in ``run`` and ``run_rfo``).
 
     ``stay`` and ``territorial`` draw a move's uniforms at once, in one
     ``rng.random`` call: the stream of drawing theta (or lambda's factor)
     and then each vector, with ``2 pi * u`` for an angle as
     ``rng.uniform(0, 2 pi)`` gives it. ``flush`` builds every queued
     candidate from its slot's position, scores them as one batch and accepts
-    them in member order through ``accept_rows``. A move reads and writes
-    only its own slot, so it may wait; a flush must come before any step
-    that reads or writes another slot."""
+    them in queue order through ``accept_rows``; a caller that queues out of
+    member order has them scored in that order, not by slot. A move reads and
+    writes only its own slot, so it may wait; a flush must come before any
+    step that reads or writes another slot."""
 
     def __init__(self, space: SearchSpace):
         self.space = space
         self.pairs = (space.dims + 1) // 2
         # territorial step scale tied to the box width so hops can cross basins
         self.box_scale = 0.3 * float(np.mean(space.upper - space.lower))
-        self.stays: list = []  # (slot, uniforms: theta's, then the d angles')
-        self.hops: list = []  # (slot, uniforms: lambda's, then r, phi, phi0, theta)
+        # (slot, is_stay, uniforms): theta's, then the d angles', for a stay;
+        # lambda's, then r, phi, phi0 and theta, for a territorial move
+        self.queue: list = []
 
     def stay(self, i: int, rng) -> None:
-        self.stays.append((i, rng.random(self.space.dims + 1)))
+        self.queue.append((i, True, rng.random(self.space.dims + 1)))
 
     def territorial(self, i: int, rng) -> None:
-        self.hops.append((i, rng.random(1 + 4 * self.pairs)))
+        self.queue.append((i, False, rng.random(1 + 4 * self.pairs)))
 
     def flush(self, pop: Population, obj) -> None:
         """Score and accept every queued move; the queue is left empty."""
-        slots, parts = [], []
-        if self.stays:
-            idx, P, U = self._take(self.stays, pop)
-            slots += idx
-            parts.append(stay_and_disguise(P, SCALING_A * U[:, 0], 2 * math.pi * U[:, 1:],
-                                           self.space))
-        if self.hops:
-            idx, P, U = self._take(self.hops, pop)
-            slots += idx
-            r, phi, phi0, theta = U[:, 1:].reshape(len(idx), 4, self.pairs).swapaxes(0, 1)
-            parts.append(territorial_foraging(P, self.box_scale * U[:, 0], r,
-                                              2 * math.pi * phi, 2 * math.pi * phi0,
-                                              theta, self.space))
-        if slots:
-            order = np.argsort(slots)  # member order, as one move at a time
-            accept_rows(pop, np.concatenate(parts)[order], obj,
-                        [slots[k] for k in order])
-
-    @staticmethod
-    def _take(queue: list, pop: Population):
-        """Empty ``queue``, returning its slots and, as matrices, their
-        current positions and the queued uniforms."""
-        idx = [i for i, _ in queue]
-        P = np.array([pop.members[i].position for i in idx])
-        U = np.array([u for _, u in queue])
-        queue.clear()
-        return idx, P, U
+        if not self.queue:
+            return
+        slots, kinds, draws = zip(*self.queue)
+        self.queue.clear()
+        stay = np.array(kinds)
+        cands = np.array([pop.members[i].position for i in slots])
+        if stay.any():
+            U = np.array([u for u, s in zip(draws, kinds) if s])
+            cands[stay] = stay_and_disguise(cands[stay], SCALING_A * U[:, 0],
+                                            2 * math.pi * U[:, 1:], self.space)
+        if not stay.all():
+            U = np.array([u for u, s in zip(draws, kinds) if not s])
+            r, phi, phi0, theta = U[:, 1:].reshape(len(U), 4, self.pairs).swapaxes(0, 1)
+            cands[~stay] = territorial_foraging(cands[~stay], self.box_scale * U[:, 0], r,
+                                                2 * math.pi * phi, 2 * math.pi * phi0,
+                                                theta, self.space)
+        accept_rows(pop, cands, obj, slots)
 
 
 def migrate_worst(pop: Population, space: SearchSpace, rng, last_migration: int,
