@@ -115,16 +115,31 @@ class Population:
         return int(np.argmax(self.fitnesses()))
 
 
+def _width_overflow(lower, upper) -> int | None:
+    """The first coordinate j at which the running sum of the squared widths
+    ``(upper - lower) ** 2`` overflows, or None. HRAHA's habitat size is
+    such a sum, and every runner's moves add multiples of a width, which stay
+    finite wherever this sum does."""
+    with np.errstate(over="ignore"):
+        total = np.cumsum(np.square(np.subtract(upper, lower)))
+    over = np.flatnonzero(np.isinf(total))
+    return int(over[0]) if over.size else None
+
+
 def init_population(space: SearchSpace, size: int, rng, obj) -> Population:
     """Uniform random population inside the box, evaluated as one batch of
     rows in order through ``_counting(obj)``, so a non-finite value is stored
     as +inf as it is at every later evaluation.
 
     Requires size >= 4: the reproduction step needs two parents plus
-    replaceable worst members.
+    replaceable worst members, and a box whose squared widths sum to a
+    finite float (``_width_overflow``).
     """
     if size < 4:
         raise ValueError(f"population size must be >= 4, got {size}")
+    j = _width_overflow(space.lower, space.upper)
+    if j is not None:
+        raise ValueError(f"the squared widths (hi - lo)**2 sum past the largest float at j={j}")
     rng = make_rng(rng)
     rows = list(rng.uniform(space.lower, space.upper, size=(size, space.dims)))
     return Population([Individual(x, f)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import baselines, textpipe
 from .benchmarks import BENCHMARKS, get_benchmark
-from .core import CountingObjective, SearchSpace, make_rng
+from .core import CountingObjective, SearchSpace, _width_overflow, make_rng
 from .hraha import OptimizationResult
 from .hraha import run as run_hraha
 from .metrics import macro_f1
@@ -614,7 +614,8 @@ def run_experiment(exp: Experiment) -> TrialReport:
 def _space_from_config(space_cfg) -> HyperparamSpace:
     """The classifier's hyperparameter space from a config's ``space`` list
     (the default space when absent); ConfigError names the first bad field.
-    Every tunable the objective reads must appear exactly once."""
+    Every tunable the objective reads must appear exactly once, and the
+    squared widths must sum to a finite float, as ``init_population`` needs."""
     if space_cfg is None:
         return default_tuning_space()
     if not isinstance(space_cfg, list):
@@ -655,6 +656,10 @@ def _space_from_config(space_cfg) -> HyperparamSpace:
     missing = [t for t in tunables if all(d.name != t for d in dims)]
     if missing:
         raise ConfigError(f"space: missing {', '.join(missing)}")
+    j = _width_overflow(*zip(*(d.box_bounds() for d in dims)))
+    if j is not None:  # the box no runner could search
+        raise ConfigError(f"space[{j}].hi: the squared widths (hi - lo)**2 sum past "
+                          f"the largest float here")
     return HyperparamSpace(tuple(dims))
 
 

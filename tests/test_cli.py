@@ -232,6 +232,10 @@ class TestRun:
         # finite bounds whose width hi - lo is not: no uniform draw spans them
         ("space[3].hi", {"task": CLASSIFIER, "space": [
             *SPACE[:3], {**SPACE[3], "lo": -1e308, "hi": 1e308}]}),
+        # a finite width whose square, summed with the others, is not: no
+        # runner can search the box
+        ("space[3].hi", {"task": CLASSIFIER, "space": [
+            *SPACE[:3], {**SPACE[3], "lo": -1e160, "hi": 1e160}]}),
     ])
     def test_bad_field_is_usage_error(self, tmp_path, capsys, monkeypatch, corpus_csv,
                                       field, over):

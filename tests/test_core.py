@@ -102,6 +102,12 @@ class TestInitPopulation:
         with pytest.raises(ValueError):
             init_population(space, 3, make_rng(0), sphere)
 
+    def test_squared_widths_that_overflow_name_the_coordinate(self):
+        # every width is finite, and so are 1 + 1e308, but not 1 + 2e308
+        space = SearchSpace([0.0, 0.0, 0.0, 0.0], [1.0, 1e154, 1e154, 1.0])
+        with pytest.raises(ValueError, match=r"\(hi - lo\)\*\*2 sum past the largest float at j=2"):
+            init_population(space, 4, make_rng(0), sphere)
+
 
 class TestEvaluate:
     """A member is evaluated when it is made: by ``init_population`` or, for a

@@ -83,6 +83,52 @@ def test_nowhere_finite_objective(method):
     assert res.evaluations == obj.calls
 
 
+@pytest.mark.parametrize("method", harness.METHODS + ("random",))
+def test_box_whose_squared_widths_overflow(method):
+    # every width is finite but its square is not: the four methods refuse
+    # the box in init_population, and random search, which never combines
+    # widths, still samples it
+    space = SearchSpace([-8e307], [8e307])
+    if method != "random":
+        with pytest.raises(ValueError, match="j=0"):
+            run(method, lambda x: 0.0, space, 4, 1, 0)
+    else:
+        res = run(method, lambda x: float(x[0]), space, 4, 1, 0)
+        assert space.lower[0] <= res.best_position[0] <= space.upper[0]
+
+
+def widest_box(dims, side):
+    """A box whose squared widths sum to 0.999 times the largest float."""
+    w = math.sqrt(0.999 * np.finfo(float).max / dims)
+    lower = {"symmetric": -w / 2, "positive": 0.0, "negative": -w}[side]
+    return SearchSpace([lower] * dims, [lower + w] * dims), w
+
+
+@pytest.mark.parametrize("side", ["symmetric", "positive", "negative"])
+@pytest.mark.parametrize("dims", [1, 2, 10])
+@pytest.mark.parametrize("method", harness.METHODS)
+def test_widest_accepted_box_keeps_the_invariants(method, dims, side):
+    # every warning is an error here, so no overflow may occur on the way
+    space, w = widest_box(dims, side)
+    assert float(np.sum((space.upper - space.lower) ** 2)) < np.finfo(float).max
+    objectives = {
+        "step": lambda x: float(np.floor(4 * x[0] / w)),
+        "scaled sphere": lambda x: float(np.sum((x / w) ** 2)),
+        "flat": lambda x: 1.0,
+    }
+    for name, fn in objectives.items():
+        for seed in range(5):
+            calls = []
+            res = run(method, lambda x: calls.append(1) or fn(x), space, 5, 25, seed)
+            history = np.array(res.history)
+            assert np.all(np.isfinite(history)), name
+            assert np.all(history[1:] <= history[:-1]), name
+            assert res.best_fitness == history[-1]
+            assert np.all(space.lower <= res.best_position), name
+            assert np.all(res.best_position <= space.upper), name
+            assert res.evaluations == len(calls)
+
+
 def read_only(fn):
     """``fn`` that marks every array it is given read-only first."""
     def obj(x):
