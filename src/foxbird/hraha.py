@@ -23,8 +23,9 @@ The stay and territorial moves of a sweep are queued and scored in batches
 (``LocalMoves``). Each draws only uniforms and reads and writes only its own
 slot, so its candidate can wait until a step that reads another slot. The
 queue is flushed before a migration whose gate is open, before move-closer
-and at the end of the sweep. The draws, the points scored and their order
-are those of one move at a time, so every fixed-seed result is unchanged.
+and at the end of the sweep, and a flush scores it in queue order, which is
+member order here. So the draws, the points scored and their order are
+those of one move at a time.
 
 ``run(obj, space, pop_size, max_iters, rng)`` has the signature of every
 baseline runner. Its fixed parameters are module constants, read at call
@@ -274,11 +275,11 @@ class LocalMoves:
         self.queue.clear()
         stay = np.array(kinds)
         cands = np.array([pop.members[i].position for i in slots])
-        if stay.any():
+        if any(kinds):
             U = np.array([u for u, s in zip(draws, kinds) if s])
             cands[stay] = stay_and_disguise(cands[stay], SCALING_A * U[:, 0],
                                             2 * math.pi * U[:, 1:], self.space)
-        if not stay.all():
+        if not all(kinds):
             U = np.array([u for u, s in zip(draws, kinds) if not s])
             r, phi, phi0, theta = U[:, 1:].reshape(len(U), 4, self.pairs).swapaxes(0, 1)
             cands[~stay] = territorial_foraging(cands[~stay], self.box_scale * U[:, 0], r,

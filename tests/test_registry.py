@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from foxbird import baselines, harness
 from foxbird.benchmarks import BENCHMARKS, get_benchmark
-from foxbird.core import SearchSpace, make_rng
+from foxbird.core import CountingObjective, SearchSpace, make_rng
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 NON_FINITE = (float("nan"), float("inf"), float("-inf"))
@@ -118,15 +118,15 @@ def test_widest_accepted_box_keeps_the_invariants(method, dims, side):
     }
     for name, fn in objectives.items():
         for seed in range(5):
-            calls = []
-            res = run(method, lambda x: calls.append(1) or fn(x), space, 5, 25, seed)
+            obj = CountingObjective(fn)
+            res = run(method, obj, space, 5, 25, seed)
             history = np.array(res.history)
             assert np.all(np.isfinite(history)), name
             assert np.all(history[1:] <= history[:-1]), name
             assert res.best_fitness == history[-1]
             assert np.all(space.lower <= res.best_position), name
             assert np.all(res.best_position <= space.upper), name
-            assert res.evaluations == len(calls)
+            assert res.evaluations == obj.count
 
 
 def read_only(fn):
