@@ -685,6 +685,66 @@ class TestClassifierObjective:
                             distinct.add(got)
         assert len(distinct) > 20  # the grid is not one flat plateau
 
+    @pytest.mark.parametrize("corpus_name", ["graded_corpus_csv", "lopsided_corpus_csv"])
+    def test_one_objective_scores_as_a_fresh_preparation_per_point(self, corpus_name, request,
+                                                                   monkeypatch):
+        # One objective scores a grid, every point twice, in a shuffled order:
+        # each (use_stemming, min_doc_freq) prefix comes back after other
+        # prefixes, with max_terms below, at and above its term count and with
+        # other smoothings. Every score, and every array the NB kernel and the
+        # class-code scorer get (bits and layout), must be those of a
+        # preparation made for that point alone, asked for the same n terms
+        # as min_doc_freq 1 and max_terms n: the terms with df >= min_doc_freq
+        # are a prefix of the order by df. On the lopsided corpus, a
+        # min_doc_freq above every document frequency but alpha's leaves a
+        # one-term prefix, summed pairwise, while max_terms does not bind.
+        seen = []
+        kernel, scorer = harness._nb_log_lik, harness._nb_codes
+        monkeypatch.setattr(harness, "_nb_log_lik",
+                            lambda *args: seen.append(args[0]) or kernel(*args))
+        monkeypatch.setattr(harness, "_nb_codes",
+                            lambda *args: seen.extend(args) or scorer(*args))
+
+        def fit_score(fit, *args):
+            seen.clear()
+            scores = [v.hex() for v in fit(*args)]
+            return scores, [(a.tobytes(), layout(a)) for a in seen]
+
+        corpus = load_corpus(request.getfixturevalue(corpus_name))
+        default = default_tuning_space()
+        space = HyperparamSpace((HyperparamDim("min_doc_freq", "integer", 1, 80),
+                                 HyperparamDim("max_terms", "integer", 1, 2000))
+                                + default.dims[2:])
+        cap = harness._max_terms_cap(space)
+        probe = harness._PreparedCorpus(corpus, cap)
+        grid = []
+        one_term_prefixes = 0
+        for use_stemming in (False, True):
+            df = np.sort(probe.variants[use_stemming][3])[::-1]
+            min_doc_freqs = {1, 2, 3, 5, int(df[0]) + 1}
+            if df[0] > df[1]:
+                min_doc_freqs.add(int(df[1]) + 1)  # alpha alone
+            for min_doc_freq in sorted(min_doc_freqs):
+                count = int(np.count_nonzero(df >= min_doc_freq))
+                one_term_prefixes += count == 1
+                max_terms = {1, 2, 2000} | {n for n in (count - 1, count, count + 1) if n >= 1}
+                grid += [({"min_doc_freq": min_doc_freq, "max_terms": n,
+                           "use_stemming": use_stemming, "nb_smoothing": a}, min(count, n))
+                         for n in sorted(max_terms) for a in (0.01, 0.5, 5.0)]
+        if corpus_name == "lopsided_corpus_csv":
+            assert one_term_prefixes == 2
+        want = {}
+        for params, n_terms in grid:
+            fresh = harness._PreparedCorpus(corpus, cap)
+            want[tuple(params.items())] = fit_score(harness._fit_score, fresh,
+                                                    dict(params, min_doc_freq=1, max_terms=n_terms))
+        assert len({tuple(scores) for scores, _ in want.values()}) > 3  # not one flat plateau
+        obj = classifier_objective(corpus, space)
+        for i in make_rng(21).permutation(2 * len(grid)):
+            params = grid[i % len(grid)][0]
+            got = fit_score(obj.fit_score, space.encode(params))
+            assert got == want[tuple(params.items())], params
+
 
 # ---------------------------------------------------------------------------
 # RNG derivation and runners
