@@ -296,7 +296,16 @@ class _PreparedCorpus:
     The train and test labels are held as class codes (indices into
     ``classes``), with the classes' ``repr`` order, in which
     ``metrics.f_score`` sums them, and the gold count of each class in that
-    order."""
+    order.
+
+    ``prefixes`` memoises, per (use_stemming, min_doc_freq), the number of
+    terms with df >= min_doc_freq and the selection of that whole prefix,
+    which no other hyperparameter changes. It holds at most one entry per
+    stemming variant and ``min_doc_freq`` the objective is called with (10
+    in the default space); only a ``min_doc_freq`` at or below the largest
+    df holds arrays, copies no wider than the prepared vocabulary, or, for
+    a prefix of every term, read-only views of the prepared arrays. It lives
+    and dies with its instance."""
 
     def __init__(self, corpus: LabeledCorpus, max_terms_cap: int | None):
         plain = [textpipe.preprocess(t, use_stemming=False) for t in corpus.texts]
@@ -324,6 +333,35 @@ class _PreparedCorpus:
             self.variants[stemmed] = (train, _class_totals(train, self.train_codes, n_classes),
                                       test_t, df, order)
         self.log_prior = _log_prior(np.bincount(self.train_codes, minlength=n_classes), n_train)
+        self.prefixes = {}
+
+    def select(self, use_stemming: bool, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
+        """The per-class totals and the test matrix of the ``n_terms`` >= 1
+        most document-frequent columns, in lexicographic order."""
+        train, totals, test_t, df, order = self.variants[use_stemming]
+        if 1 < n_terms == len(order):  # every column: the prepared arrays, uncopied
+            return totals, test_t.T
+        cols = np.sort(order[:n_terms])
+        if n_terms == 1:  # summed pairwise, see _class_totals
+            totals = _class_totals(np.take(train, cols, axis=1), self.train_codes,
+                                   len(self.classes))
+        else:
+            totals = np.take(totals, cols, axis=1)
+        # F-ordered, as test[:, cols] is: a matrix product may round by layout
+        return totals, np.take(test_t, cols, axis=0).T
+
+    def prefix(self, use_stemming: bool, min_doc_freq: int):
+        """The number of terms with df >= ``min_doc_freq`` and, if above 0,
+        their read-only ``select``ion; memoised per (use_stemming,
+        min_doc_freq)."""
+        key = (use_stemming, min_doc_freq)
+        if key not in self.prefixes:
+            count = int(np.count_nonzero(self.variants[use_stemming][3] >= min_doc_freq))
+            selection = self.select(use_stemming, count) if count else None
+            for a in selection or ():
+                a.flags.writeable = False
+            self.prefixes[key] = count, selection
+        return self.prefixes[key]
 
 
 def _max_terms_cap(space: HyperparamSpace) -> int | None:
@@ -339,6 +377,10 @@ def _fit_score(prep: _PreparedCorpus, params: dict) -> tuple[float, float]:
 
     Returns (accuracy, macro_f); (0, 0) for degenerate hyperparameters,
     such as an ``nb_smoothing`` <= 0, whose log likelihoods would not be finite.
+    The selected columns come from ``prep.prefix``'s memo whenever
+    ``max_terms`` does not cut the (use_stemming, min_doc_freq) prefix, and
+    from ``prep.select`` otherwise: the same arrays either way, so only the
+    NB fit and the scoring run on every call.
     Predictions stay class codes: ``np.bincount`` counts the predictions and
     true positives per class, and accuracy and macro-F are the int/int
     divisions and ``repr``-ordered sums ``metrics.accuracy`` and
@@ -348,19 +390,13 @@ def _fit_score(prep: _PreparedCorpus, params: dict) -> tuple[float, float]:
     smoothing = float(params["nb_smoothing"])
     if min_doc_freq < 1 or max_terms < 1 or smoothing <= 0:
         return 0.0, 0.0
-    train, totals, test_t, df, order = prep.variants[bool(params["use_stemming"])]
-    n_terms = min(int(np.count_nonzero(df >= min_doc_freq)), max_terms)
-    if n_terms == 0:
+    use_stemming = bool(params["use_stemming"])
+    count, selection = prep.prefix(use_stemming, min_doc_freq)
+    if count == 0:
         return 0.0, 0.0
-    cols = np.sort(order[:n_terms])
-    n_classes = len(prep.classes)
-    if n_terms == 1:  # summed pairwise, see _class_totals
-        totals = _class_totals(np.take(train, cols, axis=1), prep.train_codes, n_classes)
-    else:
-        totals = np.take(totals, cols, axis=1)
-    # F-ordered, as test[:, cols] is: a matrix product may round by layout
-    X_test = np.take(test_t, cols, axis=0).T
+    totals, X_test = selection if max_terms >= count else prep.select(use_stemming, max_terms)
     codes = _nb_codes(X_test, prep.log_prior, _nb_log_lik(totals, smoothing))
+    n_classes = len(prep.classes)
     tp = np.bincount(codes[codes == prep.test_codes], minlength=n_classes)[prep.repr_order]
     n_pred = np.bincount(codes, minlength=n_classes)[prep.repr_order]
     return (int(tp.sum()) / len(codes),

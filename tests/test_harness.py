@@ -1,9 +1,12 @@
 import csv
+import gc
 import hashlib
+import inspect
 import itertools
 import json
 import math
 import warnings
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -744,6 +747,35 @@ class TestClassifierObjective:
             params = grid[i % len(grid)][0]
             got = fit_score(obj.fit_score, space.encode(params))
             assert got == want[tuple(params.items())], params
+
+    def test_prefix_memo_is_bounded_read_only_and_dies_with_its_objective(self,
+                                                                          graded_corpus_csv):
+        # The memo is keyed by (use_stemming, min_doc_freq) alone, whatever
+        # max_terms and nb_smoothing do; its arrays cannot be written; and it
+        # lives on the objective's own preparation, so dropping the objective
+        # frees it (a cache on the class or a method would keep it alive).
+        space = default_tuning_space()
+        box = space.to_box()
+        obj = classifier_objective(load_corpus(graded_corpus_csv), space)
+        prep = inspect.getclosurevars(obj.fit_score).nonlocals["prep"]
+        for x in make_rng(22).uniform(box.lower, box.upper, size=(300, box.dims)):
+            obj(x)
+        for use_stemming in (False, True):
+            for min_doc_freq in range(1, 6):
+                for max_terms in (10, 2000):
+                    obj(space.encode({"min_doc_freq": min_doc_freq, "max_terms": max_terms,
+                                      "use_stemming": use_stemming, "nb_smoothing": 1.0}))
+        assert sorted(prep.prefixes) == [(s, m) for s in (False, True) for m in range(1, 6)]
+        for count, selection in prep.prefixes.values():
+            assert count > 10
+            for a in selection:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0, 0] = 0.0
+        ref = weakref.ref(prep)
+        del obj, prep, selection, a
+        gc.collect()
+        assert ref() is None
 
 
 # ---------------------------------------------------------------------------
