@@ -113,15 +113,31 @@ class OptimizationResult:
 # Global flight phase
 # ---------------------------------------------------------------------------
 
+def _gaps(fits: np.ndarray, f_best, f_worst):
+    """How far the mean and the worst of the fitnesses lie above the best."""
+    return fits.mean() - f_best, f_worst - f_best
+
+
 def compute_alpha(pop: Population, t: int, T: int) -> float:
     """Scaling factor blending normalized fitness spread with an iteration
-    schedule; clamped to [0, 1]."""
+    schedule; clamped to [0, 1]. Where the fitnesses' mean or range
+    overflows, the spread is taken on them divided by a power of two near
+    their largest magnitude, which scales both exactly (barring subnormals)."""
     fits = pop.fitnesses()
     fits = fits[np.isfinite(fits)]  # members stored at +inf take no part
     spread = 0.0  # ... and with no finite member only the schedule counts
     if fits.size:
-        f_best = fits.min()
-        spread = (fits.mean() - f_best) / (fits.max() - f_best + 1e-12)
+        f_best, f_worst = fits.min(), fits.max()
+        big = max(-float(f_best), float(f_worst))
+        if math.isfinite(2 * big * fits.size):  # no partial sum or difference nears overflow
+            mean_gap, worst_gap = _gaps(fits, f_best, f_worst)
+        else:  # numpy's warning state is only touched here: it is slow to switch
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean_gap, worst_gap = _gaps(fits, f_best, f_worst)
+            if not (math.isfinite(mean_gap) and math.isfinite(worst_gap)):
+                fits = np.ldexp(fits, -math.frexp(big)[1])
+                mean_gap, worst_gap = _gaps(fits, fits.min(), fits.max())
+        spread = mean_gap / (worst_gap + 1e-12)
     alpha = OMEGA * spread + (1 - OMEGA) * (1 - t / T)
     return float(min(1.0, max(0.0, alpha)))
 

@@ -77,6 +77,28 @@ class TestComputeAlpha:
         pop = pop_with_fitnesses([0, 1, 2])
         assert compute_alpha(pop, 0, 10) == pytest.approx(0.5, abs=1e-9)
 
+    @pytest.mark.parametrize("fits", [
+        [1.5e308, 1.5e308, -1.0e308],
+        [-1.0e308, 1.0e308, 0.5e308],
+        [1.0e308, 1.5e308, 1.7e308],
+    ], ids=["signed-sum-overflows", "signed-sum-finite", "positive-sum-overflows"])
+    def test_values_near_the_largest_float(self, fits):
+        # the mean or the range of these finite values overflows; alpha must
+        # be that of the same values scaled down by a power of two, which
+        # scales the mean and the range exactly, and no warning may occur
+        small = [math.ldexp(f, -1000) for f in fits]
+        want = compute_alpha(pop_with_fitnesses(small), 0, 10)
+        assert 0.5 < want < 1.0
+        assert compute_alpha(pop_with_fitnesses(fits), 0, 10) == pytest.approx(want, rel=1e-9)
+
+    def test_values_near_the_largest_float_keep_a_finite_formula(self):
+        # large enough that their sum might overflow, but neither it nor the
+        # range does: the formula's own bits, not the scaled values' ones
+        fits = np.array([1.0e308, 0.0, 0.6e308])
+        spread = (fits.mean() - fits.min()) / (fits.max() - fits.min() + 1e-12)
+        want = hraha.OMEGA * spread + (1 - hraha.OMEGA) * (1 - 3 / 10)
+        assert compute_alpha(pop_with_fitnesses(fits), 3, 10) == want
+
 
 class TestSelectFlight:
     def test_low_alpha(self):

@@ -129,6 +129,27 @@ def test_widest_accepted_box_keeps_the_invariants(method, dims, side):
             assert res.evaluations == obj.count
 
 
+@settings(max_examples=60, deadline=None)
+@given(method=st.sampled_from(harness.METHODS + ("random",)),
+       dims=st.integers(1, 4), pop_size=st.integers(4, 8), iterations=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1), exponent=st.integers(0, 40))
+def test_invariants_with_values_near_the_largest_float(method, dims, pop_size, iterations,
+                                                        seed, exponent):
+    # finite values of both signs up to the largest float over 2**exponent,
+    # whose sums and ranges overflow; every warning is an error here
+    top = math.ldexp(np.finfo(float).max, -exponent)
+    space = SearchSpace([-5.0] * dims, [5.0] * dims)
+    obj = CountingObjective(lambda x: float(np.cos(3 * x).mean()) * top)
+    res = run(method, obj, space, pop_size, iterations, seed)
+    history = np.array(res.history)
+    assert np.all(np.isfinite(history))
+    assert np.all(history[1:] <= history[:-1])
+    assert res.best_fitness == history[-1]
+    assert np.all(space.lower <= res.best_position)
+    assert np.all(res.best_position <= space.upper)
+    assert res.evaluations == obj.count
+
+
 def read_only(fn):
     """``fn`` that marks every array it is given read-only first."""
     def obj(x):
