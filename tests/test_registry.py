@@ -136,7 +136,7 @@ def test_widest_accepted_box_keeps_the_invariants(method, dims, side):
 def test_invariants_with_values_near_the_largest_float(method, dims, pop_size, iterations,
                                                         seed, exponent):
     # finite values of both signs up to the largest float over 2**exponent,
-    # whose sums and ranges overflow; every warning is an error here
+    # whose sums and ranges can overflow; every warning is an error here
     top = math.ldexp(np.finfo(float).max, -exponent)
     space = SearchSpace([-5.0] * dims, [5.0] * dims)
     obj = CountingObjective(lambda x: float(np.cos(3 * x).mean()) * top)
