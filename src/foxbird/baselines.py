@@ -48,7 +48,6 @@ def run_rfo(obj, space: SearchSpace, pop_size: int, max_iters: int,
     rng = make_rng(rng)
     counted = CountingObjective(obj)
     pop = init_population(space, pop_size, rng, counted)
-    incumbent = pop.best
     history = []
     local = LocalMoves(space)
     for _ in range(max_iters):
@@ -58,10 +57,8 @@ def run_rfo(obj, space: SearchSpace, pop_size: int, max_iters: int,
                 local.stay(i, rng)
         local.flush(pop, counted)
         move_closer_reproduce(pop, rng, space, counted)
-        if pop.best.fitness < incumbent.fitness:
-            incumbent = pop.best
-        history.append(incumbent.fitness)
-    return OptimizationResult(incumbent.position, incumbent.fitness, history, counted.count)
+        history.append(counted.best_f)
+    return OptimizationResult(counted.best_x, counted.best_f, history, counted.count)
 
 
 def run_aha(obj, space: SearchSpace, pop_size: int, max_iters: int,
@@ -73,7 +70,6 @@ def run_aha(obj, space: SearchSpace, pop_size: int, max_iters: int,
     counted = CountingObjective(obj)
     M = 2 * pop_size
     pop = init_population(space, pop_size, rng, counted)
-    incumbent = pop.best
     history = []
     last_migration = 0
     n = len(pop)
@@ -105,10 +101,8 @@ def run_aha(obj, space: SearchSpace, pop_size: int, max_iters: int,
         migrated, _ = migrate_worst(pop, space, rng, last_migration, t, M, counted)
         if migrated:
             last_migration = t
-        if pop.best.fitness < incumbent.fitness:
-            incumbent = pop.best
-        history.append(incumbent.fitness)
-    return OptimizationResult(incumbent.position, incumbent.fitness, history, counted.count)
+        history.append(counted.best_f)
+    return OptimizationResult(counted.best_x, counted.best_f, history, counted.count)
 
 
 def run_pso(obj, space: SearchSpace, pop_size: int, max_iters: int,
@@ -123,26 +117,16 @@ def run_pso(obj, space: SearchSpace, pop_size: int, max_iters: int,
     V = np.zeros_like(X)
     pbest_X = X.copy()
     pbest_F = F.copy()
-    g = int(np.argmin(F))
-    gbest_x = X[g].copy()
-    gbest_f = float(F[g])
     history = []
     for _ in range(max_iters):
         r1 = rng.random(X.shape)
         r2 = rng.random(X.shape)
         V = (PSO_INERTIA * V + PSO_COGNITIVE * r1 * (pbest_X - X)
-             + PSO_SOCIAL * r2 * (gbest_x - X))
+             + PSO_SOCIAL * r2 * (counted.best_x - X))
         X = clamp(X + V, space)
         F = np.array(counted.batch(X))
         better = F < pbest_F
         pbest_F[better] = F[better]
         pbest_X[better] = X[better]
-        # gbest_f <= every old pbest, so only an improved pbest can beat it,
-        # and argmin takes the first of equal minima as a strict < in member
-        # order would
-        g = int(np.argmin(pbest_F))
-        if pbest_F[g] < gbest_f:
-            gbest_f = float(pbest_F[g])
-            gbest_x = pbest_X[g].copy()
-        history.append(gbest_f)
-    return OptimizationResult(gbest_x, gbest_f, history, counted.count)
+        history.append(counted.best_f)
+    return OptimizationResult(counted.best_x, counted.best_f, history, counted.count)

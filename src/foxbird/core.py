@@ -18,6 +18,10 @@ population write, given any objective, scores through ``CountingObjective``.
 An objective may offer ``batch(X) -> (n,)`` equal byte for byte to its calls
 on the rows; without one, each row is one call, in order.
 
+The counter also keeps the one best-so-far rule, by evaluation order and not
+by slot. RFO, AHA, PSO and random search report it; HRAHA reports
+``pop.best``, the same fitness but the lowest slot among ties.
+
 The project-wide random number generator is numpy's PCG64 (via
 ``numpy.random.Generator``): the same seed produces the same draw stream on
 every platform, which the whole test suite relies on.
@@ -147,15 +151,19 @@ def init_population(space: SearchSpace, size: int, rng, obj) -> Population:
 
 
 class CountingObjective:
-    """Wraps an objective to count evaluations: the one evaluation contract
-    every optimizer and random search share.
+    """Wraps an objective to count evaluations and keep the best so far: the
+    one evaluation contract every optimizer and random search share.
 
     A non-finite value is returned as +inf: a member that stores it is never
-    selected as the best, and the evaluation still counts."""
+    selected as the best, and the evaluation still counts. ``best_f`` and
+    ``best_x`` are the value and row of the first evaluated point strictly
+    lower than every point before it, the very first point always taken (even
+    at +inf); both are None until a row is scored."""
 
     def __init__(self, obj):
         self.obj = obj
         self.count = 0
+        self.best_f = self.best_x = None
 
     def __call__(self, x) -> float:
         """The value at one point, scored as the one-row batch ``[x]``."""
@@ -171,7 +179,14 @@ class CountingObjective:
         if f.shape != (len(X),):
             raise ValueError(f"batch returned shape {f.shape} for {len(X)} rows; "
                              f"expected ({len(X)},)")
-        return [v if math.isfinite(v) else math.inf for v in f.tolist()]
+        vals = [v if math.isfinite(v) else math.inf for v in f.tolist()]
+        # min and index take the first of equal values, so a tie (0.0 and
+        # -0.0 included) keeps the earlier point
+        if vals:
+            m = min(vals)
+            if self.best_f is None or m < self.best_f:
+                self.best_f, self.best_x = m, X[vals.index(m)]
+        return vals
 
 
 def _counting(obj) -> CountingObjective:

@@ -14,6 +14,7 @@ import contextlib
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import statistics
@@ -454,13 +455,9 @@ def run_random_search(obj, space: SearchSpace, budget: int, rng) -> Optimization
     rng = make_rng(rng)
     counted = CountingObjective(obj)
     X = rng.uniform(space.lower, space.upper, size=(budget, space.dims))
-    best, best_f = 0, math.inf
-    history = []
-    for k, f in enumerate(counted.batch(X)):
-        if k == 0 or f < best_f:
-            best, best_f = k, f
-        history.append(best_f)
-    return OptimizationResult(X[best].copy(), best_f, history, counted.count)
+    # min keeps the earlier value on a tie, as the counter's best does
+    history = list(itertools.accumulate(counted.batch(X), min))
+    return OptimizationResult(counted.best_x.copy(), counted.best_f, history, counted.count)
 
 
 @dataclass

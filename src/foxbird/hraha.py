@@ -1,6 +1,6 @@
 """Hybrid red-fox / hummingbird optimizer.
 
-Each iteration runs a global flight phase (movement toward the incumbent
+Each iteration runs a global flight phase (movement toward the population's
 best, with omnidirectional / axial / diagonal direction masks selected by a
 scaling factor alpha) followed by per-member local strategies gated by a
 uniform draw delta:

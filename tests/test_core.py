@@ -185,6 +185,46 @@ class TestCountingObjective:
         with pytest.raises(ValueError, match=re.escape(message)):
             counted(np.zeros(2))
 
+    @staticmethod
+    def assert_first_strictly_lower(batches):
+        """Score each batch of values through one counter, one call per row,
+        and check its best against a strict ``<`` loop over the rows in
+        order, the first row always taken."""
+        values = iter([v for batch in batches for v in batch])
+        counted = CountingObjective(lambda x: next(values))
+        want_x = want_f = None
+        k = 0
+        for batch in batches:
+            X = [np.full(2, float(k + j)) for j in range(len(batch))]
+            k += len(batch)
+            for x, f in zip(X, counted.batch(X), strict=True):
+                if want_x is None or f < want_f:
+                    want_x, want_f = x, f
+        assert counted.best_x is want_x
+        assert repr(counted.best_f) == repr(want_f)  # the sign of a zero too
+
+    @pytest.mark.parametrize("batches", [
+        [[math.inf, math.inf, math.inf]],
+        [[math.nan, -math.inf, math.inf]],
+        [[0.0, -0.0]],
+        [[-0.0, 0.0]],
+        [[0.0], [-0.0]],
+        [[-0.0], [0.0]],
+        [[2.0, 1.0, 1.0], [3.0, 0.5, 0.5]],
+        [[1.0], [], [math.inf, 1.0, 0.0]],
+        [[]],
+    ], ids=["all-inf-keeps-row-0", "non-finite-keeps-row-0", "zero-then-minus-zero",
+            "minus-zero-then-zero", "zero-then-minus-zero-across-batches",
+            "minus-zero-then-zero-across-batches", "strict-improvement-across-batches",
+            "empty-batch-between", "empty-batch-leaves-it-unset"])
+    def test_best_is_the_first_strictly_lower_row(self, batches):
+        self.assert_first_strictly_lower(batches)
+
+    @given(st.lists(st.lists(st.sampled_from([-0.0, 0.0, 1.0, -1.0, math.inf, math.nan]),
+                             max_size=5), min_size=1, max_size=5))
+    def test_best_equals_a_strict_per_row_loop(self, batches):
+        self.assert_first_strictly_lower(batches)
+
 
 class Batched:
     """An objective that offers ``batch`` and records what each method got."""

@@ -11,6 +11,10 @@ the same order, whatever the package batches or reorders inside. Random
 search is the one-sample-at-a-time loop, run on every benchmark at budgets 1,
 2, 57 and 600 and once on a tuning objective, which has no ``batch``.
 
+A signed-zero floor plateau (``TIES``) runs every runner and random search
+on whole floors of ties: each reports the first evaluated point of the
+lowest value, with the sign of its zero (HRAHA: its lowest tied slot).
+
 The grid covers every benchmark, dims 1, 2, 3, 5 and 10 (an unpaired
 trailing coordinate for territorial foraging at odd dims, and diagonal flight
 on every axis at dims <= 2) and populations 4, 5, 40 and 41 (move-closer
@@ -25,13 +29,26 @@ import numpy as np
 import pytest
 
 from foxbird import harness
-from foxbird.benchmarks import BENCHMARKS
+from foxbird.benchmarks import BENCHMARKS, BenchmarkFn
 
 TWO_PI = 2 * math.pi
 NON_FINITE = (float("nan"), float("inf"), float("-inf"))
 DIMS = (1, 2, 3, 5, 10)
 POP_SIZES = (4, 5, 40, 41)
 SEEDS = (0, 1)
+
+
+def signed_plateau(X):
+    # whole floors of ties, and the floor-0 disc is -0.0 where x[0] < 0: a
+    # best-so-far rule that does not keep the first of equal values shows in
+    # the best position or in the sign of a zero
+    f = np.floor(np.vecdot(X, X))
+    return np.where((f == 0) & (X[:, 0] < 0), -0.0, f)
+
+
+TIES = {name: BenchmarkFn(name, signed_plateau, -w, w, 0.0, 0.0)
+        for name, w in (("signed-plateau-1.5", 1.5), ("signed-plateau-3", 3.0))}
+OBJECTIVES = {**BENCHMARKS, **TIES}
 
 
 def iterations_for(pop_size):
@@ -70,16 +87,22 @@ class BatchRecorder(Recorder):
 
 
 class Scored:
-    """Counted calls, one point each; a non-finite value counts as +inf."""
+    """Counted calls, one point each; a non-finite value counts as +inf. The
+    best so far is the first scored point strictly lower than every point
+    before it, the very first point always taken."""
 
     def __init__(self, fn):
         self.fn = fn
         self.count = 0
+        self.best_x, self.best_f = None, math.inf
 
     def __call__(self, x):
         self.count += 1
         f = float(self.fn(x))
-        return f if math.isfinite(f) else math.inf
+        f = f if math.isfinite(f) else math.inf
+        if self.best_x is None or f < self.best_f:
+            self.best_x, self.best_f = x, f
+        return f
 
 
 def first_min(F):
@@ -266,8 +289,6 @@ def reference_rfo(fn, lower, upper, n, T, rng):
     score = Scored(fn)
     X, F = initial_population(score, lower, upper, n, rng)
     history = []
-    b = first_min(F)
-    inc_x, inc_f = X[b], F[b]
     for _ in range(T):
         kappa = rng.random(n)
         guided_move(X, F, X[first_min(F)], kappa.__getitem__, score, lower, upper)
@@ -275,11 +296,8 @@ def reference_rfo(fn, lower, upper, n, T, rng):
             if rng.random() > 0.75:
                 stay(X, F, i, rng, score, lower, upper)
         move_closer(X, F, rng, score, lower, upper)
-        b = first_min(F)
-        if F[b] < inc_f:
-            inc_x, inc_f = X[b], F[b]
-        history.append(inc_f)
-    return inc_x, inc_f, history, score.count, {}
+        history.append(score.best_f)
+    return score.best_x, score.best_f, history, score.count, {}
 
 
 def reference_aha(fn, lower, upper, n, T, rng):
@@ -288,8 +306,6 @@ def reference_aha(fn, lower, upper, n, T, rng):
     X, F = initial_population(score, lower, upper, n, rng)
     history = []
     last_migration = 0
-    b = first_min(F)
-    inc_x, inc_f = X[b], F[b]
     for t in range(T):
         # candidate i reads only slot i and the best, so building, scoring
         # and accepting member by member is the package's sweep
@@ -311,11 +327,8 @@ def reference_aha(fn, lower, upper, n, T, rng):
         if t - last_migration >= 2 * n:
             migrate(X, F, rng, score, lower, upper)
             last_migration = t
-        b = first_min(F)
-        if F[b] < inc_f:
-            inc_x, inc_f = X[b], F[b]
-        history.append(inc_f)
-    return inc_x, inc_f, history, score.count, {}
+        history.append(score.best_f)
+    return score.best_x, score.best_f, history, score.count, {}
 
 
 def reference_pso(fn, lower, upper, n, T, rng):
@@ -367,9 +380,10 @@ BUDGETS = (1, 2, 57, 600)
 def assert_same_run(got, ref, seen, expected, rng, ref_rng):
     position, fitness, history, evaluations, counts = ref
     assert seen.points == expected.points
-    assert got.history == history
+    # repr tells -0.0 from 0.0
+    assert repr(got.history) == repr(history)
     assert all(type(h) is float for h in got.history)
-    assert got.best_fitness == fitness
+    assert repr(got.best_fitness) == repr(fitness)
     assert got.best_position.tobytes() == position.tobytes()
     assert got.evaluations == evaluations == len(seen.points)
     assert got.strategy_counts == counts
@@ -377,7 +391,7 @@ def assert_same_run(got, ref, seen, expected, rng, ref_rng):
 
 
 def assert_runs_equal(method, function, dims, pop_size, seed, bad=None):
-    bench = BENCHMARKS[function]
+    bench = OBJECTIVES[function]
     space = bench.space(dims)
     T = iterations_for(pop_size)
     seen, expected = BatchRecorder(bench, bad), BatchRecorder(bench, bad)
@@ -418,11 +432,19 @@ def test_run_equals_reference_under_non_finite_values(method, dims, pop_size):
         assert_runs_equal(method, "rastrigin", dims, pop_size, seed, bad)
 
 
+@pytest.mark.parametrize("dims", (1, 2, 3))
+@pytest.mark.parametrize("function", sorted(TIES))
+@pytest.mark.parametrize("method", sorted(REFERENCES))
+def test_run_equals_reference_on_signed_zero_ties(method, function, dims):
+    for seed in range(30):
+        assert_runs_equal(method, function, dims, 4, seed)
+
+
 @pytest.mark.parametrize("budget", BUDGETS)
 @pytest.mark.parametrize("dims", DIMS)
-@pytest.mark.parametrize("function", sorted(BENCHMARKS))
+@pytest.mark.parametrize("function", sorted(OBJECTIVES))
 def test_random_search_equals_one_sample_at_a_time(function, dims, budget):
-    bench = BENCHMARKS[function]
+    bench = OBJECTIVES[function]
     for seed in SEEDS:
         assert_random_search_equal(BatchRecorder(bench), BatchRecorder(bench),
                                    bench.space(dims), budget, seed)

@@ -49,7 +49,16 @@ def run(method, obj, space, pop_size, iterations, seed):
 def test_invariants_under_non_finite_values(method, dims, pop_size, iterations, seed, bad):
     space = SearchSpace([-5.0] * dims, [5.0] * dims)
     obj = Injecting(bad)
-    res = run(method, obj, space, pop_size, iterations, seed)
+    outer = CountingObjective(obj)
+    res = run(method, outer, space, pop_size, iterations, seed)
+
+    # the result is the best so far as an outer counter keeps it: the first
+    # evaluated point strictly lower than every point before it. HRAHA's
+    # position is its population's best, which prefers the lowest slot among
+    # equal fitnesses, so only its fitness is compared
+    assert res.best_fitness == outer.best_f
+    if method != "hraha":
+        assert res.best_position.tobytes() == outer.best_x.tobytes()
 
     # a non-finite value counts as +inf, from the initial population on: the
     # history holds no NaN or -inf, and it is +inf only while nothing finite
