@@ -19,8 +19,8 @@ An objective may offer ``batch(X) -> (n,)`` equal byte for byte to its calls
 on the rows; without one, each row is one call, in order.
 
 The counter also keeps the one best-so-far rule, by evaluation order and not
-by slot. RFO, AHA, PSO and random search report it; HRAHA reports
-``pop.best``, the same fitness but the lowest slot among ties.
+by slot, and every runner and random search report it. ``Population.best``
+(the lowest slot among ties) is only a step's target.
 
 The project-wide random number generator is numpy's PCG64 (via
 ``numpy.random.Generator``): the same seed produces the same draw stream on
@@ -211,9 +211,9 @@ def accept_rows(pop: Population, cands, obj, slots=None) -> None:
 def clamp(position: np.ndarray, space: SearchSpace) -> np.ndarray:
     """Project a position onto the box."""
     position = np.asarray(position, dtype=float)
-    if position.shape[-1] != space.dims:
+    if position.shape[-1:] != (space.dims,):
         raise ValueError(
-            f"length mismatch: position has {position.shape[-1]} entries, "
-            f"space has {space.dims}"
+            f"length mismatch: position has shape {position.shape}, "
+            f"space has {space.dims} entries"
         )
     return np.minimum(np.maximum(position, space.lower), space.upper)

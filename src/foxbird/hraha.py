@@ -428,13 +428,5 @@ def run(obj, space: SearchSpace, pop_size: int, max_iters: int, rng) -> Optimiza
                 local.flush(pop, counted)
                 move_closer_reproduce(pop, rng, space, counted)
         local.flush(pop, counted)
-        history.append(pop.best.fitness)
-
-    best = pop.best
-    return OptimizationResult(
-        best_position=best.position,
-        best_fitness=best.fitness,
-        history=history,
-        evaluations=counted.count,
-        strategy_counts=counts,
-    )
+        history.append(counted.best_f)
+    return OptimizationResult(counted.best_x, counted.best_f, history, counted.count, counts)

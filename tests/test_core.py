@@ -389,6 +389,11 @@ class TestClamp:
         with pytest.raises(ValueError, match="length mismatch"):
             clamp(np.array([0.5, 0.5]), space)
 
+    def test_zero_d_position_is_a_length_mismatch(self):
+        space = SearchSpace([0], [1])
+        with pytest.raises(ValueError, match="length mismatch"):
+            clamp(0.5, space)
+
     def test_bytes_equal_np_clip_on_special_values(self):
         # NaN stays NaN, and a signed zero or an infinity comes out with the
         # same bits as np.clip gives, for vectors and for row matrices

@@ -128,7 +128,7 @@ def test_fixed_seed_best_position_is_pinned(key):
 # position's bytes; the same hash holds whether the plateau is scored one
 # point at a time or a sweep at a time through ``batch``.
 PINNED_PLATEAU = {
-    "hraha": "c8d91d2eaafa99e396ed9ca0dfb7a47d2e6c3fd166a6f1f47970a5356ab912ba",
+    "hraha": "65b79b05d092f2de96b95bdd5fa543004a9e82487fc0a2d168aefa8139299097",
     "aha": "dbfad88f8a6e1e3327a9658b97ee7ed7fcfd97e7ac4dfb27799df554ede7d036",
     "rfo": "0ecdcafa1f66974fb1f582ee7cfe7b22d7cc61e318703a5df7353942b0556af1",
     "pso": "f3924808880ade64c7606ecfea3c3329a109873a674e9e5e231c1909c6f3dae6",

@@ -414,6 +414,18 @@ class TestClassifierObjective:
         _, macro_f = obj.fit_score(x)
         assert obj(x) == pytest.approx(1.0 - macro_f)
 
+    def test_wrong_length_point_raises(self, corpus_csv):
+        # a short point must not decode to a partial dict, nor a long one
+        # lose its last coordinate and be scored
+        space = default_tuning_space()
+        obj = classifier_objective(load_corpus(corpus_csv), space)
+        x = space.encode({"min_doc_freq": 1, "max_terms": 200,
+                          "use_stemming": True, "nb_smoothing": 1.0})
+        for bad in (x[:2], np.append(x, 1.0)):
+            for call in (space.decode, obj, obj.fit_score):
+                with pytest.raises(ValueError):
+                    call(bad)
+
     def test_non_positive_smoothing_scores_worst(self, corpus_csv):
         # a config space may reach nb_smoothing <= 0, where the log likelihoods
         # would take the log of zero or of a negative number

@@ -13,7 +13,7 @@ search is the one-sample-at-a-time loop, run on every benchmark at budgets 1,
 
 A signed-zero floor plateau (``TIES``) runs every runner and random search
 on whole floors of ties: each reports the first evaluated point of the
-lowest value, with the sign of its zero (HRAHA: its lowest tied slot).
+lowest value, with the sign of its zero.
 
 The grid covers every benchmark, dims 1, 2, 3, 5 and 10 (an unpaired
 trailing coordinate for territorial foraging at odd dims, and diagonal flight
@@ -234,8 +234,6 @@ def reference_hraha(fn, lower, upper, n, T, rng):
                             "move_closer"), 0)
     history = []
     last_migration = 0
-    b = first_min(F)
-    inc_x, inc_f = X[b], F[b]
     box_scale = 0.3 * float(np.mean(upper - lower))
     for t in range(T):
         alpha = alpha_for(F, t, T)
@@ -274,15 +272,8 @@ def reference_hraha(fn, lower, upper, n, T, rng):
             else:
                 counts["move_closer"] += 1
                 move_closer(X, F, rng, score, lower, upper)
-
-        b = first_min(F)
-        if F[b] > inc_f:
-            w = first_max(F)
-            X[w], F[w] = inc_x, inc_f
-        else:
-            inc_x, inc_f = X[b], F[b]
-        history.append(inc_f)
-    return inc_x, float(inc_f), history, score.count, counts
+        history.append(score.best_f)
+    return score.best_x, score.best_f, history, score.count, counts
 
 
 def reference_rfo(fn, lower, upper, n, T, rng):
