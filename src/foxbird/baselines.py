@@ -51,7 +51,7 @@ def run_rfo(obj, space: SearchSpace, pop_size: int, max_iters: int,
     history = []
     local = LocalMoves(space)
     for _ in range(max_iters):
-        step_toward(pop, pop.best.position, rng.random(len(pop))[:, None], space, counted)
+        step_toward(pop, rng.random(len(pop))[:, None], space, counted)
         for i in range(len(pop)):
             if rng.random() > 0.75:
                 local.stay(i, rng)

@@ -193,6 +193,8 @@ class HyperparamDim:
         return float(value)
 
     def decode(self, x: float):
+        if not math.isfinite(x):
+            raise ValueError(f"dimension {self.name!r} got a non-finite coordinate {x!r}")
         if self.kind == "continuous":
             return float(min(max(x, self.lo), self.hi))
         if self.kind == "integer":

@@ -169,25 +169,24 @@ def flight_mask(kind: str, dims: int, rng) -> np.ndarray:
     raise ValueError(f"unknown flight kind {kind!r}")
 
 
-def step_toward(pop: Population, target: np.ndarray, step: np.ndarray,
-                space: SearchSpace, obj) -> None:
-    """Move every member ``step`` of the way toward ``target``; greedy accept.
+def step_toward(pop: Population, step: np.ndarray, space: SearchSpace, obj) -> None:
+    """Move every member ``step`` of the way toward ``pop.best``, read once
+    before any accept; greedy accept.
 
     The candidates are one clamped matrix (``step`` broadcasts against the
     ``(n, d)`` positions), evaluated as one batch and accepted in member
     order: the move of the global step and of RFO's guided move."""
     P = pop.positions()
-    accept_rows(pop, clamp(P + step * (target - P), space), obj)
+    accept_rows(pop, clamp(P + step * (pop.best.position - P), space), obj)
 
 
-def global_search_step(pop: Population, best: Individual, alpha: float,
-                       flight: str, rng, space: SearchSpace, obj) -> None:
-    """Move every member toward the best along the flight mask; greedy accept.
+def global_search_step(pop: Population, alpha: float, flight: str, rng,
+                       space: SearchSpace, obj) -> None:
+    """Move every member toward ``pop.best`` along the flight mask; greedy accept.
 
     The step is ``alpha * g * mask`` per member, with g a standard normal
-    draw. The masks draw from ``rng`` in the same order as one
-    ``flight_mask`` call per member."""
-    rng = make_rng(rng)
+    draw. ``rng`` is the run's Generator; the masks draw from it in the same
+    order as one ``flight_mask`` call per member."""
     n, d = len(pop), space.dims
     g = rng.standard_normal(n)
     if flight == OMNIDIRECTIONAL:
@@ -197,7 +196,7 @@ def global_search_step(pop: Population, best: Individual, alpha: float,
         masks[np.arange(n), rng.integers(0, d, size=n)] = 1.0
     else:
         masks = np.array([flight_mask(flight, d, rng) for _ in range(n)])
-    step_toward(pop, best.position, alpha * g[:, None] * masks, space, obj)
+    step_toward(pop, alpha * g[:, None] * masks, space, obj)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +314,6 @@ def migrate_worst(pop: Population, space: SearchSpace, rng, last_migration: int,
     """
     if current_iter - last_migration < M:
         return False, None
-    rng = make_rng(rng)
     w = pop.worst_index
     r = rng.random(space.dims)
     pos = space.lower + r * (space.upper - space.lower)
@@ -361,7 +359,6 @@ def move_closer_reproduce(pop: Population, rng, space: SearchSpace, obj) -> None
     the alpha couple's habitat or crossover/mutation offspring."""
     if len(pop) < 4:
         raise ValueError("population size must be >= 4")
-    rng = make_rng(rng)
     fits = pop.fitnesses()
     order = np.argsort(fits, kind="stable")
     a1, a2 = int(order[0]), int(order[1])
@@ -408,7 +405,7 @@ def run(obj, space: SearchSpace, pop_size: int, max_iters: int, rng) -> Optimiza
         alpha = compute_alpha(pop, t, max_iters)
         flight = select_flight(alpha)
         counts[flight] += 1
-        global_search_step(pop, pop.best, alpha, flight, rng, space, counted)
+        global_search_step(pop, alpha, flight, rng, space, counted)
 
         deltas = rng.random(len(pop))
         for i, delta in enumerate(deltas):

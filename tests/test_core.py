@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from foxbird import baselines, harness, hraha, kernels
 from foxbird.core import (
     CountingObjective,
     Individual,
@@ -411,3 +412,49 @@ class TestClamp:
         space = SearchSpace([-1, 0, 2], [1, 5, 3])
         out = clamp(np.array(vals), space)
         assert np.all(out >= space.lower) and np.all(out <= space.upper)
+
+
+def canon(value):
+    """A comparable form of a result, exact to the bit: arrays as their
+    bytes, floats by ``repr`` (the sign of a zero included)."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if hasattr(value, "__dict__"):  # a dataclass: a result, population, corpus or weights
+        value = vars(value)
+    if isinstance(value, dict):
+        return tuple((k, canon(v)) for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return tuple(canon(v) for v in value)
+    return repr(value)
+
+
+SEEDED_BOX = SearchSpace([-3.0] * 3, [3.0] * 3)
+
+# every entry point where a run or a sample starts, called with a seed; each
+# normalises it with make_rng (the per-step operators take the run's Generator)
+SEEDED = {
+    "hraha.run": lambda seed, csv: hraha.run(sphere, SEEDED_BOX, 6, 5, seed),
+    "baselines.run_rfo": lambda seed, csv: baselines.run_rfo(sphere, SEEDED_BOX, 6, 5, seed),
+    "baselines.run_aha": lambda seed, csv: baselines.run_aha(sphere, SEEDED_BOX, 6, 5, seed),
+    "baselines.run_pso": lambda seed, csv: baselines.run_pso(sphere, SEEDED_BOX, 6, 5, seed),
+    "harness.run_method": lambda seed, csv: harness.run_method(
+        "hraha", sphere, SEEDED_BOX, 6, 5, seed),
+    "harness.run_random_search": lambda seed, csv: harness.run_random_search(
+        sphere, SEEDED_BOX, 20, seed),
+    "core.init_population": lambda seed, csv: init_population(SEEDED_BOX, 6, seed, sphere),
+    "harness.load_corpus": lambda seed, csv: harness.load_corpus(csv, seed=seed),
+    "kernels.gumbel_softmax_st": lambda seed, csv: kernels.gumbel_softmax_st(
+        np.arange(12.0).reshape(3, 4), 0.5, seed),
+    "kernels.AttentionWeights.random": lambda seed, csv: kernels.AttentionWeights.random(
+        4, 2, seed),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 12345])
+@pytest.mark.parametrize("entry", list(SEEDED))
+def test_entry_point_accepts_int_seed_sequence_and_generator(entry, seed, corpus_csv):
+    call = SEEDED[entry]
+    want = canon(call(seed, corpus_csv))
+    assert canon(call(np.random.SeedSequence(seed), corpus_csv)) == want
+    assert canon(call(make_rng(seed), corpus_csv)) == want
+    assert canon(call(seed + 1, corpus_csv)) != want  # the seed is not ignored

@@ -426,6 +426,21 @@ class TestClassifierObjective:
                 with pytest.raises(ValueError):
                     call(bad)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["min_doc_freq", "use_stemming", "nb_smoothing"])
+    def test_non_finite_coordinate_names_its_dimension(self, corpus_csv, name, value):
+        # an integer, a categorical and a continuous dimension: a NaN must not
+        # be scored (nor fail to convert to int), and +-inf must not overflow
+        # or clamp
+        space = default_tuning_space()
+        obj = classifier_objective(load_corpus(corpus_csv), space)
+        x = space.encode({"min_doc_freq": 1, "max_terms": 200,
+                          "use_stemming": True, "nb_smoothing": 1.0})
+        x[[d.name for d in space.dims].index(name)] = value
+        for call in (space.decode, obj, obj.fit_score):
+            with pytest.raises(ValueError, match=f"dimension '{name}' got a non-finite"):
+                call(x)
+
     def test_non_positive_smoothing_scores_worst(self, corpus_csv):
         # a config space may reach nb_smoothing <= 0, where the log likelihoods
         # would take the log of zero or of a negative number

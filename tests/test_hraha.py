@@ -141,8 +141,7 @@ class TestGlobalSearchStep:
     def test_member_at_best_unchanged(self):
         space = SearchSpace([-5, -5], [5, 5])
         pop = evaluated([np.array([0.0, 0.0]), np.array([2.0, 0.0])])
-        global_search_step(pop, pop.best, 0.7, OMNIDIRECTIONAL,
-                           make_rng(1), space, sphere)
+        global_search_step(pop, 0.7, OMNIDIRECTIONAL, make_rng(1), space, sphere)
         assert np.array_equal(pop.members[0].position, [0.0, 0.0])
         assert pop.members[0].fitness == 0.0
 
@@ -150,25 +149,26 @@ class TestGlobalSearchStep:
         space = SearchSpace([-5, -5], [5, 5])
         pop = evaluated([np.array([1.0, 2.0]), np.array([2.0, -1.0])])
         before = pop.positions()
-        global_search_step(pop, pop.best, 0.0, OMNIDIRECTIONAL,
-                           make_rng(1), space, sphere)
+        global_search_step(pop, 0.0, OMNIDIRECTIONAL, make_rng(1), space, sphere)
         assert np.array_equal(pop.positions(), before)
 
     def test_axial_hand_case(self):
         # each member moves alpha * g toward the best along one drawn axis
-        # only; a flat objective makes the greedy rule accept every move
+        # only; a flat objective makes the greedy rule accept every move and
+        # makes slot 0, the lowest of the tied slots, the best
         space = SearchSpace([-50.0] * 3, [50.0] * 3)
-        start = np.array([[2.0, -1.0, 3.0], [-2.0, 4.0, 1.0], [1.0, 1.0, -3.0]])
-        best = Individual(np.array([0.5, 0.5, 0.5]), 0.0)
+        start = np.array([[0.5, 0.5, 0.5], [2.0, -1.0, 3.0], [-2.0, 4.0, 1.0],
+                          [1.0, 1.0, -3.0]])
+        best = start[0]
         pop = evaluated(list(start), lambda x: 0.0)
         rng = make_rng(5)
         twin = copy.deepcopy(rng)
-        global_search_step(pop, best, 0.5, AXIAL, rng, space, lambda x: 0.0)
-        g = twin.standard_normal(3)
+        global_search_step(pop, 0.5, AXIAL, rng, space, lambda x: 0.0)
+        g = twin.standard_normal(4)
         for i, x in enumerate(start):
             axis = int(twin.integers(0, 3))
             expected = x.copy()
-            expected[axis] += 0.5 * g[i] * (best.position[axis] - x[axis])
+            expected[axis] += 0.5 * g[i] * (best[axis] - x[axis])
             assert np.array_equal(pop.members[i].position, expected)
 
     def test_greedy_never_worsens(self):
@@ -176,7 +176,7 @@ class TestGlobalSearchStep:
         rng = make_rng(11)
         pop = evaluated([rng.uniform(-5, 5, 4) for _ in range(8)])
         before = pop.fitnesses()
-        global_search_step(pop, pop.best, 0.8, DIAGONAL, rng, space, sphere)
+        global_search_step(pop, 0.8, DIAGONAL, rng, space, sphere)
         assert np.all(pop.fitnesses() <= before)
 
 
@@ -224,7 +224,7 @@ class TestMatchesMemberByMemberReference:
             pops = [evaluated(list(positions)) for _ in range(2)]
             rngs = [make_rng(1000 + seed), make_rng(1000 + seed)]
             best = pops[0].best
-            global_search_step(pops[0], best, alpha, flight, rngs[0], space, sphere)
+            global_search_step(pops[0], alpha, flight, rngs[0], space, sphere)
             global_search_step_loop(pops[1], best, alpha, flight, rngs[1], space, sphere)
             assert bits(pops[0].positions()) == bits(pops[1].positions())
             assert bits(pops[0].fitnesses()) == bits(pops[1].fitnesses())
@@ -238,8 +238,7 @@ class TestMatchesMemberByMemberReference:
             positions = make_rng(seed).uniform(-5, 5, (9, dims))
             pops = [evaluated(list(positions)) for _ in range(2)]
             rngs = [make_rng(1000 + seed), make_rng(1000 + seed)]
-            step_toward(pops[0], pops[0].best.position, rngs[0].random(9)[:, None],
-                        space, sphere)
+            step_toward(pops[0], rngs[0].random(9)[:, None], space, sphere)
             rfo_guided_move_loop(pops[1], rngs[1], space, sphere)
             assert bits(pops[0].positions()) == bits(pops[1].positions())
             assert bits(pops[0].fitnesses()) == bits(pops[1].fitnesses())
@@ -750,7 +749,7 @@ def test_no_step_raises_the_population_best(dims, n, objective, bad, worst_fract
         for t in range(rounds):
             alpha = compute_alpha(pop, t, rounds)
             flight = FLIGHT_KINDS[int(rng.integers(3))]
-            step(lambda: global_search_step(pop, pop.best, alpha, flight, rng, space, obj))
+            step(lambda: global_search_step(pop, alpha, flight, rng, space, obj))
             for i, u in enumerate(rng.random(n)):
                 if u < 1 / 3:
                     local.stay(i, rng)
@@ -788,9 +787,9 @@ WRITERS = {
     "accept_rows": lambda pop, rng, space, obj: accept_rows(
         pop, clamp(pop.positions() * rng.random((len(pop), 1)), space), obj),
     "step_toward": lambda pop, rng, space, obj: step_toward(
-        pop, pop.best.position, rng.random(len(pop))[:, None], space, obj),
+        pop, rng.random(len(pop))[:, None], space, obj),
     "global_search_step": lambda pop, rng, space, obj: global_search_step(
-        pop, pop.best, 0.7, OMNIDIRECTIONAL, rng, space, obj),
+        pop, 0.7, OMNIDIRECTIONAL, rng, space, obj),
     "LocalMoves.flush": queued_flush,
     "migrate_worst": lambda pop, rng, space, obj: migrate_worst(
         pop, space, rng, 0, 40, 40, obj),
