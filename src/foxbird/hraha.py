@@ -114,8 +114,8 @@ class OptimizationResult:
 # ---------------------------------------------------------------------------
 
 def _gaps(fits: np.ndarray, f_best, f_worst):
-    """How far the mean and the worst of the fitnesses lie above the best."""
-    return fits.mean() - f_best, f_worst - f_best
+    """How far the mean (as ``ndarray.mean`` takes it) and the worst lie above the best."""
+    return fits.sum() / fits.size - f_best, f_worst - f_best
 
 
 def compute_alpha(pop: Population, t: int, T: int) -> float:
@@ -123,8 +123,8 @@ def compute_alpha(pop: Population, t: int, T: int) -> float:
     schedule; clamped to [0, 1]. Where the fitnesses' mean or range
     overflows, the spread is taken on them divided by a power of two near
     their largest magnitude, which scales both exactly (barring subnormals)."""
-    fits = pop.fitnesses()
-    fits = fits[np.isfinite(fits)]  # members stored at +inf take no part
+    # members stored at +inf (or NaN or -inf) take no part
+    fits = np.array([m.fitness for m in pop.members if math.isfinite(m.fitness)], dtype=float)
     spread = 0.0  # ... and with no finite member only the schedule counts
     if fits.size:
         f_best, f_worst = fits.min(), fits.max()
@@ -245,10 +245,11 @@ def territorial_foraging(position: np.ndarray, lam, r, phi, phi0, theta,
     d = position.shape[-1]
     lam = np.asarray(lam, dtype=float)[..., None]
     r, phi, phi0, theta = (np.asarray(v, dtype=float) for v in (r, phi, phi0, theta))
-    radial = r * np.cos(phi) + theta * np.cos(phi0)
+    cos_phi = np.cos(phi)
+    radial = r * cos_phi + theta * np.cos(phi0)
     out = position.copy()
     # a scalar parameter leaves the products one wide; they broadcast per pair
-    out[..., 0::2] += lam * np.cos(phi) * radial
+    out[..., 0::2] += lam * cos_phi * radial
     out[..., 1::2] += (lam * np.sin(phi) * radial)[..., : d // 2]
     return clamp(out, space)
 
@@ -356,24 +357,23 @@ def mutate(child: np.ndarray, C: np.ndarray, r2: float) -> np.ndarray:
 
 def move_closer_reproduce(pop: Population, rng, space: SearchSpace, obj) -> None:
     """Replace the worst share of the population with nomads spawned around
-    the alpha couple's habitat or crossover/mutation offspring."""
+    the alpha couple's habitat or crossover/mutation offspring. A nomad is drawn
+    in the box cut to ``C +- sqrt(habitat_size) / 2``, per coordinate as
+    ``lo + (hi - lo) * rng.random(d)`` (``rng.uniform``'s stream); ``lo`` if zero-width."""
     if len(pop) < 4:
         raise ValueError("population size must be >= 4")
-    fits = pop.fitnesses()
-    order = np.argsort(fits, kind="stable")
-    a1, a2 = int(order[0]), int(order[1])
-    C = habitat_center(pop.members[a1].position, pop.members[a2].position)
-    D = habitat_size(pop.members[a1].position, pop.members[a2].position, C)
-    s = math.sqrt(D)
-    lo = np.maximum(space.lower, C - s / 2)
-    hi = np.minimum(space.upper, C + s / 2)
+    order = np.argsort(pop.fitnesses(), kind="stable")
+    p1, p2 = pop.members[order[0]].position, pop.members[order[1]].position
+    C = habitat_center(p1, p2)
     k = max(1, int(math.floor(WORST_FRACTION * len(pop))))
-    worst = [int(i) for i in order[len(pop) - k:]]
-    non_alpha = np.sort(order[2:])
-    for w in worst:
+    for w in order[len(pop) - k:]:
         if rng.random() < NOMAD_PROBABILITY:
-            pos = np.where(hi > lo, rng.uniform(lo, np.maximum(hi, lo + 1e-300)), lo)
+            s = math.sqrt(habitat_size(p1, p2, C))
+            lo = np.maximum(space.lower, C - s / 2)
+            hi = np.minimum(space.upper, C + s / 2)
+            pos = np.where(hi > lo, lo + (hi - lo) * rng.random(space.dims), lo)
         else:
+            non_alpha = np.sort(order[2:])
             p, q = rng.choice(len(non_alpha), size=2, replace=False)
             r1 = float(rng.random())
             r2 = float(rng.random())

@@ -44,7 +44,7 @@ from foxbird.hraha import (
     territorial_foraging,
 )
 
-from test_reference_runners import stay_move, territorial_move
+from test_reference_runners import move_closer, stay_move, territorial_move
 from test_registry import NON_FINITE, Injecting
 
 
@@ -98,6 +98,61 @@ class TestComputeAlpha:
         spread = (fits.mean() - fits.min()) / (fits.max() - fits.min() + 1e-12)
         want = hraha.OMEGA * spread + (1 - hraha.OMEGA) * (1 - 3 / 10)
         assert compute_alpha(pop_with_fitnesses(fits), 3, 10) == want
+
+    @pytest.mark.parametrize("fits", [
+        [3.0, math.inf, 1.0, 2.5],
+        [math.nan, 0.5, 2.0, 7.0],
+        [1.0, -math.inf, 4.0, 0.25],
+        [math.inf, math.nan, -math.inf, 1.0, 2.0, 8.0],
+        [math.inf, math.nan, -math.inf],
+        [math.inf, math.inf],
+        [1.5e308, math.nan, 1.5e308, -1.0e308, -math.inf],
+        [1.0e308, 1.5e308, math.inf, 1.7e308],
+    ], ids=["inf", "nan", "minus-inf", "mixed", "all-non-finite", "all-inf",
+            "near-max-with-nan", "near-max-with-inf"])
+    @pytest.mark.parametrize("t", [0, 4, 9])
+    def test_matches_the_frozen_formula_with_non_finite_members(self, fits, t):
+        # only finite members take part: a NaN or -inf member must be left
+        # out as +inf is, and at t = 0 the schedule alone gives alpha >= 0.5
+        pop = pop_with_fitnesses(fits)
+        assert bits(compute_alpha(pop, t, 10)) == bits(frozen_compute_alpha(pop, t, 10))
+
+    def test_matches_the_frozen_formula_on_random_fitnesses(self):
+        rng = make_rng(17)
+        special = [math.inf, math.nan, -math.inf, 0.0, -0.0, 1.7e308, -1.7e308]
+        for _ in range(500):
+            n = int(rng.integers(1, 12))
+            fits = list(rng.standard_normal(n) * 10.0 ** rng.integers(-300, 308, n))
+            for i in np.flatnonzero(rng.random(n) < 0.2):
+                fits[i] = special[rng.integers(len(special))]
+            pop = pop_with_fitnesses(fits)
+            t = int(rng.integers(0, 10))
+            assert bits(compute_alpha(pop, t, 10)) == bits(frozen_compute_alpha(pop, t, 10))
+
+
+def frozen_compute_alpha(pop, t, T):
+    """``compute_alpha`` as it was when it filtered ``pop.fitnesses()`` with
+    ``np.isfinite`` and took the mean with ``ndarray.mean``: a frozen copy."""
+    def gaps(fits, f_best, f_worst):
+        return fits.mean() - f_best, f_worst - f_best
+
+    fits = pop.fitnesses()
+    fits = fits[np.isfinite(fits)]
+    spread = 0.0
+    if fits.size:
+        f_best, f_worst = fits.min(), fits.max()
+        big = max(-float(f_best), float(f_worst))
+        if math.isfinite(2 * big * fits.size):
+            mean_gap, worst_gap = gaps(fits, f_best, f_worst)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean_gap, worst_gap = gaps(fits, f_best, f_worst)
+            if not (math.isfinite(mean_gap) and math.isfinite(worst_gap)):
+                fits = np.ldexp(fits, -math.frexp(big)[1])
+                mean_gap, worst_gap = gaps(fits, fits.min(), fits.max())
+        spread = mean_gap / (worst_gap + 1e-12)
+    alpha = hraha.OMEGA * spread + (1 - hraha.OMEGA) * (1 - t / T)
+    return float(min(1.0, max(0.0, alpha)))
 
 
 class TestSelectFlight:
@@ -660,6 +715,115 @@ class TestMoveCloser:
         pop.members.pop()
         with pytest.raises(ValueError):
             move_closer_reproduce(pop, make_rng(0), self.SPACE, sphere)
+
+    def test_matches_the_frozen_operator_on_random_boxes(self):
+        # the nomad draw against the parent's ``rng.uniform`` on a guarded
+        # range: the same bytes, and the generator left in the same state
+        rng = make_rng(2024)
+        kinds = set()
+        for _ in range(1500):
+            space, X, F, couple = move_closer_case(rng)
+            seed = int(rng.integers(2**32))
+            kinds.update((couple, kind) for kind in drawn_kinds(make_rng(seed), len(X), space.dims))
+            pop = Population([Individual(x, f) for x, f in zip(X, F)])
+            mine, frozen = make_rng(seed), make_rng(seed)
+            move_closer_reproduce(pop, mine, space, sphere)
+            move_closer(X, F, frozen, sphere, space.lower, space.upper)
+            assert [bits(m.position) for m in pop.members] == [bits(x) for x in X]
+            assert bits([m.fitness for m in pop.members]) == bits(F)
+            assert mine.random() == frozen.random()
+        assert kinds == {(c, k) for c in COUPLES for k in ("nomad", "child")}
+
+    def test_coincident_couple_at_negative_zero_spawns_at_negative_zero(self, monkeypatch):
+        # the cut box is [-0.0, +0.0] on every coordinate: lo + 0 * u would be +0.0
+        monkeypatch.setattr(hraha, "NOMAD_PROBABILITY", 1.0)
+        pop = evaluated([np.full(3, -0.0), np.full(3, -0.0), np.full(3, 2.0), np.full(3, 3.0)])
+        move_closer_reproduce(pop, make_rng(1), self.SPACE, sphere)
+        assert bits(pop.members[3].position) == bits(np.full(3, -0.0))
+
+    def test_a_coordinate_narrower_than_1e_300_is_drawn_across_it(self):
+        # the couple cuts [-5, 5] x [0, 5e-301] to [-sqrt 2, sqrt 2] x [0, 5e-301];
+        # the parent widened the second range to [0, 1e-300) and clamped about
+        # half its draws onto 5e-301, a declared change
+        space = SearchSpace([-5.0, 0.0], [5.0, 5e-301])
+        positions = [np.array([x, 0.0]) for x in (-1.0, 1.0, 2.0, 3.0)]
+        piled = nomads = 0
+        for seed in range(60):
+            if drawn_kinds(make_rng(seed), 4, 2) != ["nomad"]:
+                continue
+            nomads += 1
+            stream = make_rng(seed)
+            stream.random()
+            u = stream.random(2)
+            pop = evaluated(positions)
+            move_closer_reproduce(pop, make_rng(seed), space, sphere)
+            drawn = pop.members[3].position[1]
+            assert drawn == 5e-301 * u[1] and 0.0 <= drawn <= 5e-301
+            X, F = [p.copy() for p in positions], [sphere(p) for p in positions]
+            move_closer(X, F, make_rng(seed), sphere, space.lower, space.upper)
+            piled += X[3][1] == 5e-301
+        assert nomads >= 20 and 0 < piled < nomads
+
+    def test_two_replacements_draw_a_nomad_and_a_child(self):
+        seed = next(s for s in range(100)
+                    if sorted(drawn_kinds(make_rng(s), 40, 3)) == ["child", "nomad"])
+        pop = self._pop(40)  # WORST_FRACTION 0.05 of 40 members: two
+        X, F = [m.position for m in pop.members], [m.fitness for m in pop.members]
+        mine, frozen = make_rng(seed), make_rng(seed)
+        move_closer_reproduce(pop, mine, self.SPACE, sphere)
+        move_closer(X, F, frozen, sphere, self.SPACE.lower, self.SPACE.upper)
+        assert [bits(m.position) for m in pop.members] == [bits(x) for x in X]
+        assert bits([m.fitness for m in pop.members]) == bits(F)
+        assert mine.random() == frozen.random()
+
+
+def drawn_kinds(rng, n, d):
+    """The kinds, "nomad" or "child", that ``move_closer_reproduce`` draws
+    from ``rng`` for ``n`` members in ``d`` dimensions, in replacement order."""
+    kinds = []
+    for _ in range(max(1, int(math.floor(hraha.WORST_FRACTION * n)))):
+        if rng.random() < hraha.NOMAD_PROBABILITY:
+            kinds.append("nomad")
+            rng.random(d)
+        else:
+            kinds.append("child")
+            rng.choice(n - 2, size=2, replace=False)
+            rng.random()
+            rng.random()
+    return kinds
+
+
+COUPLES = ("apart", "ulp-apart", "coincident", "on-bounds", "at-minus-zero")
+
+
+def move_closer_case(rng):
+    """A box with bounds at +-0.0 on some coordinates, and members whose
+    alpha couple (slots 0 and 1) is one of ``COUPLES``. A couple an ulp apart
+    cuts zero-width coordinates wherever its center is far from zero, and
+    non-zero ones where it is near; a coincident couple cuts a point."""
+    d = int(rng.integers(1, 6))
+    n = int(rng.choice([4, 5, 40]))
+    lower, upper = -rng.uniform(0.5, 10, d), rng.uniform(0.5, 10, d)
+    zeros = rng.integers(0, 5, d)
+    lower[zeros == 0], lower[zeros == 1] = -0.0, 0.0
+    upper[zeros == 2], upper[zeros == 3] = -0.0, 0.0
+    X = list(rng.uniform(lower, upper, size=(n, d)))
+    couple = COUPLES[rng.integers(len(COUPLES))]
+    if couple == "ulp-apart":
+        near = rng.random(d) < 0.4
+        X[0][near] = np.clip(1e-20 * rng.standard_normal(d), lower, upper)[near]
+        X[1] = X[0].copy()
+        j = rng.integers(d)
+        X[1][j] = np.nextafter(X[0][j], upper[j])
+    elif couple == "coincident":
+        X[1] = X[0].copy()
+    elif couple == "on-bounds":
+        X[0] = np.where(rng.random(d) < 0.5, lower, upper)
+        X[1] = X[0].copy()
+    elif couple == "at-minus-zero":
+        X[0], X[1] = np.full(d, -0.0), np.full(d, -0.0)
+    F = [0.0, float(rng.choice([0.0, 0.5]))] + list(rng.uniform(1, 2, n - 2))
+    return SearchSpace(lower, upper), X, F, couple
 
 
 class TestRun:
