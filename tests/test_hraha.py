@@ -717,7 +717,7 @@ class TestMoveCloser:
             move_closer_reproduce(pop, make_rng(0), self.SPACE, sphere)
 
     def test_matches_the_frozen_operator_on_random_boxes(self):
-        # the nomad draw against the parent's ``rng.uniform`` on a guarded
+        # the nomad draw against the frozen ``rng.uniform`` on a guarded
         # range: the same bytes, and the generator left in the same state
         rng = make_rng(2024)
         kinds = set()
@@ -743,7 +743,7 @@ class TestMoveCloser:
 
     def test_a_coordinate_narrower_than_1e_300_is_drawn_across_it(self):
         # the couple cuts [-5, 5] x [0, 5e-301] to [-sqrt 2, sqrt 2] x [0, 5e-301];
-        # the parent widened the second range to [0, 1e-300) and clamped about
+        # the frozen copy widened the second range to [0, 1e-300) and clamped about
         # half its draws onto 5e-301, a declared change
         space = SearchSpace([-5.0, 0.0], [5.0, 5e-301])
         positions = [np.array([x, 0.0]) for x in (-1.0, 1.0, 2.0, 3.0)]
