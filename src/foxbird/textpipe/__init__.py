@@ -54,7 +54,9 @@ def clean_text(raw: str) -> str:
     collapse whitespace. Stop-word removal is a separate stage."""
     if not isinstance(raw, str):
         raise ValueError("clean_text expects a str")
-    text = _CONTRACTION_RE.sub(lambda m: _CONTRACTIONS[m.group(0)], raw.lower())
+    text = raw.lower()
+    if "'" in text:  # every contraction has one
+        text = _CONTRACTION_RE.sub(lambda m: _CONTRACTIONS[m.group(0)], text)
     text = _NON_ALNUM.sub(" ", text)
     return _WS.sub(" ", text).strip()
 

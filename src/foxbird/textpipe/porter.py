@@ -3,11 +3,19 @@ rule tables.
 
 Every condition of the rules is read from one [C](VC)^m[V] form of the
 word, which ``_cv`` spells as one "c" or "v" per letter.
+
+``stem`` is a pure function of its string, so it is memoised process-wide
+in a bounded least-recently-used table of ``_MEMO_SIZE`` words: a corpus's
+vocabulary is stemmed once however many times it is prepared.
 """
 
 from __future__ import annotations
 
+import functools
+
 __all__ = ["stem"]
+
+_MEMO_SIZE = 1 << 16  # words; see stem
 
 
 def _cv(word: str) -> str:
@@ -60,8 +68,11 @@ _STEP4 = [
 ]
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def stem(token: str) -> str:
-    """Stem a lowercase alphabetic token; anything else passes through."""
+    """Stem a lowercase alphabetic token; anything else passes through.
+    Memoised (``stem.cache_info()``, ``stem.__wrapped__``), so the token
+    must be hashable."""
     word = token
     if len(word) <= 2 or not word.isalpha() or not word.isascii():
         return word

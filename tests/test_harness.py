@@ -775,6 +775,31 @@ class TestClassifierObjective:
             got = fit_score(obj.fit_score, space.encode(params))
             assert got == want[tuple(params.items())], params
 
+    @pytest.mark.parametrize("corpus_name", ["corpus_csv", "graded_corpus_csv"])
+    def test_a_second_objective_stems_nothing_and_prepares_the_same_bits(self, corpus_name,
+                                                                          request):
+        # stem is memoised for the process: an objective built again on the
+        # same corpus stems no word afresh, and prepares (bits and layout)
+        # and scores exactly as the first did
+        corpus = load_corpus(request.getfixturevalue(corpus_name))
+        space = default_tuning_space()
+        textpipe.stem.cache_clear()
+        first = classifier_objective(corpus, space)
+        misses = textpipe.stem.cache_info().misses
+        assert misses > 0
+        second = classifier_objective(corpus, space)
+        assert textpipe.stem.cache_info().misses == misses
+        preps = [inspect.getclosurevars(o.fit_score).nonlocals["prep"] for o in (first, second)]
+        assert list(preps[0].variants) == list(preps[1].variants) == [False, True]
+        for stemmed in (False, True):
+            a, b = (p.variants[stemmed] for p in preps)
+            assert ([(x.dtype, x.shape, layout(x), x.tobytes()) for x in a]
+                    == [(x.dtype, x.shape, layout(x), x.tobytes()) for x in b])
+        box = space.to_box()
+        points = make_rng(23).uniform(box.lower, box.upper, size=(60, box.dims))
+        assert {space.decode(x)["use_stemming"] for x in points} == {False, True}
+        assert [first(x).hex() for x in points] == [second(x).hex() for x in points]
+
     def test_prefix_memo_is_bounded_read_only_and_dies_with_its_objective(self,
                                                                           graded_corpus_csv):
         # The memo is keyed by (use_stemming, min_doc_freq) alone, whatever

@@ -2,7 +2,8 @@
 search, keeps the result invariants when the objective returns non-finite
 values, gives the same run through an objective's ``batch`` as through its
 scalar calls, and every module attribute the benchmark's trace wraps exists
-and is looked up at call time."""
+and is looked up at call time. Every method but HRAHA also runs alike on a
+strictly increasing transform of the objective."""
 
 import math
 from pathlib import Path
@@ -158,6 +159,55 @@ def test_invariants_with_values_near_the_largest_float(method, dims, pop_size, i
     assert np.all(space.lower <= res.best_position)
     assert np.all(res.best_position <= space.upper)
     assert res.evaluations == obj.count
+
+
+TRANSFORMS = {
+    "double": lambda v: 2 * v,
+    "power-of-two scale": lambda v: v * 2**-7,
+    "cube": lambda v: v**3,
+    "log1p": math.log1p,
+}
+
+
+class Transformed:
+    """``tf`` of a benchmark's value at each point, noting every value of
+    the benchmark it saw."""
+
+    def __init__(self, bench, tf, seen: set):
+        self.bench, self.tf, self.seen = bench, tf, seen
+
+    def __call__(self, x) -> float:
+        v = self.bench(x)
+        self.seen.add(v)
+        return self.tf(v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(method=st.sampled_from(("rfo", "aha", "pso", "random")),
+       function=st.sampled_from(sorted(BENCHMARKS)), transform=st.sampled_from(sorted(TRANSFORMS)),
+       dims=st.integers(1, 5), pop_size=st.integers(4, 8), iterations=st.integers(1, 10),
+       seed=st.integers(0, 2**32 - 1))
+def test_run_is_invariant_under_a_strictly_increasing_transform(method, function, transform,
+                                                                 dims, pop_size, iterations,
+                                                                 seed):
+    # Every decision RFO, AHA, PSO and random search make compares values, so
+    # on tf(f(x)) they visit the same points and report tf of the same
+    # history. HRAHA is left out: its alpha reads the fitnesses' magnitudes
+    # (compute_alpha's spread, with an absolute floor), so even an exact
+    # power-of-two scale moves alpha's last bits and with them the run.
+    bench, tf = BENCHMARKS[function], TRANSFORMS[transform]
+    space = bench.space(dims)
+    seen = set()
+    base = run(method, Transformed(bench, lambda v: v, seen), space, pop_size, iterations, seed)
+    moved = run(method, Transformed(bench, tf, seen), space, pop_size, iterations, seed)
+    # the premise: tf told apart every value the two runs saw (runs stay
+    # short: a population that has converged gives log1p values it merges)
+    assert len({tf(v) for v in seen}) == len(seen)
+    assert moved.best_position.tobytes() == base.best_position.tobytes()
+    assert moved.evaluations == base.evaluations
+    assert moved.strategy_counts == base.strategy_counts
+    assert [repr(h) for h in moved.history] == [repr(tf(h)) for h in base.history]
+    assert repr(moved.best_fitness) == repr(tf(base.best_fitness))
 
 
 def read_only(fn):

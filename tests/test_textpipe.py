@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from conftest import NEG_WORDS, POS_WORDS, SHARED_WORDS
 
 from foxbird import textpipe
@@ -225,6 +226,32 @@ PINNED_WORDS = {
 }
 
 
+def frozen_clean_text(raw):
+    """``clean_text`` as it was before it skipped the contraction pass on
+    text with no apostrophe, with its own copies of the three patterns."""
+    contraction_re = re.compile(r"\b(" + "|".join(
+        re.escape(k) for k in sorted(textpipe._CONTRACTIONS, key=len, reverse=True)) + r")\b")
+    text = contraction_re.sub(lambda m: textpipe._CONTRACTIONS[m.group(0)], raw.lower())
+    text = re.sub(r"[^0-9a-z]+", " ", text)
+    return re.sub(r"\s+", " ", text).strip()
+
+
+@st.composite
+def mixed_case(draw, words):
+    word = draw(st.sampled_from(words))
+    upper = draw(st.lists(st.booleans(), min_size=len(word), max_size=len(word)))
+    return "".join(c.upper() if u else c for c, u in zip(word, upper))
+
+
+CONTRACTION_TEXT = st.lists(st.one_of(
+    mixed_case(sorted(textpipe._CONTRACTIONS)),
+    st.sampled_from(["'", "''", "\u2019", "`"]),  # bare apostrophes and look-alikes
+    st.sampled_from(list(".,;:!?-_\"()0")),
+    st.sampled_from([" ", "  ", "\t", "\n", "\u00a0"]),
+    mixed_case(["s", "t", "he", "she", "not", "won", "I", "\u0130", "\u00df"]),
+), max_size=12).map("".join)
+
+
 class TestCleanText:
     def test_lowercase_and_punct(self):
         assert clean_text("Hello, World!") == "hello world"
@@ -249,6 +276,15 @@ class TestCleanText:
     def test_non_string_rejected(self):
         with pytest.raises(ValueError):
             clean_text(None)
+
+    def test_every_contraction_has_an_apostrophe(self):
+        # clean_text runs the contraction pass only on text holding one
+        assert all("'" in key for key in textpipe._CONTRACTIONS)
+
+    @settings(max_examples=400, deadline=None)
+    @given(CONTRACTION_TEXT)
+    def test_equals_the_frozen_cleaner(self, raw):
+        assert clean_text(raw) == frozen_clean_text(raw)
 
 
 class TestTokenizeStopwords:
@@ -310,6 +346,19 @@ class TestStemming:
         words = PINNED_WORDS[kind]()
         assert len(words) > 500
         assert [w for w in words if stem(w) != frozen_stem(w)] == []
+
+    @pytest.mark.parametrize("kind", sorted(PINNED_WORDS))
+    def test_memo_answers_as_the_rules_do(self, kind):
+        # each word asked twice, so the second answer comes from the memo
+        words = PINNED_WORDS[kind]()
+        assert stem.cache_info().maxsize >= len(words)
+        for _ in range(2):
+            assert [w for w in words
+                    if not stem(w) == stem.__wrapped__(w) == frozen_stem(w)] == []
+
+    def test_memo_is_bounded(self):
+        maxsize = stem.cache_info().maxsize
+        assert isinstance(maxsize, int) and 0 < maxsize < math.inf
 
     def test_short_words_untouched(self):
         assert stem("is") == "is"
