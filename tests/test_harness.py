@@ -908,6 +908,27 @@ class TestRunners:
                 assert np.array(rows).tobytes() == X.tobytes(), message
                 assert a.bit_generator.state == b.bit_generator.state, message
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tuning_runs_are_the_same_with_and_without_batch(self, corpus_csv, seed):
+        # a lambda hides the objective's batch, so the runners score it one
+        # row at a time; each side gets its own objective, so neither reads
+        # the other's memo
+        corpus = load_corpus(corpus_csv)
+        space = default_tuning_space()
+        box = space.to_box()
+
+        def result_bytes(result):
+            return (result.best_position.tobytes(), result.best_fitness.hex(),
+                    [v.hex() for v in result.history], result.evaluations,
+                    result.strategy_counts)
+
+        runs = {"random": lambda obj: run_random_search(obj, box, 300, make_rng(seed)),
+                "hraha": lambda obj: run_method("hraha", obj, box, 12, 8, child_rng(seed, 0, 0))}
+        for name, run in runs.items():
+            whole = classifier_objective(corpus, space)
+            rows = classifier_objective(corpus, space)
+            assert result_bytes(run(whole)) == result_bytes(run(lambda x: rows(x))), name
+
     @pytest.mark.parametrize("budget", [0, -3])
     def test_random_search_rejects_an_empty_budget(self, budget):
         from foxbird.benchmarks import get_benchmark
