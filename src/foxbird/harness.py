@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import functools
 import io
 import itertools
 import json
@@ -258,14 +257,23 @@ def _class_totals(X: np.ndarray, codes: np.ndarray, n_classes: int) -> np.ndarra
                      for k in range(n_classes)]).reshape(n_classes, X.shape[1])
 
 
-def _nb_log_lik(totals: np.ndarray, smoothing: float) -> np.ndarray:
-    """Naive-Bayes log likelihoods from C-ordered per-class feature totals.
-    The normalisers use ``math.log``, which can differ from ``np.log`` in the
-    last bit."""
+def _nb_log_lik(totals: np.ndarray, smoothing, row_totals=None) -> np.ndarray:
+    """Naive-Bayes log likelihoods from C-ordered per-class feature totals:
+    an ``(m, classes, features)`` stack with one slice per smoothing, for a
+    float or a sequence of ``m`` floats. ``row_totals`` is
+    ``totals.sum(axis=1).tolist()``, for a caller that memoises it.
+
+    Each slice has the bits that smoothing alone gives: ``np.log`` works
+    element by element, and the normalisers use ``math.log`` per slice and
+    class, which can differ from ``np.log`` in the last bit."""
+    smoothings = np.array(smoothing, dtype=float).reshape(-1, 1, 1)
     n_feat = totals.shape[1]
-    log_lik = np.log(totals + smoothing)
-    log_lik -= np.array([math.log(t + smoothing * n_feat)
-                         for t in totals.sum(axis=1).tolist()]).reshape(-1, 1)
+    if row_totals is None:
+        row_totals = totals.sum(axis=1).tolist()
+    log_lik = totals + smoothings
+    np.log(log_lik, out=log_lik)
+    log_lik -= np.array([[math.log(t + s * n_feat) for t in row_totals]
+                         for s in smoothings.ravel().tolist()]).reshape(len(smoothings), -1, 1)
     return log_lik
 
 
@@ -274,13 +282,19 @@ def train_nb(X: np.ndarray, labels: list, classes: list, smoothing: float):
     codes = _codes(labels, classes)
     sizes = np.bincount(codes[codes >= 0], minlength=len(classes))
     return (_log_prior(sizes, X.shape[0]),
-            _nb_log_lik(_class_totals(X, codes, len(classes)), smoothing))
+            _nb_log_lik(_class_totals(X, codes, len(classes)), smoothing)[0])
 
 
 def _nb_codes(X: np.ndarray, log_prior, log_lik) -> np.ndarray:
-    """The class code (row index of ``log_lik``) of each row's highest
-    naive-Bayes score; ties go to the lowest code."""
-    return np.argmax(X @ log_lik.T + log_prior, axis=1)
+    """The class code (row index of a ``log_lik`` slice) of each row's
+    highest naive-Bayes score under each slice of a stack (or under one
+    matrix), slice after slice in one flat array; ties go to the lowest code.
+
+    The stacked product multiplies ``X`` by each slice on its own, with the
+    shape and layout of ``X @ log_lik[i].T``, so every slice keeps the bits
+    of that product; one product of ``X`` and the slices joined side by side
+    would not."""
+    return (X @ log_lik.swapaxes(-1, -2) + log_prior).argmax(axis=-1).ravel()
 
 
 def predict_nb(X: np.ndarray, classes: list, log_prior, log_lik) -> list:
@@ -307,12 +321,15 @@ class _PreparedCorpus:
 
     ``prefixes`` memoises, per (use_stemming, min_doc_freq), the number of
     terms with df >= min_doc_freq and the selection of that whole prefix,
-    which no other hyperparameter changes. It holds at most one entry per
-    stemming variant and ``min_doc_freq`` the objective is called with (10
-    in the default space); only a ``min_doc_freq`` at or below the largest
-    df holds arrays, copies no wider than the prepared vocabulary, or, for
-    a prefix of every term, read-only views of the prepared arrays. It lives
-    and dies with its instance."""
+    which no other hyperparameter changes. ``wholes`` holds the same
+    selections per (use_stemming, term count), each with the per-class sums
+    of its totals, from which every smoothing's normalisers are taken. Each
+    holds at most one entry per stemming variant and ``min_doc_freq`` the
+    objective is called with (10 in the default space); only a
+    ``min_doc_freq`` at or below the largest df holds arrays, copies no
+    wider than the prepared vocabulary, or, for a prefix of every term,
+    read-only views of the prepared arrays. They live and die with their
+    instance."""
 
     def __init__(self, corpus: LabeledCorpus, max_terms_cap: int | None):
         plain = [textpipe.preprocess(t, use_stemming=False) for t in corpus.texts]
@@ -341,6 +358,7 @@ class _PreparedCorpus:
                                       test_t, df, order)
         self.log_prior = _log_prior(np.bincount(self.train_codes, minlength=n_classes), n_train)
         self.prefixes = {}
+        self.wholes = {}
 
     def select(self, use_stemming: bool, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
         """The per-class totals and the test matrix of the ``n_terms`` >= 1
@@ -368,7 +386,31 @@ class _PreparedCorpus:
             for a in selection or ():
                 a.flags.writeable = False
             self.prefixes[key] = count, selection
+            if count:
+                self.wholes[use_stemming, count] = selection + (
+                    selection[0].sum(axis=1).tolist(),)
         return self.prefixes[key]
+
+    def n_terms(self, params: dict) -> int:
+        """How many columns a configuration is scored on: the terms with
+        df >= ``min_doc_freq``, at most ``max_terms`` of them. 0 for a
+        degenerate configuration: a ``min_doc_freq`` or ``max_terms`` below
+        1, an ``nb_smoothing`` <= 0, whose log likelihoods would not be
+        finite, or no term left."""
+        min_doc_freq, max_terms = int(params["min_doc_freq"]), int(params["max_terms"])
+        if min_doc_freq < 1 or max_terms < 1 or float(params["nb_smoothing"]) <= 0:
+            return 0
+        return min(self.prefix(bool(params["use_stemming"]), min_doc_freq)[0], max_terms)
+
+    def columns(self, use_stemming: bool, n_terms: int):
+        """The per-class totals, the test matrix and the per-class sums of
+        the totals of the ``n_terms`` >= 1 most document-frequent columns:
+        the memo's for a whole prefix that ``n_terms`` has met, ``select``'s
+        otherwise, with the same bits either way."""
+        if (use_stemming, n_terms) in self.wholes:
+            return self.wholes[use_stemming, n_terms]
+        totals, test = self.select(use_stemming, n_terms)
+        return totals, test, totals.sum(axis=1).tolist()
 
 
 def _max_terms_cap(space: HyperparamSpace) -> int | None:
@@ -379,50 +421,88 @@ def _max_terms_cap(space: HyperparamSpace) -> int | None:
     return None
 
 
-def _fit_score(prep: _PreparedCorpus, params: dict) -> tuple[float, float]:
-    """Train on the train split, score on the test split.
+def _nb_scores(prep: _PreparedCorpus, totals, X_test, row_totals,
+               smoothings: list) -> list[tuple[float, float]]:
+    """Train on the train split and score on the test split, once per
+    smoothing, over one column selection (``_PreparedCorpus.columns``):
+    the (accuracy, macro_f) of each, in order.
 
-    Returns (accuracy, macro_f); (0, 0) for degenerate hyperparameters,
-    such as an ``nb_smoothing`` <= 0, whose log likelihoods would not be finite.
-    The selected columns come from ``prep.prefix``'s memo whenever
-    ``max_terms`` does not cut the (use_stemming, min_doc_freq) prefix, and
-    from ``prep.select`` otherwise: the same arrays either way, so only the
-    NB fit and the scoring run on every call.
-    Predictions stay class codes: ``np.bincount`` counts the predictions and
-    true positives per class, and accuracy and macro-F are the int/int
-    divisions and ``repr``-ordered sums ``metrics.accuracy`` and
-    ``metrics.f_score`` make from label lists, so every bit is theirs."""
-    min_doc_freq = int(params["min_doc_freq"])
-    max_terms = int(params["max_terms"])
-    smoothing = float(params["nb_smoothing"])
-    if min_doc_freq < 1 or max_terms < 1 or smoothing <= 0:
+    The fit and the prediction run once on the stack of every smoothing
+    (``_nb_log_lik``, ``_nb_codes``), each slice with the bits of a fit on
+    its own. Predictions stay class codes: one ``np.bincount``, over codes
+    shifted by ``n_classes`` per point and true positives shifted past every
+    prediction, counts each point's predictions and true positives per
+    class, and accuracy and macro-F are the int/int divisions and
+    ``repr``-ordered sums ``metrics.accuracy`` and ``metrics.f_score`` make
+    from label lists, so every bit is theirs."""
+    m, n_classes, n_test = len(smoothings), len(prep.classes), len(prep.test_codes)
+    codes = _nb_codes(X_test, prep.log_prior,
+                      _nb_log_lik(totals, smoothings, row_totals)).reshape(m, n_test)
+    shifted = codes + np.arange(0, m * n_classes, n_classes)[:, np.newaxis]
+    counts = np.bincount(np.concatenate((shifted.ravel(),
+                                         shifted[codes == prep.test_codes] + m * n_classes)),
+                         minlength=2 * m * n_classes)
+    n_pred, tp = counts.reshape(2, m, n_classes).take(prep.repr_order, axis=2).tolist()
+    return [(sum(t) / n_test, macro_f1(t, p, prep.gold_counts)) for t, p in zip(tp, n_pred)]
+
+
+def _fit_score(prep: _PreparedCorpus, params: dict) -> tuple[float, float]:
+    """Train on the train split, score on the test split: (accuracy,
+    macro_f), by ``_nb_scores`` on a one-point stack; (0, 0) for a degenerate
+    configuration (``_PreparedCorpus.n_terms``)."""
+    n_terms = prep.n_terms(params)
+    if not n_terms:
         return 0.0, 0.0
-    use_stemming = bool(params["use_stemming"])
-    count, selection = prep.prefix(use_stemming, min_doc_freq)
-    if count == 0:
-        return 0.0, 0.0
-    totals, X_test = selection if max_terms >= count else prep.select(use_stemming, max_terms)
-    codes = _nb_codes(X_test, prep.log_prior, _nb_log_lik(totals, smoothing))
-    n_classes = len(prep.classes)
-    tp = np.bincount(codes[codes == prep.test_codes], minlength=n_classes)[prep.repr_order]
-    n_pred = np.bincount(codes, minlength=n_classes)[prep.repr_order]
-    return (int(tp.sum()) / len(codes),
-            macro_f1(tp.tolist(), n_pred.tolist(), prep.gold_counts))
+    return _nb_scores(prep, *prep.columns(bool(params["use_stemming"]), n_terms),
+                      [float(params["nb_smoothing"])])[0]
+
+
+# The most configurations one _nb_scores call stacks, so that its
+# (configurations, classes, terms) arrays stay small
+_STACK_CHUNK = 32
 
 
 def classifier_objective(corpus: LabeledCorpus, space: HyperparamSpace):
     """Objective over the encoded real box: 1 - test macro-F of the tuned
     TF-IDF/naive-Bayes classifier. Degenerate regions score worst (1.0)
-    instead of raising."""
-    prep = _PreparedCorpus(corpus, _max_terms_cap(space))
+    instead of raising.
 
-    @functools.cache
-    def fitness(params: tuple) -> float:
-        return 1.0 - _fit_score(prep, dict(params))[1]
+    ``objective.batch(X)`` scores the rows of ``X``; ``objective(x)`` is
+    ``batch([x])[0]``, so there is one scoring path. Fitnesses are memoised
+    per decoded configuration. A batch decodes every row, skips the
+    configurations memoised or met earlier in it, scores the degenerate ones
+    1.0, groups the rest by the columns they select (``use_stemming`` and
+    ``n_terms``) and fits each group in stacks of at most ``_STACK_CHUNK``
+    smoothings. Every fitness has the bits one configuration alone gets."""
+    prep = _PreparedCorpus(corpus, _max_terms_cap(space))
+    memo = {}
+
+    def batch(X) -> list[float]:
+        keys = [tuple(space.decode(x).items()) for x in X]
+        groups = {}
+        for key in dict.fromkeys(keys):
+            if key in memo:
+                continue
+            params = dict(key)
+            n_terms = prep.n_terms(params)
+            if n_terms:
+                groups.setdefault((bool(params["use_stemming"]), n_terms), []).append(
+                    (key, float(params["nb_smoothing"])))
+            else:
+                memo[key] = 1.0
+        for selection, group in groups.items():
+            columns = prep.columns(*selection)
+            for i in range(0, len(group), _STACK_CHUNK):
+                part = group[i:i + _STACK_CHUNK]
+                scores = _nb_scores(prep, *columns, [smoothing for _, smoothing in part])
+                for (key, _), (_, macro_f) in zip(part, scores):
+                    memo[key] = 1.0 - macro_f
+        return [memo[key] for key in keys]
 
     def objective(x) -> float:
-        return fitness(tuple(space.decode(x).items()))
+        return batch([x])[0]
 
+    objective.batch = batch
     objective.fit_score = lambda x: _fit_score(prep, space.decode(x))
     return objective
 

@@ -8,6 +8,7 @@ import math
 import warnings
 import weakref
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from foxbird.harness import (
     run_random_search,
     train_nb,
 )
-from foxbird.metrics import accuracy, f_score
+from foxbird.metrics import accuracy, f_score, macro_f1
 
 from test_metrics import f_score_reference
 
@@ -71,6 +72,23 @@ def nb_cases(seed: int, n: int, n_feats=(1, 2, 3, 8, 9, 40, 300)):
         labels = [f"c{k}" for k in rng.integers(0, len(classes) + 1, n_rows)]
         X = rng.exponential(1.0, (n_rows, n_feat)) * rng.integers(0, 3, (n_rows, n_feat))
         yield (np.asfortranarray(X) if case % 2 else X), labels, classes
+
+
+def frozen_nb_score(prep, totals, X_test, smoothing):
+    """The per-point naive-Bayes fit and score the tuning objective ran
+    before it stacked configurations (``_nb_log_lik``, ``_nb_codes`` and the
+    scoring of ``_fit_score``), frozen: (accuracy, macro_f), the log
+    likelihoods and the predicted codes."""
+    n_feat = totals.shape[1]
+    log_lik = np.log(totals + smoothing)
+    log_lik -= np.array([math.log(t + smoothing * n_feat)
+                         for t in totals.sum(axis=1).tolist()]).reshape(-1, 1)
+    codes = np.argmax(X_test @ log_lik.T + prep.log_prior, axis=1)
+    n_classes = len(prep.classes)
+    tp = np.bincount(codes[codes == prep.test_codes], minlength=n_classes)[prep.repr_order]
+    n_pred = np.bincount(codes, minlength=n_classes)[prep.repr_order]
+    scores = (int(tp.sum()) / len(codes), macro_f1(tp.tolist(), n_pred.tolist(), prep.gold_counts))
+    return scores, log_lik, codes
 
 
 def class_sums(X, labels, classes):
@@ -369,6 +387,39 @@ class TestNaiveBayes:
                     assert_same_bits(got, want)
 
 
+    @pytest.mark.parametrize("n_test", [1, 2, 17])
+    @pytest.mark.parametrize("n_terms", [1, 2, 267])
+    @pytest.mark.parametrize("n_classes", [2, 3, 6])
+    def test_stacked_kernel_equals_the_frozen_per_point_kernel(self, n_test, n_terms,
+                                                                n_classes):
+        # each slice of a stack (one smoothing) must get the log likelihoods,
+        # the codes and the scores the per-point kernel gave that smoothing
+        # alone, on stacks of one and of more than one kernel call takes, with
+        # the test matrix in the F order a selection has and in C order
+        rng = make_rng(n_test * 10_000 + n_terms * 10 + n_classes)
+        order = rng.permutation(n_classes)
+        test_codes = rng.integers(0, n_classes, n_test)
+        prep = SimpleNamespace(classes=list(range(n_classes)), repr_order=order,
+                               log_prior=np.log(rng.dirichlet(np.ones(n_classes))),
+                               test_codes=test_codes,
+                               gold_counts=np.bincount(test_codes,
+                                                       minlength=n_classes)[order].tolist())
+        totals = rng.exponential(3.0, (n_classes, n_terms)) * rng.integers(0, 2, (n_classes, n_terms))
+        test = rng.exponential(1.0, (n_terms, n_test)) * rng.integers(0, 2, (n_terms, n_test))
+        for X_test in (test.T, np.ascontiguousarray(test.T)):
+            for m in (1, 2, harness._STACK_CHUNK + 3):
+                smoothings = rng.uniform(0.01, 5.0, m).tolist()
+                frozen = [frozen_nb_score(prep, totals, X_test, s) for s in smoothings]
+                log_lik = harness._nb_log_lik(totals, smoothings)
+                assert_same_bits(log_lik, [ll for _, ll, _ in frozen])
+                codes = harness._nb_codes(X_test, prep.log_prior, log_lik)
+                assert codes.tolist() == [c for _, _, c in frozen for c in c.tolist()]
+                got = harness._nb_scores(prep, totals, X_test, totals.sum(axis=1).tolist(),
+                                         smoothings)
+                assert ([[v.hex() for v in score] for score in got]
+                        == [[v.hex() for v in score] for score, _, _ in frozen])
+
+
 class TestClassifierObjective:
     def test_fitness_in_unit_interval(self, corpus_csv):
         corpus = load_corpus(corpus_csv)
@@ -461,48 +512,79 @@ class TestClassifierObjective:
             assert obj(x(0.5)) < 0.5
 
     def test_miss_calls_each_stage_once_and_hit_none(self, corpus_csv, monkeypatch):
-        # the stages a miss runs, called through module attributes: the NB
-        # kernel and the class-code scorer once each. The label-list
-        # adapters (train_nb, predict_nb and the two metrics, which
-        # perfbench's trace wraps) are for other callers and never run.
+        # the stages a miss runs, called through module attributes: the
+        # group kernel, the NB fit and the class-code scorer once per
+        # column selection a call misses, whatever the number of smoothings
+        # stacked on it. _fit_score (fit_score's one-point path) and the
+        # label-list adapters (train_nb, predict_nb and the two metrics,
+        # which perfbench's trace wraps) are for other callers and never run.
         calls = Counter()
-        stages = ("_fit_score", "_nb_log_lik", "_nb_codes", "train_nb", "predict_nb",
-                  "accuracy_metric", "f_score_metric")
+        stages = ("_nb_scores", "_nb_log_lik", "_nb_codes", "_fit_score", "train_nb",
+                  "predict_nb", "accuracy_metric", "f_score_metric")
         for name in stages:
             def counted(*args, _fn=getattr(harness, name), _name=name):
                 calls[_name] += 1
                 return _fn(*args)
             monkeypatch.setattr(harness, name, counted)
-        obj = classifier_objective(load_corpus(corpus_csv), default_tuning_space())
-        x = default_tuning_space().encode({"min_doc_freq": 2, "max_terms": 100,
-                                           "use_stemming": False, "nb_smoothing": 0.5})
-        once = {"_fit_score": 1, "_nb_log_lik": 1, "_nb_codes": 1}
-        obj(x)
-        assert calls == once
-        obj(x)
-        assert calls == once
+        space = default_tuning_space()
+        obj = classifier_objective(load_corpus(corpus_csv), space)
+
+        def x(**over):
+            return space.encode(dict({"min_doc_freq": 2, "max_terms": 100,
+                                      "use_stemming": False, "nb_smoothing": 0.5}, **over))
+
+        def runs(times):
+            return dict.fromkeys(("_nb_scores", "_nb_log_lik", "_nb_codes"), times)
+
+        obj(x())
+        assert calls == runs(1)
+        obj(x())
+        assert calls == runs(1)
+        # three smoothings on one selection, one of them twice, and a hit
+        obj.batch([x(nb_smoothing=1.5), x(), x(nb_smoothing=2.5), x(nb_smoothing=1.5)])
+        assert calls == runs(2)
+        # two selections: stemmed, and max_terms cutting the prefix
+        obj.batch([x(use_stemming=True), x(max_terms=10), x(use_stemming=True, nb_smoothing=3.0)])
+        assert calls == runs(4)
+        obj.batch([x(max_terms=10), x(nb_smoothing=2.5), x(use_stemming=True)])
+        assert calls == runs(4)
 
     def test_fit_score_runs_once_per_distinct_configuration(self, corpus_csv, monkeypatch):
-        configs = Counter()
+        # every configuration the kernel stacks is recorded by its inputs:
+        # the selected totals and its smoothing
+        fitted = Counter()
 
-        def counted(prep, params, _fn=harness._fit_score):
-            configs[tuple(sorted(params.items()))] += 1
-            return _fn(prep, params)
+        def counted(prep, totals, X_test, row_totals, smoothings, _fn=harness._nb_scores):
+            fitted.update((totals.tobytes(), s) for s in smoothings)
+            return _fn(prep, totals, X_test, row_totals, smoothings)
 
-        monkeypatch.setattr(harness, "_fit_score", counted)
+        monkeypatch.setattr(harness, "_nb_scores", counted)
         space = default_tuning_space()
         box = space.to_box()
-        obj = classifier_objective(load_corpus(corpus_csv), space)
+        corpus = load_corpus(corpus_csv)
+        obj = classifier_objective(corpus, space)
         rng = make_rng(3)
-        # a coarse grid of points, so that many decode alike, each visited twice
+        # a coarse grid of points, so that many decode alike, each visited
+        # three times: in batches of 50 (duplicates within and across
+        # batches), one at a time, and in one batch
         X = rng.uniform(box.lower, box.upper, size=(150, box.dims))
         X[:, 1] = np.round(X[:, 1], -3)
         X[:, 3] = np.round(X[:, 3])
-        for x in np.concatenate([X, X[::-1]]):
+        for i in range(0, len(X), 50):
+            obj.batch(X[i:i + 50])
+        for x in X[::-1]:
             obj(x)
-        want = {tuple(sorted(space.decode(x).items())) for x in X}
-        assert len(want) < len(X)
-        assert configs == dict.fromkeys(want, 1)
+        obj.batch(X)
+        configs = {tuple(space.decode(x).items()) for x in X}
+        assert len(configs) < len(X)
+        prep = harness._PreparedCorpus(corpus, harness._max_terms_cap(space))
+        want = Counter()
+        for config in map(dict, configs):
+            n_terms = prep.n_terms(config)
+            if n_terms:
+                totals = prep.columns(config["use_stemming"], n_terms)[0]
+                want[totals.tobytes(), config["nb_smoothing"]] += 1
+        assert fitted == want
 
     def test_repeated_point_returns_the_identical_float(self, corpus_csv):
         corpus = load_corpus(corpus_csv)
@@ -516,6 +598,54 @@ class TestClassifierObjective:
             assert obj(x.copy()) is first
             fresh = classifier_objective(corpus, space)(x)
             assert fresh.hex() == first.hex() == (1.0 - obj.fit_score(x)[1]).hex()
+
+    @pytest.mark.parametrize("corpus_name", ["graded_corpus_csv", "lopsided_corpus_csv"])
+    def test_batch_equals_one_call_per_row(self, corpus_name, request):
+        # A batch must give each row the float an objective of its own gives
+        # it, called one row at a time. The space reaches degenerate
+        # configurations (min_doc_freq or max_terms of 0, smoothing <= 0),
+        # min_doc_freqs above every df, one-term prefixes (the lopsided
+        # corpus) and cut selections; rows repeat within the batch, some were
+        # scored by an earlier batch, and one selection stacks more
+        # smoothings than one kernel call takes.
+        corpus = load_corpus(request.getfixturevalue(corpus_name))
+        space = HyperparamSpace((HyperparamDim("min_doc_freq", "integer", 0, 80),
+                                 HyperparamDim("max_terms", "integer", 0, 2000),
+                                 HyperparamDim("use_stemming", "categorical",
+                                               choices=(False, True)),
+                                 HyperparamDim("nb_smoothing", "continuous", -0.5, 5.0)))
+        probe = harness._PreparedCorpus(corpus, harness._max_terms_cap(space))
+        df = np.sort(probe.variants[False][3])[::-1]
+        grid = [{"min_doc_freq": mdf, "max_terms": mt, "use_stemming": st, "nb_smoothing": sm}
+                for mdf in (0, 1, 2, int(df[1]) + 1, int(df[0]) + 1)
+                for mt in (0, 1, 2, 7, 2000) for st in (False, True) for sm in (-0.5, 0.0, 0.3)]
+        big = [{"min_doc_freq": 1, "max_terms": 2000, "use_stemming": False,
+                "nb_smoothing": 0.01 + 0.1 * i} for i in range(harness._STACK_CHUNK + 9)]
+        box = space.to_box()
+        X = np.concatenate([[space.encode(p) for p in grid + big],
+                            make_rng(5).uniform(box.lower, box.upper, size=(200, box.dims))])
+        X = X[make_rng(6).permutation(len(X))]
+        X = np.concatenate([X, X[::3]])  # repeats within the batch
+        configs = [space.decode(x) for x in X]
+        assert any(probe.n_terms(c) == 1 for c in configs)
+        assert any(1 < probe.n_terms(c) < probe.prefix(c["use_stemming"], c["min_doc_freq"])[0]
+                   for c in configs if c["min_doc_freq"] >= 1)
+        whole = classifier_objective(corpus, space)
+        early = whole.batch(X[::7])  # hits for the batch below
+        got = whole.batch(X)
+        rows = classifier_objective(corpus, space)
+        want = [rows(x).hex() for x in X]
+        assert [v.hex() for v in got] == want
+        assert [v.hex() for v in early] == want[::7]
+        assert 1.0 in got and len(set(got)) > 5
+
+    def test_a_call_is_the_first_value_of_a_one_row_batch(self, corpus_csv):
+        space = default_tuning_space()
+        box = space.to_box()
+        obj = classifier_objective(load_corpus(corpus_csv), space)
+        for i, x in enumerate(make_rng(7).uniform(box.lower, box.upper, size=(20, box.dims))):
+            first = obj(x) if i % 2 else obj.batch([x])[0]
+            assert obj(x) is obj.batch([x])[0] is first
 
     def test_fit_score_is_pinned_over_a_grid(self, graded_corpus_csv):
         # 400 configurations on three classes, where the order of macro-F's
