@@ -180,6 +180,9 @@ class HyperparamDim:
             raise ValueError(f"categorical dimension {self.name!r} needs choices")
         if self.kind != "categorical" and not self.lo < self.hi:
             raise ValueError(f"dimension {self.name!r} has inverted bounds")
+        if self.kind == "integer" and math.isfinite(self.lo) and math.ceil(self.lo) > self.hi:
+            raise ValueError(f"integer dimension {self.name!r} has no integer in "
+                             f"[{self.lo}, {self.hi}]")
 
     def box_bounds(self) -> tuple[float, float]:
         if self.kind == "categorical":
@@ -197,8 +200,10 @@ class HyperparamDim:
         if self.kind == "continuous":
             return float(min(max(x, self.lo), self.hi))
         if self.kind == "integer":
-            v = math.floor(x + 0.5)  # round half up
-            return int(min(max(v, self.lo), self.hi))
+            v = math.floor(x + 0.5)  # round half up, then clamp to ceil(lo)..floor(hi)
+            if v < self.lo:
+                return math.ceil(self.lo)
+            return math.floor(self.hi) if v > self.hi else v
         i = min(max(int(math.floor(x)), 0), len(self.choices) - 1)
         return self.choices[i]
 
@@ -768,6 +773,9 @@ def _space_from_config(space_cfg) -> HyperparamSpace:
                 raise ConfigError(f"{at}.lo: must be below hi, got lo={lo}, hi={hi}")
             if not math.isfinite(hi - lo):
                 raise ConfigError(f"{at}.hi: width hi - lo must be finite, got lo={lo}, hi={hi}")
+            if kind == "integer" and math.ceil(lo) > hi:
+                raise ConfigError(f"{at}.hi: an integer dimension needs an integer in "
+                                  f"[lo, hi], got lo={lo}, hi={hi}")
             dims.append(HyperparamDim(name, kind, lo, hi))
         else:
             raise ConfigError(f"{at}.kind: unknown kind {kind!r}; "

@@ -236,6 +236,9 @@ class TestRun:
         # runner can search the box
         ("space[3].hi", {"task": CLASSIFIER, "space": [
             *SPACE[:3], {**SPACE[3], "lo": -1e160, "hi": 1e160}]}),
+        # an integer dimension with no integer to decode to
+        ("space[0].hi", {"task": CLASSIFIER, "space": [{**SPACE[0], "lo": 1.2, "hi": 1.8},
+                                                       *SPACE[1:]]}),
     ])
     def test_bad_field_is_usage_error(self, tmp_path, capsys, monkeypatch, corpus_csv,
                                       field, over):

@@ -289,6 +289,26 @@ class TestHyperparamSpace:
         assert d.decode(0.0) == 1
         assert d.decode(99.0) == 5
 
+    def test_integer_decode_stays_within_non_integral_bounds(self):
+        # the nearest integer inside [lo, hi]: ceil(lo) below it, floor(hi) above
+        low = HyperparamDim("max_terms", "integer", 0.2, 10)
+        assert [low.decode(x) for x in (0.3, -7.0, 0.2, 0.6, 9.9, 12.0)] == [1, 1, 1, 1, 10, 10]
+        negative = HyperparamDim("k", "integer", -5, -2.3)
+        assert [negative.decode(x) for x in (-2.3, 0.0, -2.6, -5.4, -9.0)] == [-3, -3, -3, -5, -5]
+        rng = make_rng(9)
+        for lo, width in zip(rng.uniform(-20.0, 20.0, 300), rng.uniform(1.0, 9.0, 300)):
+            d = HyperparamDim("k", "integer", lo, lo + width)
+            for x in rng.uniform(lo - 5.0, lo + width + 5.0, 20):
+                v = d.decode(x)
+                assert type(v) is int and d.lo <= v <= d.hi, (d, x, v)
+
+    def test_integer_dimension_without_an_integer_is_refused(self):
+        with pytest.raises(ValueError, match="'k' has no integer in"):
+            HyperparamDim("k", "integer", 0.2, 0.8)
+        with pytest.raises(ValueError, match="'k' has no integer in"):
+            HyperparamDim("k", "integer", -2.9, -2.1)
+        assert HyperparamDim("k", "integer", 0.2, 1.0).decode(0.0) == 1
+
     def test_categorical_decode_bins(self):
         d = HyperparamDim("c", "categorical", choices=("a", "b", "c"))
         assert d.decode(0.2) == "a"
