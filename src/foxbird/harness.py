@@ -462,9 +462,9 @@ def _fit_score(prep: _PreparedCorpus, params: dict) -> tuple[float, float]:
                       [float(params["nb_smoothing"])])[0]
 
 
-# The most configurations one _nb_scores call stacks, so that its
-# (configurations, classes, terms) arrays stay small
-_STACK_CHUNK = 32
+# The most log likelihoods (configurations x classes x terms) one _nb_scores
+# call stacks: 128 KiB of float64, whatever the vocabulary
+_STACK_ELEMENTS = 1 << 14
 
 
 def classifier_objective(corpus: LabeledCorpus, space: HyperparamSpace):
@@ -477,8 +477,9 @@ def classifier_objective(corpus: LabeledCorpus, space: HyperparamSpace):
     per decoded configuration. A batch decodes every row, skips the
     configurations memoised or met earlier in it, scores the degenerate ones
     1.0, groups the rest by the columns they select (``use_stemming`` and
-    ``n_terms``) and fits each group in stacks of at most ``_STACK_CHUNK``
-    smoothings. Every fitness has the bits one configuration alone gets."""
+    ``n_terms``) and fits each group in stacks of smoothings, at most
+    ``_STACK_ELEMENTS`` log likelihoods each. Every fitness has the bits one
+    configuration alone gets."""
     prep = _PreparedCorpus(corpus, _max_terms_cap(space))
     memo = {}
 
@@ -497,8 +498,9 @@ def classifier_objective(corpus: LabeledCorpus, space: HyperparamSpace):
                 memo[key] = 1.0
         for selection, group in groups.items():
             columns = prep.columns(*selection)
-            for i in range(0, len(group), _STACK_CHUNK):
-                part = group[i:i + _STACK_CHUNK]
+            step = max(1, _STACK_ELEMENTS // columns[0].size)
+            for i in range(0, len(group), step):
+                part = group[i:i + step]
                 scores = _nb_scores(prep, *columns, [smoothing for _, smoothing in part])
                 for (key, _), (_, macro_f) in zip(part, scores):
                     memo[key] = 1.0 - macro_f

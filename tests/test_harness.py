@@ -414,8 +414,9 @@ class TestNaiveBayes:
                                                                 n_classes):
         # each slice of a stack (one smoothing) must get the log likelihoods,
         # the codes and the scores the per-point kernel gave that smoothing
-        # alone, on stacks of one and of more than one kernel call takes, with
-        # the test matrix in the F order a selection has and in C order
+        # alone, on stacks of one, two and 40 (more than a batch stacks on
+        # the widest of these shapes), with the test matrix in the F order a
+        # selection has and in C order
         rng = make_rng(n_test * 10_000 + n_terms * 10 + n_classes)
         order = rng.permutation(n_classes)
         test_codes = rng.integers(0, n_classes, n_test)
@@ -427,7 +428,7 @@ class TestNaiveBayes:
         totals = rng.exponential(3.0, (n_classes, n_terms)) * rng.integers(0, 2, (n_classes, n_terms))
         test = rng.exponential(1.0, (n_terms, n_test)) * rng.integers(0, 2, (n_terms, n_test))
         for X_test in (test.T, np.ascontiguousarray(test.T)):
-            for m in (1, 2, harness._STACK_CHUNK + 3):
+            for m in (1, 2, 40):
                 smoothings = rng.uniform(0.01, 5.0, m).tolist()
                 frozen = [frozen_nb_score(prep, totals, X_test, s) for s in smoothings]
                 log_lik = harness._nb_log_lik(totals, smoothings)
@@ -639,8 +640,10 @@ class TestClassifierObjective:
         grid = [{"min_doc_freq": mdf, "max_terms": mt, "use_stemming": st, "nb_smoothing": sm}
                 for mdf in (0, 1, 2, int(df[1]) + 1, int(df[0]) + 1)
                 for mt in (0, 1, 2, 7, 2000) for st in (False, True) for sm in (-0.5, 0.0, 0.3)]
+        # one selection, every term, over more than one kernel call
+        per_call = harness._STACK_ELEMENTS // probe.prefix(False, 1)[1][0].size
         big = [{"min_doc_freq": 1, "max_terms": 2000, "use_stemming": False,
-                "nb_smoothing": 0.01 + 0.1 * i} for i in range(harness._STACK_CHUNK + 9)]
+                "nb_smoothing": 0.01 + 0.1 * i} for i in range(per_call + 9)]
         box = space.to_box()
         X = np.concatenate([[space.encode(p) for p in grid + big],
                             make_rng(5).uniform(box.lower, box.upper, size=(200, box.dims))])
