@@ -443,7 +443,9 @@ def _nb_scores(prep: _PreparedCorpus, totals, X_test, row_totals,
     m, n_classes, n_test = len(smoothings), len(prep.classes), len(prep.test_codes)
     codes = _nb_codes(X_test, prep.log_prior,
                       _nb_log_lik(totals, smoothings, row_totals)).reshape(m, n_test)
-    shifted = codes + np.arange(0, m * n_classes, n_classes)[:, np.newaxis]
+    # each point's codes shifted into a block of bins of its own (a lone
+    # point's block is the first, so it needs no shift)
+    shifted = codes + np.arange(0, m * n_classes, n_classes)[:, np.newaxis] if m > 1 else codes
     counts = np.bincount(np.concatenate((shifted.ravel(),
                                          shifted[codes == prep.test_codes] + m * n_classes)),
                          minlength=2 * m * n_classes)
