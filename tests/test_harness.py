@@ -425,7 +425,8 @@ class TestNaiveBayes:
                                test_codes=test_codes,
                                gold_counts=np.bincount(test_codes,
                                                        minlength=n_classes)[order].tolist())
-        totals = rng.exponential(3.0, (n_classes, n_terms)) * rng.integers(0, 2, (n_classes, n_terms))
+        totals = (rng.exponential(3.0, (n_classes, n_terms))
+                  * rng.integers(0, 2, (n_classes, n_terms)))
         test = rng.exponential(1.0, (n_terms, n_test)) * rng.integers(0, 2, (n_terms, n_test))
         for X_test in (test.T, np.ascontiguousarray(test.T)):
             for m in (1, 2, 40):
@@ -434,7 +435,7 @@ class TestNaiveBayes:
                 log_lik = harness._nb_log_lik(totals, smoothings)
                 assert_same_bits(log_lik, [ll for _, ll, _ in frozen])
                 codes = harness._nb_codes(X_test, prep.log_prior, log_lik)
-                assert codes.tolist() == [c for _, _, c in frozen for c in c.tolist()]
+                assert codes.tolist() == [k for _, _, c in frozen for k in c.tolist()]
                 got = harness._nb_scores(prep, totals, X_test, totals.sum(axis=1).tolist(),
                                          smoothings)
                 assert ([[v.hex() for v in score] for score in got]
@@ -623,12 +624,14 @@ class TestClassifierObjective:
     @pytest.mark.parametrize("corpus_name", ["graded_corpus_csv", "lopsided_corpus_csv"])
     def test_batch_equals_one_call_per_row(self, corpus_name, request):
         # A batch must give each row the float an objective of its own gives
-        # it, called one row at a time. The space reaches degenerate
-        # configurations (min_doc_freq or max_terms of 0, smoothing <= 0),
-        # min_doc_freqs above every df, one-term prefixes (the lopsided
-        # corpus) and cut selections; rows repeat within the batch, some were
-        # scored by an earlier batch, and one selection stacks more
-        # smoothings than one kernel call takes.
+        # it, called one row at a time, and that call 1 - macro-F of
+        # fit_score (the one-point path the pinned tests check). The space
+        # reaches degenerate configurations (min_doc_freq or max_terms of 0,
+        # smoothing <= 0), min_doc_freqs above every df, one-term prefixes
+        # (the lopsided corpus) and cut selections, some as wide as a stemmed
+        # prefix; rows repeat within the batch, some were scored by an
+        # earlier batch, and one selection stacks more smoothings than one
+        # kernel call takes.
         corpus = load_corpus(request.getfixturevalue(corpus_name))
         space = HyperparamSpace((HyperparamDim("min_doc_freq", "integer", 0, 80),
                                  HyperparamDim("max_terms", "integer", 0, 2000),
@@ -637,9 +640,11 @@ class TestClassifierObjective:
                                  HyperparamDim("nb_smoothing", "continuous", -0.5, 5.0)))
         probe = harness._PreparedCorpus(corpus, harness._max_terms_cap(space))
         df = np.sort(probe.variants[False][3])[::-1]
+        stemmed_terms = probe.prefix(True, 1)[0]  # a cut of the unstemmed terms as wide
         grid = [{"min_doc_freq": mdf, "max_terms": mt, "use_stemming": st, "nb_smoothing": sm}
                 for mdf in (0, 1, 2, int(df[1]) + 1, int(df[0]) + 1)
-                for mt in (0, 1, 2, 7, 2000) for st in (False, True) for sm in (-0.5, 0.0, 0.3)]
+                for mt in (0, 1, 2, 7, 40, stemmed_terms, 2000) for st in (False, True)
+                for sm in (-0.5, 0.0, 0.3)]
         # one selection, every term, over more than one kernel call
         per_call = harness._STACK_ELEMENTS // probe.prefix(False, 1)[1][0].size
         big = [{"min_doc_freq": 1, "max_terms": 2000, "use_stemming": False,
@@ -658,6 +663,7 @@ class TestClassifierObjective:
         got = whole.batch(X)
         rows = classifier_objective(corpus, space)
         want = [rows(x).hex() for x in X]
+        assert want == [(1.0 - rows.fit_score(x)[1]).hex() for x in X]
         assert [v.hex() for v in got] == want
         assert [v.hex() for v in early] == want[::7]
         assert 1.0 in got and len(set(got)) > 5
