@@ -16,7 +16,9 @@ search scores all its samples in one such call too, and a single point
 count, the float conversion and the non-finite rule are written once: every
 population write, given any objective, scores through ``CountingObjective``.
 An objective may offer ``batch(X) -> (n,)`` equal byte for byte to its calls
-on the rows; without one, each row is one call, in order.
+on the rows, as the benchmarks and the tuning objective
+(``harness.classifier_objective``) do; without one, each row is one call,
+in order.
 
 The counter also keeps the one best-so-far rule, by evaluation order and not
 by slot, and every runner and random search report it. ``Population.best``
