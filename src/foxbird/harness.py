@@ -262,19 +262,17 @@ def _class_totals(X: np.ndarray, codes: np.ndarray, n_classes: int) -> np.ndarra
                      for k in range(n_classes)]).reshape(n_classes, X.shape[1])
 
 
-def _nb_log_lik(totals: np.ndarray, smoothing, row_totals=None) -> np.ndarray:
-    """Naive-Bayes log likelihoods from C-ordered per-class feature totals:
+def _nb_log_lik(totals: np.ndarray, smoothing, row_totals: list) -> np.ndarray:
+    """Naive-Bayes log likelihoods from C-ordered per-class feature totals
+    and their per-class sums ``row_totals`` (``totals.sum(axis=1).tolist()``):
     an ``(m, classes, features)`` stack with one slice per smoothing, for a
-    float or a sequence of ``m`` floats. ``row_totals`` is
-    ``totals.sum(axis=1).tolist()``, for a caller that memoises it.
+    float or a sequence of ``m`` floats.
 
     Each slice has the bits that smoothing alone gives: ``np.log`` works
     element by element, and the normalisers use ``math.log`` per slice and
     class, which can differ from ``np.log`` in the last bit."""
     smoothings = np.array(smoothing, dtype=float).reshape(-1, 1, 1)
     n_feat = totals.shape[1]
-    if row_totals is None:
-        row_totals = totals.sum(axis=1).tolist()
     log_lik = totals + smoothings
     np.log(log_lik, out=log_lik)
     log_lik -= np.array([[math.log(t + s * n_feat) for t in row_totals]
@@ -286,8 +284,9 @@ def train_nb(X: np.ndarray, labels: list, classes: list, smoothing: float):
     """Multinomial naive Bayes on non-negative feature rows."""
     codes = _codes(labels, classes)
     sizes = np.bincount(codes[codes >= 0], minlength=len(classes))
+    totals = _class_totals(X, codes, len(classes))
     return (_log_prior(sizes, X.shape[0]),
-            _nb_log_lik(_class_totals(X, codes, len(classes)), smoothing)[0])
+            _nb_log_lik(totals, smoothing, totals.sum(axis=1).tolist())[0])
 
 
 def _nb_codes(X: np.ndarray, log_prior, log_lik) -> np.ndarray:
@@ -314,8 +313,9 @@ class _PreparedCorpus:
     lexicographic order and weighted by IDF (which depends on the column
     alone): the training matrix and its per-class totals, the transposed
     test matrix, the training document frequencies (the nonzero counts of
-    each column of the training count matrix) and the column order by
-    (-df, term). The terms with df >= ``min_doc_freq`` are a prefix of that
+    each column of the training count matrix), the column order by
+    (-df, term) and ``at_least``, whose item m is the number of terms with
+    df >= m. The terms with df >= ``min_doc_freq`` are a prefix of that
     order, so an evaluation only selects columns: the same values, summed in
     the same order, as building its own vocabulary and matrices would give.
 
@@ -324,17 +324,12 @@ class _PreparedCorpus:
     ``metrics.f_score`` sums them, and the gold count of each class in that
     order.
 
-    ``prefixes`` memoises, per (use_stemming, min_doc_freq), the number of
-    terms with df >= min_doc_freq and the selection of that whole prefix,
-    which no other hyperparameter changes. ``wholes`` holds the same
-    selections per (use_stemming, term count), each with the per-class sums
-    of its totals, from which every smoothing's normalisers are taken. Each
-    holds at most one entry per stemming variant and ``min_doc_freq`` the
-    objective is called with (10 in the default space); only a
-    ``min_doc_freq`` at or below the largest df holds arrays, copies no
-    wider than the prepared vocabulary, or, for a prefix of every term,
-    read-only views of the prepared arrays. They live and die with their
-    instance."""
+    ``wholes``, the one memo, holds ``columns`` per (use_stemming, term
+    count) for a whole prefix, a count that is ``at_least[m]`` for some m:
+    at most one entry per stemming variant and document frequency among its
+    terms, each no wider than the prepared vocabulary, read-only, and for a
+    prefix of every term the prepared arrays themselves. It lives and dies
+    with its instance."""
 
     def __init__(self, corpus: LabeledCorpus, max_terms_cap: int | None):
         plain = [textpipe.preprocess(t, use_stemming=False) for t in corpus.texts]
@@ -359,42 +354,11 @@ class _PreparedCorpus:
             idf = np.log(n_train / df)
             train *= idf  # in place, to hold one matrix
             test_t = np.ascontiguousarray((textpipe.bow_vectorize(test_tokens, vocab) * idf).T)
+            at_least = np.cumsum(np.bincount(df)[::-1])[::-1].tolist()
             self.variants[stemmed] = (train, _class_totals(train, self.train_codes, n_classes),
-                                      test_t, df, order)
+                                      test_t, df, order, at_least)
         self.log_prior = _log_prior(np.bincount(self.train_codes, minlength=n_classes), n_train)
-        self.prefixes = {}
         self.wholes = {}
-
-    def select(self, use_stemming: bool, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
-        """The per-class totals and the test matrix of the ``n_terms`` >= 1
-        most document-frequent columns, in lexicographic order."""
-        train, totals, test_t, df, order = self.variants[use_stemming]
-        if 1 < n_terms == len(order):  # every column: the prepared arrays, uncopied
-            return totals, test_t.T
-        cols = np.sort(order[:n_terms])
-        if n_terms == 1:  # summed pairwise, see _class_totals
-            totals = _class_totals(np.take(train, cols, axis=1), self.train_codes,
-                                   len(self.classes))
-        else:
-            totals = np.take(totals, cols, axis=1)
-        # F-ordered, as test[:, cols] is: a matrix product may round by layout
-        return totals, np.take(test_t, cols, axis=0).T
-
-    def prefix(self, use_stemming: bool, min_doc_freq: int):
-        """The number of terms with df >= ``min_doc_freq`` and, if above 0,
-        their read-only ``select``ion; memoised per (use_stemming,
-        min_doc_freq)."""
-        key = (use_stemming, min_doc_freq)
-        if key not in self.prefixes:
-            count = int(np.count_nonzero(self.variants[use_stemming][3] >= min_doc_freq))
-            selection = self.select(use_stemming, count) if count else None
-            for a in selection or ():
-                a.flags.writeable = False
-            self.prefixes[key] = count, selection
-            if count:
-                self.wholes[use_stemming, count] = selection + (
-                    selection[0].sum(axis=1).tolist(),)
-        return self.prefixes[key]
 
     def n_terms(self, params: dict) -> int:
         """How many columns a configuration is scored on: the terms with
@@ -405,17 +369,33 @@ class _PreparedCorpus:
         min_doc_freq, max_terms = int(params["min_doc_freq"]), int(params["max_terms"])
         if min_doc_freq < 1 or max_terms < 1 or float(params["nb_smoothing"]) <= 0:
             return 0
-        return min(self.prefix(bool(params["use_stemming"]), min_doc_freq)[0], max_terms)
+        at_least = self.variants[bool(params["use_stemming"])][5]
+        return min(at_least[min_doc_freq] if min_doc_freq < len(at_least) else 0, max_terms)
 
     def columns(self, use_stemming: bool, n_terms: int):
         """The per-class totals, the test matrix and the per-class sums of
-        the totals of the ``n_terms`` >= 1 most document-frequent columns:
-        the memo's for a whole prefix that ``n_terms`` has met, ``select``'s
-        otherwise, with the same bits either way."""
-        if (use_stemming, n_terms) in self.wholes:
-            return self.wholes[use_stemming, n_terms]
-        totals, test = self.select(use_stemming, n_terms)
-        return totals, test, totals.sum(axis=1).tolist()
+        the totals of the ``n_terms`` >= 1 most document-frequent columns,
+        in lexicographic order; memoised in ``wholes`` for a whole prefix."""
+        key = use_stemming, n_terms
+        if key in self.wholes:
+            return self.wholes[key]
+        train, totals, test_t, df, order, at_least = self.variants[use_stemming]
+        if 1 < n_terms == len(order):  # every column: the prepared arrays, uncopied
+            test = test_t.T
+        else:
+            cols = np.sort(order[:n_terms])
+            if n_terms == 1:  # summed pairwise, see _class_totals
+                totals = _class_totals(np.take(train, cols, axis=1), self.train_codes,
+                                       len(self.classes))
+            else:
+                totals = np.take(totals, cols, axis=1)
+            # F-ordered, as test[:, cols] is: a matrix product may round by layout
+            test = np.take(test_t, cols, axis=0).T
+        selection = totals, test, totals.sum(axis=1).tolist()
+        if at_least[df[order[n_terms - 1]]] == n_terms:  # no term of the last one's df left out
+            totals.flags.writeable = test.flags.writeable = False
+            self.wholes[key] = selection
+        return selection
 
 
 def _max_terms_cap(space: HyperparamSpace) -> int | None:
@@ -453,20 +433,34 @@ def _nb_scores(prep: _PreparedCorpus, totals, X_test, row_totals,
     return [(sum(t) / n_test, macro_f1(t, p, prep.gold_counts)) for t, p in zip(tp, n_pred)]
 
 
-def _fit_score(prep: _PreparedCorpus, params: dict) -> tuple[float, float]:
-    """Train on the train split, score on the test split: (accuracy,
-    macro_f), by ``_nb_scores`` on a one-point stack; (0, 0) for a degenerate
-    configuration (``_PreparedCorpus.n_terms``)."""
-    n_terms = prep.n_terms(params)
-    if not n_terms:
-        return 0.0, 0.0
-    return _nb_scores(prep, *prep.columns(bool(params["use_stemming"]), n_terms),
-                      [float(params["nb_smoothing"])])[0]
-
-
 # The most log likelihoods (configurations x classes x terms) one _nb_scores
 # call stacks: 128 KiB of float64, whatever the vocabulary
 _STACK_ELEMENTS = 1 << 14
+
+
+def _fit_score(prep: _PreparedCorpus, configs: list) -> list[tuple[float, float]]:
+    """Train on the train split and score on the test split, once per
+    configuration: the (accuracy, macro_f) of each, in order; (0, 0) for a
+    degenerate one (``_PreparedCorpus.n_terms``). The others are grouped by
+    the columns they select, which ``use_stemming`` and the term count fix,
+    and each group is fitted by ``_nb_scores`` in stacks of its smoothings,
+    at most ``_STACK_ELEMENTS`` log likelihoods each. Every score has the
+    bits the configuration alone gets."""
+    scores = [(0.0, 0.0)] * len(configs)
+    groups = {}
+    for i, params in enumerate(configs):
+        n_terms = prep.n_terms(params)
+        if n_terms:
+            groups.setdefault((bool(params["use_stemming"]), n_terms), []).append(i)
+    for selection, members in groups.items():
+        columns = prep.columns(*selection)
+        step = max(1, _STACK_ELEMENTS // columns[0].size)
+        for start in range(0, len(members), step):
+            part = members[start:start + step]
+            fits = _nb_scores(prep, *columns, [float(configs[i]["nb_smoothing"]) for i in part])
+            for i, score in zip(part, fits):
+                scores[i] = score
+    return scores
 
 
 def classifier_objective(corpus: LabeledCorpus, space: HyperparamSpace):
@@ -476,43 +470,25 @@ def classifier_objective(corpus: LabeledCorpus, space: HyperparamSpace):
 
     ``objective.batch(X)`` scores the rows of ``X``; ``objective(x)`` is
     ``batch([x])[0]``, so there is one scoring path. Fitnesses are memoised
-    per decoded configuration. A batch decodes every row, skips the
-    configurations memoised or met earlier in it, scores the degenerate ones
-    1.0, groups the rest by the columns they select (``use_stemming`` and
-    ``n_terms``) and fits each group in stacks of smoothings, at most
-    ``_STACK_ELEMENTS`` log likelihoods each. Every fitness has the bits one
-    configuration alone gets."""
+    per decoded configuration; a batch decodes every row and fits the
+    configurations it misses, each once, with one ``_fit_score`` call.
+    ``objective.fit_score(x)`` is the (accuracy, macro_f) of that fit."""
     prep = _PreparedCorpus(corpus, _max_terms_cap(space))
     memo = {}
 
     def batch(X) -> list[float]:
         keys = [tuple(space.decode(x).items()) for x in X]
-        groups = {}
-        for key in dict.fromkeys(keys):
-            if key in memo:
-                continue
-            params = dict(key)
-            n_terms = prep.n_terms(params)
-            if n_terms:
-                groups.setdefault((bool(params["use_stemming"]), n_terms), []).append(
-                    (key, float(params["nb_smoothing"])))
-            else:
-                memo[key] = 1.0
-        for selection, group in groups.items():
-            columns = prep.columns(*selection)
-            step = max(1, _STACK_ELEMENTS // columns[0].size)
-            for i in range(0, len(group), step):
-                part = group[i:i + step]
-                scores = _nb_scores(prep, *columns, [smoothing for _, smoothing in part])
-                for (key, _), (_, macro_f) in zip(part, scores):
-                    memo[key] = 1.0 - macro_f
+        missed = [key for key in dict.fromkeys(keys) if key not in memo]
+        if missed:
+            for key, (_, macro_f) in zip(missed, _fit_score(prep, list(map(dict, missed)))):
+                memo[key] = 1.0 - macro_f
         return [memo[key] for key in keys]
 
     def objective(x) -> float:
         return batch([x])[0]
 
     objective.batch = batch
-    objective.fit_score = lambda x: _fit_score(prep, space.decode(x))
+    objective.fit_score = lambda x: _fit_score(prep, [space.decode(x)])[0]
     return objective
 
 
@@ -657,7 +633,10 @@ def parse_config(config) -> Experiment:
         if not isinstance(function, str) or function not in BENCHMARKS:
             raise ConfigError(f"task.function: unknown benchmark {function!r}; "
                               f"choose from {sorted(BENCHMARKS)}")
-        parsed = BenchmarkTask(function, _check_int(task.get("dims", 10), 1, "task.dims"))
+        dims = _check_int(task.get("dims", 10), 1, "task.dims")
+        if function == "rosenbrock" and dims < 2:  # its sum over adjacent pairs would be empty
+            raise ConfigError(f"task.dims: rosenbrock needs at least 2 dimensions, got {dims}")
+        parsed = BenchmarkTask(function, dims)
     elif kind == "classifier":
         _check_keys(task, ("kind", "corpus", "format", "split_ratio", "split_seed"), "task.")
         corpus = task.get("corpus")

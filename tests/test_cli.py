@@ -159,6 +159,8 @@ class TestRun:
     @pytest.mark.parametrize("field, over", [
         ("budget.pop_size", {"budget": {"pop_size": 2, "iterations": 15}}),
         ("task.dims", {"task": {"kind": "benchmark", "function": "sphere", "dims": 0}}),
+        # Rosenbrock sums over adjacent coordinate pairs, of which one dimension has none
+        ("task.dims", {"task": {"kind": "benchmark", "function": "rosenbrock", "dims": 1}}),
         ("methods", {"methods": ["hraha", "annealing"]}),
         ("methods", {"methods": []}),
         ("methods", {"methods": "pso"}),
@@ -291,6 +293,13 @@ class TestBench:
         code = main(["bench", "--function", "sphere", flag, value])
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith(f"usage error: {field}:")
+
+    def test_one_dimensional_rosenbrock_is_usage_error(self, capsys):
+        # a one-dimensional Rosenbrock would score every point 0
+        code = main(["bench", "--function", "rosenbrock", "--dims", "1", "--pop-size", "4",
+                     "--iters", "2"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error: task.dims:")
 
     def test_unknown_function_is_usage_error(self, capsys):
         assert main(["bench", "--function", "beale"]) == EXIT_USAGE

@@ -402,7 +402,8 @@ class TestNaiveBayes:
                     selected = np.take(totals, cols, axis=1)
                 for smoothing in (0.01, 1.0, 5.0):
                     got = (harness._log_prior(sizes, X.shape[0]),
-                           harness._nb_log_lik(selected, smoothing))
+                           harness._nb_log_lik(selected, smoothing,
+                                               selected.sum(axis=1).tolist()))
                     want = train_nb_reference(X[:, cols], labels, classes, smoothing)
                     assert_same_bits(got, want)
 
@@ -427,17 +428,17 @@ class TestNaiveBayes:
                                                        minlength=n_classes)[order].tolist())
         totals = (rng.exponential(3.0, (n_classes, n_terms))
                   * rng.integers(0, 2, (n_classes, n_terms)))
+        row_totals = totals.sum(axis=1).tolist()
         test = rng.exponential(1.0, (n_terms, n_test)) * rng.integers(0, 2, (n_terms, n_test))
         for X_test in (test.T, np.ascontiguousarray(test.T)):
             for m in (1, 2, 40):
                 smoothings = rng.uniform(0.01, 5.0, m).tolist()
                 frozen = [frozen_nb_score(prep, totals, X_test, s) for s in smoothings]
-                log_lik = harness._nb_log_lik(totals, smoothings)
+                log_lik = harness._nb_log_lik(totals, smoothings, row_totals)
                 assert_same_bits(log_lik, [ll for _, ll, _ in frozen])
                 codes = harness._nb_codes(X_test, prep.log_prior, log_lik)
                 assert codes.tolist() == [k for _, _, c in frozen for k in c.tolist()]
-                got = harness._nb_scores(prep, totals, X_test, totals.sum(axis=1).tolist(),
-                                         smoothings)
+                got = harness._nb_scores(prep, totals, X_test, row_totals, smoothings)
                 assert ([[v.hex() for v in score] for score in got]
                         == [[v.hex() for v in score] for score, _, _ in frozen])
 
@@ -534,12 +535,13 @@ class TestClassifierObjective:
             assert obj(x(0.5)) < 0.5
 
     def test_miss_calls_each_stage_once_and_hit_none(self, corpus_csv, monkeypatch):
-        # the stages a miss runs, called through module attributes: the
-        # group kernel, the NB fit and the class-code scorer once per
-        # column selection a call misses, whatever the number of smoothings
-        # stacked on it. _fit_score (fit_score's one-point path) and the
-        # label-list adapters (train_nb, predict_nb and the two metrics,
-        # which perfbench's trace wraps) are for other callers and never run.
+        # the stages a miss runs, called through module attributes:
+        # _fit_score once per call that misses, and the group kernel, the NB
+        # fit and the class-code scorer once per column selection it misses,
+        # whatever the number of smoothings stacked on it; an all-hit call
+        # runs none. The label-list adapters (train_nb, predict_nb and the
+        # two metrics, which perfbench's trace wraps) are for other callers
+        # and never run.
         calls = Counter()
         stages = ("_nb_scores", "_nb_log_lik", "_nb_codes", "_fit_score", "train_nb",
                   "predict_nb", "accuracy_metric", "f_score_metric")
@@ -555,21 +557,22 @@ class TestClassifierObjective:
             return space.encode(dict({"min_doc_freq": 2, "max_terms": 100,
                                       "use_stemming": False, "nb_smoothing": 0.5}, **over))
 
-        def runs(times):
-            return dict.fromkeys(("_nb_scores", "_nb_log_lik", "_nb_codes"), times)
+        def runs(fits, selections):
+            return dict(dict.fromkeys(("_nb_scores", "_nb_log_lik", "_nb_codes"), selections),
+                        _fit_score=fits)
 
         obj(x())
-        assert calls == runs(1)
+        assert calls == runs(1, 1)
         obj(x())
-        assert calls == runs(1)
+        assert calls == runs(1, 1)
         # three smoothings on one selection, one of them twice, and a hit
         obj.batch([x(nb_smoothing=1.5), x(), x(nb_smoothing=2.5), x(nb_smoothing=1.5)])
-        assert calls == runs(2)
+        assert calls == runs(2, 2)
         # two selections: stemmed, and max_terms cutting the prefix
         obj.batch([x(use_stemming=True), x(max_terms=10), x(use_stemming=True, nb_smoothing=3.0)])
-        assert calls == runs(4)
+        assert calls == runs(3, 4)
         obj.batch([x(max_terms=10), x(nb_smoothing=2.5), x(use_stemming=True)])
-        assert calls == runs(4)
+        assert calls == runs(3, 4)
 
     def test_fit_score_runs_once_per_distinct_configuration(self, corpus_csv, monkeypatch):
         # every configuration the kernel stacks is recorded by its inputs:
@@ -639,14 +642,19 @@ class TestClassifierObjective:
                                                choices=(False, True)),
                                  HyperparamDim("nb_smoothing", "continuous", -0.5, 5.0)))
         probe = harness._PreparedCorpus(corpus, harness._max_terms_cap(space))
+
+        def prefix(use_stemming, min_doc_freq):  # the number of terms with df >= min_doc_freq
+            return probe.n_terms({"min_doc_freq": min_doc_freq, "max_terms": 2000,
+                                  "use_stemming": use_stemming, "nb_smoothing": 1.0})
+
         df = np.sort(probe.variants[False][3])[::-1]
-        stemmed_terms = probe.prefix(True, 1)[0]  # a cut of the unstemmed terms as wide
+        stemmed_terms = prefix(True, 1)  # a cut of the unstemmed terms as wide
         grid = [{"min_doc_freq": mdf, "max_terms": mt, "use_stemming": st, "nb_smoothing": sm}
                 for mdf in (0, 1, 2, int(df[1]) + 1, int(df[0]) + 1)
                 for mt in (0, 1, 2, 7, 40, stemmed_terms, 2000) for st in (False, True)
                 for sm in (-0.5, 0.0, 0.3)]
         # one selection, every term, over more than one kernel call
-        per_call = harness._STACK_ELEMENTS // probe.prefix(False, 1)[1][0].size
+        per_call = harness._STACK_ELEMENTS // probe.columns(False, prefix(False, 1))[0].size
         big = [{"min_doc_freq": 1, "max_terms": 2000, "use_stemming": False,
                 "nb_smoothing": 0.01 + 0.1 * i} for i in range(per_call + 9)]
         box = space.to_box()
@@ -656,7 +664,7 @@ class TestClassifierObjective:
         X = np.concatenate([X, X[::3]])  # repeats within the batch
         configs = [space.decode(x) for x in X]
         assert any(probe.n_terms(c) == 1 for c in configs)
-        assert any(1 < probe.n_terms(c) < probe.prefix(c["use_stemming"], c["min_doc_freq"])[0]
+        assert any(1 < probe.n_terms(c) < prefix(c["use_stemming"], c["min_doc_freq"])
                    for c in configs if c["min_doc_freq"] >= 1)
         whole = classifier_objective(corpus, space)
         early = whole.batch(X[::7])  # hits for the batch below
@@ -682,8 +690,8 @@ class TestClassifierObjective:
         prep = harness._PreparedCorpus(load_corpus(graded_corpus_csv), 2000)
         grid = itertools.product(range(1, 6), (1, 2, 3, 10, 30, 100, 400, 2000),
                                  (False, True), (0.01, 0.1, 0.5, 1, 5))
-        scores = [harness._fit_score(prep, {"min_doc_freq": m, "max_terms": t,
-                                            "use_stemming": s, "nb_smoothing": a})
+        scores = [harness._fit_score(prep, [{"min_doc_freq": m, "max_terms": t,
+                                             "use_stemming": s, "nb_smoothing": a}])[0]
                   for m, t, s, a in grid]
         assert len(scores) == 400
         assert hashlib.sha256(repr(scores).encode()).hexdigest() == \
@@ -694,7 +702,7 @@ class TestClassifierObjective:
         prep = harness._PreparedCorpus(corpus, 2000)
         params = {"min_doc_freq": len(corpus.train_idx) + 1, "max_terms": 2000,
                   "use_stemming": False, "nb_smoothing": 1.0}
-        assert harness._fit_score(prep, params) == (0.0, 0.0)
+        assert harness._fit_score(prep, [params])[0] == (0.0, 0.0)
 
     @pytest.mark.parametrize("corpus_name", ["graded_corpus_csv", "lopsided_corpus_csv"])
     def test_fit_score_equals_two_matrix_reference(self, corpus_name, request, monkeypatch):
@@ -894,9 +902,9 @@ class TestClassifierObjective:
         monkeypatch.setattr(harness, "_nb_codes",
                             lambda *args: seen.extend(args) or scorer(*args))
 
-        def fit_score(fit, *args):
+        def fit_score(fit):
             seen.clear()
-            scores = [v.hex() for v in fit(*args)]
+            scores = [v.hex() for v in fit()]
             return scores, [(a.tobytes(), layout(a)) for a in seen]
 
         corpus = load_corpus(request.getfixturevalue(corpus_name))
@@ -925,13 +933,13 @@ class TestClassifierObjective:
         want = {}
         for params, n_terms in grid:
             fresh = harness._PreparedCorpus(corpus, cap)
-            want[tuple(params.items())] = fit_score(harness._fit_score, fresh,
-                                                    dict(params, min_doc_freq=1, max_terms=n_terms))
+            config = dict(params, min_doc_freq=1, max_terms=n_terms)
+            want[tuple(params.items())] = fit_score(lambda: harness._fit_score(fresh, [config])[0])
         assert len({tuple(scores) for scores, _ in want.values()}) > 3  # not one flat plateau
         obj = classifier_objective(corpus, space)
         for i in make_rng(21).permutation(2 * len(grid)):
             params = grid[i % len(grid)][0]
-            got = fit_score(obj.fit_score, space.encode(params))
+            got = fit_score(lambda: obj.fit_score(space.encode(params)))
             assert got == want[tuple(params.items())], params
 
     @pytest.mark.parametrize("corpus_name", ["corpus_csv", "graded_corpus_csv"])
@@ -951,9 +959,10 @@ class TestClassifierObjective:
         preps = [inspect.getclosurevars(o.fit_score).nonlocals["prep"] for o in (first, second)]
         assert list(preps[0].variants) == list(preps[1].variants) == [False, True]
         for stemmed in (False, True):
-            a, b = (p.variants[stemmed] for p in preps)
+            (*a, a_at_least), (*b, b_at_least) = (p.variants[stemmed] for p in preps)
             assert ([(x.dtype, x.shape, layout(x), x.tobytes()) for x in a]
                     == [(x.dtype, x.shape, layout(x), x.tobytes()) for x in b])
+            assert a_at_least == b_at_least
         box = space.to_box()
         points = make_rng(23).uniform(box.lower, box.upper, size=(60, box.dims))
         assert {space.decode(x)["use_stemming"] for x in points} == {False, True}
@@ -961,30 +970,37 @@ class TestClassifierObjective:
 
     def test_prefix_memo_is_bounded_read_only_and_dies_with_its_objective(self,
                                                                           graded_corpus_csv):
-        # The memo is keyed by (use_stemming, min_doc_freq) alone, whatever
-        # max_terms and nb_smoothing do; its arrays cannot be written; and it
-        # lives on the objective's own preparation, so dropping the objective
-        # frees it (a cache on the class or a method would keep it alive).
+        # The memo holds whole prefixes alone: each key's term count is the
+        # number of terms with df >= m for some m, never a count that
+        # max_terms cuts inside a document frequency; its arrays cannot be
+        # written; and it lives on the objective's own preparation, so
+        # dropping the objective frees it (a cache on the class or a method
+        # would keep it alive).
         space = default_tuning_space()
         box = space.to_box()
         obj = classifier_objective(load_corpus(graded_corpus_csv), space)
         prep = inspect.getclosurevars(obj.fit_score).nonlocals["prep"]
+        at_least = {s: prep.variants[s][5] for s in (False, True)}
+        # per variant, the fewest terms (10 or more) that are no whole prefix
+        cut = {s: next(n for n in itertools.count(10) if n not in at_least[s])
+               for s in (False, True)}
+        assert all(at_least[s][m] > cut[s] for s in (False, True) for m in range(1, 6))
         for x in make_rng(22).uniform(box.lower, box.upper, size=(300, box.dims)):
             obj(x)
         for use_stemming in (False, True):
             for min_doc_freq in range(1, 6):
-                for max_terms in (10, 2000):
+                for max_terms in (cut[use_stemming], 2000):
                     obj(space.encode({"min_doc_freq": min_doc_freq, "max_terms": max_terms,
                                       "use_stemming": use_stemming, "nb_smoothing": 1.0}))
-        assert sorted(prep.prefixes) == [(s, m) for s in (False, True) for m in range(1, 6)]
-        for count, selection in prep.prefixes.values():
-            assert count > 10
-            for a in selection:
+        assert {(s, at_least[s][m]) for s in (False, True) for m in range(1, 6)} <= set(prep.wholes)
+        assert all(n in at_least[s] for s, n in prep.wholes)
+        for totals, test, _ in prep.wholes.values():
+            for a in (totals, test):
                 assert not a.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
                     a[0, 0] = 0.0
         ref = weakref.ref(prep)
-        del obj, prep, selection, a
+        del obj, prep, totals, test, a
         gc.collect()
         assert ref() is None
 

@@ -28,11 +28,16 @@ def run_workload(workload, trace):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True, proc.stdout
     assert result["failed"] == 0 and result["attempted"] > 0, proc.stdout
+    return result
 
 
 @pytest.mark.parametrize("trace", [0, 1])
 def test_tuning_workload_is_correct(trace):
-    run_workload("tuning-nb", trace)
+    result = run_workload("tuning-nb", trace)
+    if trace:
+        # every miss is fitted through harness._fit_score, the span the
+        # trace times a miss by
+        assert result["metrics"]["harness.fit_score.ms_per_miss"]["value"] > 0
 
 
 @pytest.mark.parametrize("workload", ["sphere-hraha", "rastrigin-race"])
