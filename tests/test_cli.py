@@ -159,8 +159,6 @@ class TestRun:
     @pytest.mark.parametrize("field, over", [
         ("budget.pop_size", {"budget": {"pop_size": 2, "iterations": 15}}),
         ("task.dims", {"task": {"kind": "benchmark", "function": "sphere", "dims": 0}}),
-        # Rosenbrock sums over adjacent coordinate pairs, of which one dimension has none
-        ("task.dims", {"task": {"kind": "benchmark", "function": "rosenbrock", "dims": 1}}),
         ("methods", {"methods": ["hraha", "annealing"]}),
         ("methods", {"methods": []}),
         ("methods", {"methods": "pso"}),
@@ -241,6 +239,8 @@ class TestRun:
         # an integer dimension with no integer to decode to
         ("space[0].hi", {"task": CLASSIFIER, "space": [{**SPACE[0], "lo": 1.2, "hi": 1.8},
                                                        *SPACE[1:]]}),
+        # Rosenbrock sums over adjacent coordinate pairs, of which one dimension has none
+        ("task.dims", {"task": {"kind": "benchmark", "function": "rosenbrock", "dims": 1}}),
     ])
     def test_bad_field_is_usage_error(self, tmp_path, capsys, monkeypatch, corpus_csv,
                                       field, over):
