@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -88,13 +89,14 @@ def _cmd_run(args) -> int:
         exp = exp.with_master_seed(args.seed)
     report = run_experiment(exp)
     os.makedirs(args.out, exist_ok=True)
-    for fmt, name in [("csv", "report.csv"), ("json", "report.json"),
-                      ("text-table", "report.txt")]:
+    table = emit_report(report, "text-table")
+    for name, body in [("report.csv", emit_report(report, "csv")),
+                       ("report.json", emit_report(report, "json")), ("report.txt", table)]:
         with open(os.path.join(args.out, name), "w", encoding="utf-8", newline="") as fh:
-            fh.write(emit_report(report, fmt))
+            fh.write(body)
     with open(os.path.join(args.out, "timings.json"), "w", encoding="utf-8") as fh:
         json.dump(report.wall_times, fh, indent=2, sort_keys=True)
-    print(emit_report(report, "text-table"), end="")
+    print(table, end="")
     return EXIT_OK
 
 
@@ -134,8 +136,9 @@ def _cmd_tfidf(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    cands = [line.split() for line in _read_text(args.cand).splitlines()]
-    refs = [line.split() for line in _read_text(args.ref).splitlines()]
+    # lines end at \n, \r\n or \r only, as in a file read in text mode
+    cands = [line.split() for line in io.StringIO(_read_text(args.cand), newline=None)]
+    refs = [line.split() for line in io.StringIO(_read_text(args.ref), newline=None)]
     if len(cands) != len(refs):
         raise DataError(f"line count mismatch: {len(cands)} candidates vs {len(refs)} references")
     if not refs or any(not r for r in refs):

@@ -82,10 +82,10 @@ class LabeledCorpus:
 
 
 def _read_text(path) -> str:
-    """The whole text of a UTF-8 file, newlines untranslated; a file that
-    cannot be read or decoded is a DataError naming it."""
+    """The whole text of a UTF-8 file, less a leading byte-order mark, newlines
+    untranslated; a file that cannot be read or decoded is a DataError naming it."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             return fh.read()
     except UnicodeDecodeError as e:
         raise DataError(f"{path} is not UTF-8 text: {e}") from None

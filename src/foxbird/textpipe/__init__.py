@@ -33,7 +33,6 @@ __all__ = [
 ]
 
 _NON_ALNUM = re.compile(r"[^0-9a-z]+")
-_WS = re.compile(r"\s+")
 
 
 def _data_lines(name: str) -> list[str]:
@@ -57,8 +56,8 @@ def clean_text(raw: str) -> str:
     text = raw.lower()
     if "'" in text:  # every contraction has one
         text = _CONTRACTION_RE.sub(lambda m: _CONTRACTIONS[m.group(0)], text)
-    text = _NON_ALNUM.sub(" ", text)
-    return _WS.sub(" ", text).strip()
+    # each run of other characters, whitespace included, becomes one space
+    return _NON_ALNUM.sub(" ", text).strip()
 
 
 def tokenize(text: str) -> list[str]:

@@ -91,6 +91,15 @@ class TestRun:
         assert capsys.readouterr().err.startswith(want)
         assert not (tmp_path / "o").exists()
 
+    def test_config_with_a_byte_order_mark_runs_as_without_one(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json")
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+        for path, out in ((cfg, "a"), (bom, "b")):
+            assert main(["run", "--config", str(path), "--out", str(tmp_path / out)]) == EXIT_OK
+        assert (tmp_path / "a" / "report.csv").read_bytes() == \
+            (tmp_path / "b" / "report.csv").read_bytes()
+
     @pytest.mark.parametrize("where", ["existing file", "under a file"])
     def test_output_that_cannot_be_written_is_runtime_failure(self, tmp_path, capsys, where):
         # an unwritable output is exit 3, as every tfidf --out is; exit 2 is
@@ -341,6 +350,13 @@ class TestTfidf:
         assert capsys.readouterr().err.startswith(f"usage error: {flag}:")
         assert not out.exists()
 
+    def test_byte_order_mark_is_dropped(self, tmp_path, corpus_csv):
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(corpus_csv).read_bytes())
+        for path, out in ((corpus_csv, "a.csv"), (bom, "b.csv")):
+            assert main(["tfidf", "--input", str(path), "--out", str(tmp_path / out)]) == EXIT_OK
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
     def test_missing_input(self, tmp_path, capsys):
         code = main(["tfidf", "--input", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "m.csv")])
@@ -462,6 +478,27 @@ class TestMetrics:
         cand.write_text("a b\nc d\n")
         ref.write_text("a b\n")
         assert main(["metrics", "--cand", str(cand), "--ref", str(ref)]) == EXIT_DATA
+
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        cand = tmp_path / "c.txt"
+        ref = tmp_path / "r.txt"
+        cand.write_bytes("\ufeffthe cat sat on the mat\n".encode("utf-8"))
+        ref.write_text("the cat sat on the mat\n")
+        assert main(["metrics", "--cand", str(cand), "--ref", str(ref)]) == EXIT_OK
+        assert capsys.readouterr().out == "pairs=1\nbleu4_mean=1.0000\nrouge_l_mean=1.0000\n"
+
+    @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x0b", "\x0c", "\x1c", "\x85"])
+    def test_lines_end_only_at_a_newline(self, tmp_path, capsys, sep):
+        # str.splitlines would also break at sep; \n, \r\n and \r are the
+        # line ends of a file read in text mode
+        cand = tmp_path / "c.txt"
+        ref = tmp_path / "r.txt"
+        cand.write_text(f"the cat sat{sep}on it\r\nthe dog\rran off\n", encoding="utf-8",
+                        newline="")
+        ref.write_text("the cat sat on it\nthe dog\nran off\n", encoding="utf-8")
+        assert main(["metrics", "--cand", str(cand), "--ref", str(ref)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith("pairs=3\n") and "rouge_l_mean=1.0000" in out
 
     def test_empty_reference(self, tmp_path):
         cand = tmp_path / "c.txt"

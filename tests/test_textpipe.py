@@ -247,7 +247,8 @@ CONTRACTION_TEXT = st.lists(st.one_of(
     mixed_case(sorted(textpipe._CONTRACTIONS)),
     st.sampled_from(["'", "''", "\u2019", "`"]),  # bare apostrophes and look-alikes
     st.sampled_from(list(".,;:!?-_\"()0")),
-    st.sampled_from([" ", "  ", "\t", "\n", "\u00a0"]),
+    st.sampled_from([" ", "  ", "\t", "\n", "\u00a0", "\x0b", "\x0c", "\x1c", "\x85",
+                     "\u2028", "\u3000"]),
     mixed_case(["s", "t", "he", "she", "not", "won", "I", "\u0130", "\u00df"]),
 ), max_size=12).map("".join)
 
