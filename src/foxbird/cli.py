@@ -125,6 +125,9 @@ def _cmd_tfidf(args) -> int:
         raise DataError(f"empty corpus: no documents in {args.input}")
     tokens = [textpipe.preprocess(text) for _, text, _ in rows]
     vocab = textpipe.build_vocabulary(tokens, args.min_doc_freq, args.max_terms)
+    if not vocab:
+        raise DataError(f"--min-doc-freq: no term is in {args.min_doc_freq} or more "
+                        f"of the {len(rows)} documents")
     matrix = textpipe.tf_idf(tokens, vocab)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

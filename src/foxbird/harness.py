@@ -406,60 +406,56 @@ def _max_terms_cap(space: HyperparamSpace) -> int | None:
     return None
 
 
-def _nb_scores(prep: _PreparedCorpus, totals, X_test, row_totals,
-               smoothings: list) -> list[tuple[float, float]]:
-    """Train on the train split and score on the test split, once per
-    smoothing, over one column selection (``_PreparedCorpus.columns``):
-    the (accuracy, macro_f) of each, in order.
-
-    The fit and the prediction run once on the stack of every smoothing
-    (``_nb_log_lik``, ``_nb_codes``), each slice with the bits of a fit on
-    its own. Predictions stay class codes: one ``np.bincount``, over codes
-    shifted by ``n_classes`` per point and true positives shifted past every
-    prediction, counts each point's predictions and true positives per
-    class, and accuracy and macro-F are the int/int divisions and
-    ``repr``-ordered sums ``metrics.accuracy`` and ``metrics.f_score`` make
-    from label lists, so every bit is theirs."""
-    m, n_classes, n_test = len(smoothings), len(prep.classes), len(prep.test_codes)
-    codes = _nb_codes(X_test, prep.log_prior,
-                      _nb_log_lik(totals, smoothings, row_totals)).reshape(m, n_test)
-    # each point's codes shifted into a block of bins of its own (a lone
-    # point's block is the first, so it needs no shift)
-    shifted = codes + np.arange(0, m * n_classes, n_classes)[:, np.newaxis] if m > 1 else codes
-    counts = np.bincount(np.concatenate((shifted.ravel(),
-                                         shifted[codes == prep.test_codes] + m * n_classes)),
-                         minlength=2 * m * n_classes)
-    n_pred, tp = counts.reshape(2, m, n_classes).take(prep.repr_order, axis=2).tolist()
-    return [(sum(t) / n_test, macro_f1(t, p, prep.gold_counts)) for t, p in zip(tp, n_pred)]
-
-
-# The most log likelihoods (configurations x classes x terms) one _nb_scores
-# call stacks: 128 KiB of float64, whatever the vocabulary
+# The most log likelihoods (configurations x classes x terms) one
+# _nb_log_lik call stacks: 128 KiB of float64, whatever the vocabulary
 _STACK_ELEMENTS = 1 << 14
 
 
 def _fit_score(prep: _PreparedCorpus, configs: list) -> list[tuple[float, float]]:
     """Train on the train split and score on the test split, once per
     configuration: the (accuracy, macro_f) of each, in order; (0, 0) for a
-    degenerate one (``_PreparedCorpus.n_terms``). The others are grouped by
-    the columns they select, which ``use_stemming`` and the term count fix,
-    and each group is fitted by ``_nb_scores`` in stacks of its smoothings,
-    at most ``_STACK_ELEMENTS`` log likelihoods each. Every score has the
-    bits the configuration alone gets."""
+    degenerate one (``_PreparedCorpus.n_terms``), which runs no kernel.
+
+    The others are grouped by the columns they select, which
+    ``use_stemming`` and the term count fix, and each group is fitted and
+    predicted (``_nb_log_lik``, ``_nb_codes``) on stacks of its smoothings,
+    at most ``_STACK_ELEMENTS`` log likelihoods each, every slice with the
+    bits of a fit on its own. Predictions stay class codes, and the whole
+    call is scored in one pass: one ``np.bincount``, over each
+    configuration's codes shifted by ``n_classes`` per configuration (a lone
+    configuration needs no shift) and true positives shifted past every
+    prediction, counts each configuration's predictions and true positives
+    per class; accuracy and macro-F are the int/int divisions and
+    ``repr``-ordered sums ``metrics.accuracy`` and ``metrics.f_score`` make
+    from label lists, so every bit is theirs."""
     scores = [(0.0, 0.0)] * len(configs)
     groups = {}
     for i, params in enumerate(configs):
         n_terms = prep.n_terms(params)
         if n_terms:
             groups.setdefault((bool(params["use_stemming"]), n_terms), []).append(i)
+    fitted, blocks = [], []
     for selection, members in groups.items():
-        columns = prep.columns(*selection)
-        step = max(1, _STACK_ELEMENTS // columns[0].size)
+        totals, X_test, row_totals = prep.columns(*selection)
+        step = max(1, _STACK_ELEMENTS // totals.size)
         for start in range(0, len(members), step):
             part = members[start:start + step]
-            fits = _nb_scores(prep, *columns, [float(configs[i]["nb_smoothing"]) for i in part])
-            for i, score in zip(part, fits):
-                scores[i] = score
+            log_lik = _nb_log_lik(totals, [float(configs[i]["nb_smoothing"]) for i in part],
+                                  row_totals)
+            blocks.append(_nb_codes(X_test, prep.log_prior, log_lik))
+            fitted += part
+    if not fitted:
+        return scores
+    m, n_classes, n_test = len(fitted), len(prep.classes), len(prep.test_codes)
+    codes = (blocks[0] if len(blocks) == 1 else np.concatenate(blocks)).reshape(m, n_test)
+    # each configuration's codes shifted into a block of bins of its own
+    shifted = codes + np.arange(0, m * n_classes, n_classes)[:, np.newaxis] if m > 1 else codes
+    counts = np.bincount(np.concatenate((shifted.ravel(),
+                                         shifted[codes == prep.test_codes] + m * n_classes)),
+                         minlength=2 * m * n_classes)
+    n_pred, tp = counts.reshape(2, m, n_classes).take(prep.repr_order, axis=2).tolist()
+    for i, t, p in zip(fitted, tp, n_pred):
+        scores[i] = sum(t) / n_test, macro_f1(t, p, prep.gold_counts)
     return scores
 
 
@@ -470,17 +466,27 @@ def classifier_objective(corpus: LabeledCorpus, space: HyperparamSpace):
 
     ``objective.batch(X)`` scores the rows of ``X``; ``objective(x)`` is
     ``batch([x])[0]``, so there is one scoring path. Fitnesses are memoised
-    per decoded configuration; a batch decodes every row and fits the
-    configurations it misses, each once, with one ``_fit_score`` call.
-    ``objective.fit_score(x)`` is the (accuracy, macro_f) of that fit."""
+    by what a fit reads: ``(use_stemming, n_terms, nb_smoothing)``, one
+    entry for every degenerate configuration, so configurations that select
+    the same columns with the same smoothing share one fit and one float. A
+    batch decodes every row and fits the keys it misses, each once, with
+    one ``_fit_score`` call. ``objective.fit_score(x)`` is the (accuracy,
+    macro_f) of that fit."""
     prep = _PreparedCorpus(corpus, _max_terms_cap(space))
     memo = {}
 
     def batch(X) -> list[float]:
-        keys = [tuple(space.decode(x).items()) for x in X]
-        missed = [key for key in dict.fromkeys(keys) if key not in memo]
+        keys, missed = [], {}
+        for x in X:
+            params = space.decode(x)
+            n_terms = prep.n_terms(params)
+            key = (bool(params["use_stemming"]), n_terms,
+                   float(params["nb_smoothing"])) if n_terms else None
+            keys.append(key)
+            if key not in memo:
+                missed.setdefault(key, params)
         if missed:
-            for key, (_, macro_f) in zip(missed, _fit_score(prep, list(map(dict, missed)))):
+            for key, (_, macro_f) in zip(missed, _fit_score(prep, list(missed.values()))):
                 memo[key] = 1.0 - macro_f
         return [memo[key] for key in keys]
 

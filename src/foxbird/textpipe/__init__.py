@@ -134,15 +134,15 @@ def build_vocabulary(corpus, min_doc_freq: int = 1, max_terms: int | None = None
 
 
 def bow_vectorize(corpus, vocab: tuple[str, ...]) -> np.ndarray:
-    """Raw term counts, docs x terms; out-of-vocabulary tokens are ignored."""
+    """Raw term counts, docs x terms, as float64; out-of-vocabulary tokens
+    are ignored. One ``np.bincount`` over the flat cell ``doc * terms +
+    column`` of every token counts them all."""
+    n_terms = len(vocab)
     index = {t: j for j, t in enumerate(vocab)}
-    m = np.zeros((len(corpus), len(vocab)))
-    for d, tokens in enumerate(corpus):
-        for t, c in Counter(tokens).items():
-            j = index.get(t)
-            if j is not None:
-                m[d, j] = c
-    return m
+    cells = [d * n_terms + index[t] for d, tokens in enumerate(corpus)
+             for t in tokens if t in index]
+    counts = np.bincount(np.array(cells, dtype=np.intp), minlength=len(corpus) * n_terms)
+    return counts.reshape(len(corpus), n_terms).astype(float)
 
 
 def doc_frequencies(corpus, vocab: tuple[str, ...]) -> np.ndarray:

@@ -350,6 +350,24 @@ class TestTfidf:
         assert capsys.readouterr().err.startswith(f"usage error: {flag}:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("min_doc_freq, text", [("201", "good film"), ("1", "the a and")],
+                             ids=["above-every-df", "only-stop-words"])
+    def test_no_term_left_is_data_error(self, tmp_path, corpus_csv, capsys, min_doc_freq, text):
+        # a --min-doc-freq above every document frequency (200 documents),
+        # or a corpus of stop words, leaves no term: no id-only matrix
+        corpus = corpus_csv
+        if min_doc_freq == "1":
+            corpus = tmp_path / "stop.csv"
+            corpus.write_text("id,text,label\n" + "".join(f"d{i},{text},a\n" for i in range(3)))
+        out = tmp_path / "m.csv"
+        code = main(["tfidf", "--input", str(corpus), "--out", str(out),
+                     "--min-doc-freq", min_doc_freq])
+        assert code == EXIT_DATA
+        n_docs = 3 if min_doc_freq == "1" else 200
+        assert capsys.readouterr().err == (f"data error: --min-doc-freq: no term is in "
+                                           f"{min_doc_freq} or more of the {n_docs} documents\n")
+        assert not out.exists()
+
     def test_byte_order_mark_is_dropped(self, tmp_path, corpus_csv):
         bom = tmp_path / "bom.csv"
         bom.write_bytes(b"\xef\xbb\xbf" + Path(corpus_csv).read_bytes())

@@ -1,4 +1,5 @@
 import csv
+import functools
 import gc
 import hashlib
 import inspect
@@ -12,6 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from foxbird import harness, textpipe
 from foxbird.core import SearchSpace, make_rng
@@ -89,6 +91,12 @@ def frozen_nb_score(prep, totals, X_test, smoothing):
     n_pred = np.bincount(codes, minlength=n_classes)[prep.repr_order]
     scores = (int(tp.sum()) / len(codes), macro_f1(tp.tolist(), n_pred.tolist(), prep.gold_counts))
     return scores, log_lik, codes
+
+
+@functools.cache
+def prepared(path):
+    """The tuning objective's preparation of a corpus file, space cap 2000."""
+    return harness._PreparedCorpus(load_corpus(path), 2000)
 
 
 def class_sums(X, labels, classes):
@@ -415,22 +423,26 @@ class TestNaiveBayes:
                                                                 n_classes):
         # each slice of a stack (one smoothing) must get the log likelihoods,
         # the codes and the scores the per-point kernel gave that smoothing
-        # alone, on stacks of one, two and 40 (more than a batch stacks on
-        # the widest of these shapes), with the test matrix in the F order a
-        # selection has and in C order
+        # alone, on stacks of one, two and 40 (more than one _nb_log_lik
+        # call stacks on the widest of these shapes, so _fit_score scores
+        # several joined blocks of codes), with the test matrix in the F
+        # order a selection has and in C order
         rng = make_rng(n_test * 10_000 + n_terms * 10 + n_classes)
         order = rng.permutation(n_classes)
         test_codes = rng.integers(0, n_classes, n_test)
+        # a preparation with one column selection, whatever the configuration
         prep = SimpleNamespace(classes=list(range(n_classes)), repr_order=order,
                                log_prior=np.log(rng.dirichlet(np.ones(n_classes))),
                                test_codes=test_codes,
                                gold_counts=np.bincount(test_codes,
-                                                       minlength=n_classes)[order].tolist())
+                                                       minlength=n_classes)[order].tolist(),
+                               n_terms=lambda params: n_terms)
         totals = (rng.exponential(3.0, (n_classes, n_terms))
                   * rng.integers(0, 2, (n_classes, n_terms)))
         row_totals = totals.sum(axis=1).tolist()
         test = rng.exponential(1.0, (n_terms, n_test)) * rng.integers(0, 2, (n_terms, n_test))
         for X_test in (test.T, np.ascontiguousarray(test.T)):
+            prep.columns = lambda *_, X_test=X_test: (totals, X_test, row_totals)
             for m in (1, 2, 40):
                 smoothings = rng.uniform(0.01, 5.0, m).tolist()
                 frozen = [frozen_nb_score(prep, totals, X_test, s) for s in smoothings]
@@ -438,7 +450,8 @@ class TestNaiveBayes:
                 assert_same_bits(log_lik, [ll for _, ll, _ in frozen])
                 codes = harness._nb_codes(X_test, prep.log_prior, log_lik)
                 assert codes.tolist() == [k for _, _, c in frozen for k in c.tolist()]
-                got = harness._nb_scores(prep, totals, X_test, row_totals, smoothings)
+                got = harness._fit_score(prep, [{"use_stemming": False, "nb_smoothing": s}
+                                                for s in smoothings])
                 assert ([[v.hex() for v in score] for score in got]
                         == [[v.hex() for v in score] for score, _, _ in frozen])
 
@@ -536,14 +549,13 @@ class TestClassifierObjective:
 
     def test_miss_calls_each_stage_once_and_hit_none(self, corpus_csv, monkeypatch):
         # the stages a miss runs, called through module attributes:
-        # _fit_score once per call that misses, and the group kernel, the NB
-        # fit and the class-code scorer once per column selection it misses,
-        # whatever the number of smoothings stacked on it; an all-hit call
-        # runs none. The label-list adapters (train_nb, predict_nb and the
-        # two metrics, which perfbench's trace wraps) are for other callers
-        # and never run.
+        # _fit_score once per call that misses, and the NB fit and the
+        # class-code scorer once per column selection it misses, whatever the
+        # number of smoothings stacked on it; an all-hit call runs none. The
+        # label-list adapters (train_nb, predict_nb and the two metrics,
+        # which perfbench's trace wraps) are for other callers and never run.
         calls = Counter()
-        stages = ("_nb_scores", "_nb_log_lik", "_nb_codes", "_fit_score", "train_nb",
+        stages = ("_nb_log_lik", "_nb_codes", "_fit_score", "train_nb",
                   "predict_nb", "accuracy_metric", "f_score_metric")
         for name in stages:
             def counted(*args, _fn=getattr(harness, name), _name=name):
@@ -558,8 +570,7 @@ class TestClassifierObjective:
                                       "use_stemming": False, "nb_smoothing": 0.5}, **over))
 
         def runs(fits, selections):
-            return dict(dict.fromkeys(("_nb_scores", "_nb_log_lik", "_nb_codes"), selections),
-                        _fit_score=fits)
+            return dict(dict.fromkeys(("_nb_log_lik", "_nb_codes"), selections), _fit_score=fits)
 
         obj(x())
         assert calls == runs(1, 1)
@@ -574,16 +585,16 @@ class TestClassifierObjective:
         obj.batch([x(max_terms=10), x(nb_smoothing=2.5), x(use_stemming=True)])
         assert calls == runs(3, 4)
 
-    def test_fit_score_runs_once_per_distinct_configuration(self, corpus_csv, monkeypatch):
+    def test_fit_score_runs_once_per_distinct_fit(self, corpus_csv, monkeypatch):
         # every configuration the kernel stacks is recorded by its inputs:
         # the selected totals and its smoothing
         fitted = Counter()
 
-        def counted(prep, totals, X_test, row_totals, smoothings, _fn=harness._nb_scores):
+        def counted(totals, smoothings, row_totals, _fn=harness._nb_log_lik):
             fitted.update((totals.tobytes(), s) for s in smoothings)
-            return _fn(prep, totals, X_test, row_totals, smoothings)
+            return _fn(totals, smoothings, row_totals)
 
-        monkeypatch.setattr(harness, "_nb_scores", counted)
+        monkeypatch.setattr(harness, "_nb_log_lik", counted)
         space = default_tuning_space()
         box = space.to_box()
         corpus = load_corpus(corpus_csv)
@@ -603,13 +614,87 @@ class TestClassifierObjective:
         configs = {tuple(space.decode(x).items()) for x in X}
         assert len(configs) < len(X)
         prep = harness._PreparedCorpus(corpus, harness._max_terms_cap(space))
-        want = Counter()
-        for config in map(dict, configs):
-            n_terms = prep.n_terms(config)
-            if n_terms:
-                totals = prep.columns(config["use_stemming"], n_terms)[0]
-                want[totals.tobytes(), config["nb_smoothing"]] += 1
-        assert fitted == want
+        live = [c for c in map(dict, configs) if prep.n_terms(c)]
+        fits = {(c["use_stemming"], prep.n_terms(c), c["nb_smoothing"]) for c in live}
+        assert len(fits) < len(live)  # configurations that decode apart share fits
+        assert fitted == Counter((prep.columns(use_stemming, n_terms)[0].tobytes(), smoothing)
+                                 for use_stemming, n_terms, smoothing in fits)
+
+    def test_same_selection_and_smoothing_is_fitted_once_as_one_float(self, corpus_csv,
+                                                                      monkeypatch):
+        # min_doc_freq and max_terms reach a fit only through the term
+        # count, so two configurations that differ in them but select the
+        # same columns, with the same smoothing, share one fit and one float
+        space = default_tuning_space()
+        corpus = load_corpus(corpus_csv)
+        prep = harness._PreparedCorpus(corpus, harness._max_terms_cap(space))
+        base = {"min_doc_freq": 1, "max_terms": 2000, "use_stemming": True, "nb_smoothing": 0.5}
+        twin = dict(base, min_doc_freq=2, max_terms=prep.n_terms(base))
+        assert prep.n_terms(twin) == prep.n_terms(base) > 1
+        handed = []
+        fit = harness._fit_score
+        monkeypatch.setattr(harness, "_fit_score",
+                            lambda prep, configs: handed.extend(configs) or fit(prep, configs))
+        obj = classifier_objective(corpus, space)
+        first, second = obj.batch([space.encode(base), space.encode(twin)])
+        assert first is second
+        assert obj(space.encode(twin)) is first
+        assert handed == [base]
+        assert first.hex() == (1.0 - fit(prep, [twin])[0][1]).hex()
+
+    def test_degenerate_configurations_run_no_kernel(self, graded_corpus_csv, monkeypatch):
+        # every degenerate configuration shares one memo entry, and neither
+        # a batch nor fit_score runs the NB fit or the class-code scorer on
+        # one
+        calls = Counter()
+        for name in ("_nb_log_lik", "_nb_codes", "_class_totals"):
+            def counted(*args, _fn=getattr(harness, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(harness, name, counted)
+        corpus = load_corpus(graded_corpus_csv)
+        space = HyperparamSpace((HyperparamDim("min_doc_freq", "integer", 0, 200),
+                                 HyperparamDim("max_terms", "integer", 0, 2000))
+                                + (default_tuning_space().dims[2],
+                                   HyperparamDim("nb_smoothing", "continuous", -1.0, 5.0)))
+        obj = classifier_objective(corpus, space)
+        calls.clear()  # the preparation sums class totals
+        live = {"min_doc_freq": 1, "max_terms": 40, "use_stemming": False, "nb_smoothing": 1.0}
+        degenerate = [dict(live, min_doc_freq=0), dict(live, max_terms=0),
+                      dict(live, nb_smoothing=0.0), dict(live, nb_smoothing=-0.5),
+                      dict(live, min_doc_freq=len(corpus.train_idx) + 1, use_stemming=True)]
+        X = [space.encode(p) for p in degenerate]
+        got = obj.batch(X)
+        assert got == [1.0] * len(X) and all(v is got[0] for v in got)
+        assert [obj.fit_score(x) for x in X] == [(0.0, 0.0)] * len(X)
+        assert calls == Counter()
+        assert list(inspect.getclosurevars(obj.batch).nonlocals["memo"]) == [None]
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_a_call_scores_each_configuration_as_alone(self, graded_corpus_csv, data):
+        # _fit_score on a batch gives each configuration the bits a call of
+        # its own gives it. The batches mix column selections (cut and whole
+        # prefixes, one-term ones, both stemming variants), degenerate
+        # configurations and, on one selection, more smoothings than one
+        # stack holds.
+        prep = prepared(graded_corpus_csv)
+        whole = {"min_doc_freq": 1, "max_terms": 2000, "use_stemming": False}
+        per_stack = harness._STACK_ELEMENTS // prep.columns(False, prep.n_terms(
+            dict(whole, nb_smoothing=1.0)))[0].size
+        smoothing = st.sampled_from((-0.5, 0.0, 0.01, 1.0)) | st.floats(0.01, 5.0)
+        mixed = st.lists(st.fixed_dictionaries({
+            "min_doc_freq": st.integers(0, 8) | st.sampled_from((30, 91)),
+            "max_terms": st.sampled_from((0, 1, 2, 7, 40, 2000)) | st.integers(0, 400),
+            "use_stemming": st.booleans(),
+            "nb_smoothing": smoothing}), max_size=30)
+        stacked = st.lists(smoothing, max_size=2 * per_stack + 3).map(
+            lambda ss: [dict(whole, nb_smoothing=s) for s in ss])
+        configs = data.draw(st.tuples(mixed, stacked).flatmap(
+            lambda parts: st.permutations(parts[0] + parts[1])))
+        got = harness._fit_score(prep, configs)
+        want = [harness._fit_score(prep, [c])[0] for c in configs]
+        assert [[v.hex() for v in s] for s in got] == [[v.hex() for v in s] for s in want]
 
     def test_repeated_point_returns_the_identical_float(self, corpus_csv):
         corpus = load_corpus(corpus_csv)

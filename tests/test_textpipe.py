@@ -1,5 +1,6 @@
 import math
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -448,6 +449,34 @@ class TestBowTfIdf:
     def test_bow_ignores_oov(self):
         m = bow_vectorize([["a", "zzz"]], ("a",))
         np.testing.assert_array_equal(m, [[1]])
+
+    def test_bow_equals_the_frozen_counter_vectorizer(self):
+        # the bincount vectorizer against the Counter-per-document one it
+        # replaced: the same float64 bytes, shape and C order, on corpora
+        # with empty documents, out-of-vocabulary words, an empty vocabulary
+        # and no documents at all
+        def frozen(corpus, vocab):
+            index = {t: j for j, t in enumerate(vocab)}
+            m = np.zeros((len(corpus), len(vocab)))
+            for d, tokens in enumerate(corpus):
+                for t, c in Counter(tokens).items():
+                    j = index.get(t)
+                    if j is not None:
+                        m[d, j] = c
+            return m
+
+        rng = np.random.Generator(np.random.PCG64(9))
+        words = [f"w{k}" for k in range(40)]
+        cases = [([], ()), ([], ("a",)), ([["a"], []], ()), ([[], []], ("a", "b"))]
+        for _ in range(200):
+            corpus = [list(rng.choice(words, int(rng.integers(0, 30))))
+                      for _ in range(int(rng.integers(0, 20)))]
+            vocab = tuple(sorted(rng.choice(words, int(rng.integers(0, 41)), replace=False)))
+            cases.append((corpus, vocab))
+        for corpus, vocab in cases:
+            got, want = bow_vectorize(corpus, vocab), frozen(corpus, vocab)
+            assert (got.dtype, got.shape, got.flags.c_contiguous, got.tobytes()) == \
+                (want.dtype, want.shape, True, want.tobytes())
 
     def test_hand_value(self):
         # 4 docs, "rare" in 1 of them twice: tf-idf = 2 * ln 4

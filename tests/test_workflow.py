@@ -1,7 +1,9 @@
 """The CI workflow runs the whole suite a second time with numpy's AVX-512
 kernels off: ``np.exp`` and ``np.log`` give other last bits under them, so a
-pin that passes on one kernel set may fail on the other."""
+pin that passes on one kernel set may fail on the other. Its token may only
+read the repository."""
 
+import itertools
 from pathlib import Path
 
 WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
@@ -13,3 +15,13 @@ def test_the_whole_suite_is_rerun_without_avx512():
                     if "python -m pytest" in line]
     assert "tests/" not in tier1
     assert rerun == f"NPY_DISABLE_CPU_FEATURES=X86_V4 {tier1}"
+
+
+def test_the_token_may_only_read_the_repository():
+    # a top-level block, so every job gets it: "permissions:" at column 0,
+    # followed by exactly one indented grant
+    lines = WORKFLOW.read_text(encoding="utf-8").splitlines()
+    at = lines.index("permissions:")
+    grants = list(itertools.takewhile(lambda line: line.startswith(" "), lines[at + 1:]))
+    assert [g.strip() for g in grants] == ["contents: read"]
+    assert sum(line.strip().startswith("permissions:") for line in lines) == 1
