@@ -97,13 +97,18 @@ def _parse_rows(path, fmt: str):
     rows = []
     if fmt == "csv":
         reader = csv.DictReader(io.StringIO(_read_text(path), newline=""))
-        missing = {"id", "text", "label"} - set(reader.fieldnames or [])
-        if missing:
-            raise DataError(f"missing column(s): {', '.join(sorted(missing))}")
-        for lineno, row in enumerate(reader, start=2):
-            if row.get("id") is None or row.get("text") is None or row.get("label") is None:
-                raise DataError(f"malformed row at line {lineno}")
-            rows.append((row["id"], row["text"], row["label"]))
+        try:
+            missing = {"id", "text", "label"} - set(reader.fieldnames or [])
+            if missing:
+                raise DataError(f"missing column(s): {', '.join(sorted(missing))}")
+            for row in reader:
+                # a short row's missing fields are None, a long row's extras keyed by None
+                if None in row or None in row.values():
+                    raise DataError(f"malformed row at line {reader.line_num}")
+                rows.append((row["id"], row["text"], row["label"]))
+        except csv.Error as e:  # a field over csv.field_size_limit(), or a NUL before 3.11
+            # DictReader's own line_num is only set once a row is read
+            raise DataError(f"malformed row at line {reader.reader.line_num}: {e}") from None
     elif fmt == "jsonl":
         # newline=None splits lines as a file opened in text mode does
         for lineno, line in enumerate(io.StringIO(_read_text(path), newline=None), start=1):
@@ -360,17 +365,21 @@ class _PreparedCorpus:
         self.log_prior = _log_prior(np.bincount(self.train_codes, minlength=n_classes), n_train)
         self.wholes = {}
 
-    def n_terms(self, params: dict) -> int:
-        """How many columns a configuration is scored on: the terms with
-        df >= ``min_doc_freq``, at most ``max_terms`` of them. 0 for a
-        degenerate configuration: a ``min_doc_freq`` or ``max_terms`` below
-        1, an ``nb_smoothing`` <= 0, whose log likelihoods would not be
-        finite, or no term left."""
+    def fit_key(self, params: dict):
+        """What a fit of a configuration reads: ``(use_stemming, n_terms,
+        nb_smoothing)``, where ``n_terms`` is how many columns it is scored
+        on, the terms with df >= ``min_doc_freq``, at most ``max_terms`` of
+        them. None for a degenerate configuration: a ``min_doc_freq`` or
+        ``max_terms`` below 1, an ``nb_smoothing`` <= 0, whose log likelihoods
+        would not be finite, or no term left."""
         min_doc_freq, max_terms = int(params["min_doc_freq"]), int(params["max_terms"])
-        if min_doc_freq < 1 or max_terms < 1 or float(params["nb_smoothing"]) <= 0:
-            return 0
-        at_least = self.variants[bool(params["use_stemming"])][5]
-        return min(at_least[min_doc_freq] if min_doc_freq < len(at_least) else 0, max_terms)
+        smoothing = float(params["nb_smoothing"])
+        if min_doc_freq < 1 or max_terms < 1 or smoothing <= 0:
+            return None
+        use_stemming = bool(params["use_stemming"])
+        at_least = self.variants[use_stemming][5]
+        n_terms = min(at_least[min_doc_freq] if min_doc_freq < len(at_least) else 0, max_terms)
+        return (use_stemming, n_terms, smoothing) if n_terms else None
 
     def columns(self, use_stemming: bool, n_terms: int):
         """The per-class totals, the test matrix and the per-class sums of
@@ -411,37 +420,34 @@ def _max_terms_cap(space: HyperparamSpace) -> int | None:
 _STACK_ELEMENTS = 1 << 14
 
 
-def _fit_score(prep: _PreparedCorpus, configs: list) -> list[tuple[float, float]]:
-    """Train on the train split and score on the test split, once per
-    configuration: the (accuracy, macro_f) of each, in order; (0, 0) for a
-    degenerate one (``_PreparedCorpus.n_terms``), which runs no kernel.
+def _fit_score(prep: _PreparedCorpus, keys: list) -> list[tuple[float, float]]:
+    """Train on the train split and score on the test split, once per fit
+    key (``_PreparedCorpus.fit_key``): the (accuracy, macro_f) of each, in
+    order; (0, 0) for None, a degenerate configuration's key, with no kernel.
 
-    The others are grouped by the columns they select, which
-    ``use_stemming`` and the term count fix, and each group is fitted and
+    The others are grouped by the columns they select, ``key[:2]``
+    (``use_stemming`` and the term count), and each group is fitted and
     predicted (``_nb_log_lik``, ``_nb_codes``) on stacks of its smoothings,
-    at most ``_STACK_ELEMENTS`` log likelihoods each, every slice with the
-    bits of a fit on its own. Predictions stay class codes, and the whole
-    call is scored in one pass: one ``np.bincount``, over each
-    configuration's codes shifted by ``n_classes`` per configuration (a lone
-    configuration needs no shift) and true positives shifted past every
-    prediction, counts each configuration's predictions and true positives
-    per class; accuracy and macro-F are the int/int divisions and
-    ``repr``-ordered sums ``metrics.accuracy`` and ``metrics.f_score`` make
-    from label lists, so every bit is theirs."""
-    scores = [(0.0, 0.0)] * len(configs)
+    ``key[2]``, at most ``_STACK_ELEMENTS`` log likelihoods each, every
+    slice with the bits of a fit on its own. Predictions stay class codes,
+    and the whole call is scored in one pass: one ``np.bincount``, over each
+    key's codes shifted by ``n_classes`` per key (a lone key needs no shift)
+    and true positives shifted past every prediction, counts each key's
+    predictions and true positives per class; accuracy and macro-F are the
+    int/int divisions and ``repr``-ordered sums ``metrics.accuracy`` and
+    ``metrics.f_score`` make from label lists, so every bit is theirs."""
+    scores = [(0.0, 0.0)] * len(keys)
     groups = {}
-    for i, params in enumerate(configs):
-        n_terms = prep.n_terms(params)
-        if n_terms:
-            groups.setdefault((bool(params["use_stemming"]), n_terms), []).append(i)
+    for i, key in enumerate(keys):
+        if key is not None:
+            groups.setdefault(key[:2], []).append(i)
     fitted, blocks = [], []
     for selection, members in groups.items():
         totals, X_test, row_totals = prep.columns(*selection)
         step = max(1, _STACK_ELEMENTS // totals.size)
         for start in range(0, len(members), step):
             part = members[start:start + step]
-            log_lik = _nb_log_lik(totals, [float(configs[i]["nb_smoothing"]) for i in part],
-                                  row_totals)
+            log_lik = _nb_log_lik(totals, [keys[i][2] for i in part], row_totals)
             blocks.append(_nb_codes(X_test, prep.log_prior, log_lik))
             fitted += part
     if not fitted:
@@ -466,27 +472,20 @@ def classifier_objective(corpus: LabeledCorpus, space: HyperparamSpace):
 
     ``objective.batch(X)`` scores the rows of ``X``; ``objective(x)`` is
     ``batch([x])[0]``, so there is one scoring path. Fitnesses are memoised
-    by what a fit reads: ``(use_stemming, n_terms, nb_smoothing)``, one
-    entry for every degenerate configuration, so configurations that select
-    the same columns with the same smoothing share one fit and one float. A
-    batch decodes every row and fits the keys it misses, each once, with
+    by what a fit reads, the row's ``_PreparedCorpus.fit_key``: one entry
+    for every degenerate configuration, so configurations that select the
+    same columns with the same smoothing share one fit and one float. A
+    batch keys every row once and hands the keys it misses, each once, to
     one ``_fit_score`` call. ``objective.fit_score(x)`` is the (accuracy,
     macro_f) of that fit."""
     prep = _PreparedCorpus(corpus, _max_terms_cap(space))
     memo = {}
 
     def batch(X) -> list[float]:
-        keys, missed = [], {}
-        for x in X:
-            params = space.decode(x)
-            n_terms = prep.n_terms(params)
-            key = (bool(params["use_stemming"]), n_terms,
-                   float(params["nb_smoothing"])) if n_terms else None
-            keys.append(key)
-            if key not in memo:
-                missed.setdefault(key, params)
+        keys = [prep.fit_key(space.decode(x)) for x in X]
+        missed = [key for key in dict.fromkeys(keys) if key not in memo]
         if missed:
-            for key, (_, macro_f) in zip(missed, _fit_score(prep, list(missed.values()))):
+            for key, (_, macro_f) in zip(missed, _fit_score(prep, missed)):
                 memo[key] = 1.0 - macro_f
         return [memo[key] for key in keys]
 
@@ -494,7 +493,7 @@ def classifier_objective(corpus: LabeledCorpus, space: HyperparamSpace):
         return batch([x])[0]
 
     objective.batch = batch
-    objective.fit_score = lambda x: _fit_score(prep, [space.decode(x)])[0]
+    objective.fit_score = lambda x: _fit_score(prep, [prep.fit_key(space.decode(x))])[0]
     return objective
 
 

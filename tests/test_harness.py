@@ -201,6 +201,25 @@ class TestLoadCorpus:
         with pytest.raises(DataError, match="missing column"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("bad, line, detail", [
+        # DictReader would read label " world" and key "s" by None
+        ("d90,hello, world,pos,s", 5, ""),
+        # every field the header names must be there, not only the three read
+        ("d90,hello,pos", 5, ""),
+        ("d90,\"" + "a" * (csv.field_size_limit() + 1) + "\",pos,s", 5,
+         ": field larger than field limit"),
+        # a quoted text over lines 5-6, then a short row on line 7, the 6th record
+        ("d90,\"two\nlines\",pos,s\nd91,hello", 7, ""),
+    ], ids=["extra-field", "short-of-an-unread-column", "field-over-the-limit",
+            "short-row-after-a-two-line-text"])
+    def test_malformed_csv_row_names_its_line(self, tmp_path, bad, line, detail):
+        lines = ["id,text,label,source"] + [f"d{i},text {i},{'ab'[i % 2]},s" for i in range(12)]
+        lines.insert(4, bad)
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"^malformed row at line {line}{detail or '$'}"):
+            load_corpus(path)
+
     def test_malformed_jsonl_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id": "a", "text": "t", "label": "x"}\nnot json\n')
@@ -435,8 +454,7 @@ class TestNaiveBayes:
                                log_prior=np.log(rng.dirichlet(np.ones(n_classes))),
                                test_codes=test_codes,
                                gold_counts=np.bincount(test_codes,
-                                                       minlength=n_classes)[order].tolist(),
-                               n_terms=lambda params: n_terms)
+                                                       minlength=n_classes)[order].tolist())
         totals = (rng.exponential(3.0, (n_classes, n_terms))
                   * rng.integers(0, 2, (n_classes, n_terms)))
         row_totals = totals.sum(axis=1).tolist()
@@ -450,8 +468,7 @@ class TestNaiveBayes:
                 assert_same_bits(log_lik, [ll for _, ll, _ in frozen])
                 codes = harness._nb_codes(X_test, prep.log_prior, log_lik)
                 assert codes.tolist() == [k for _, _, c in frozen for k in c.tolist()]
-                got = harness._fit_score(prep, [{"use_stemming": False, "nb_smoothing": s}
-                                                for s in smoothings])
+                got = harness._fit_score(prep, [(False, n_terms, s) for s in smoothings])
                 assert ([[v.hex() for v in score] for score in got]
                         == [[v.hex() for v in score] for score, _, _ in frozen])
 
@@ -614,8 +631,8 @@ class TestClassifierObjective:
         configs = {tuple(space.decode(x).items()) for x in X}
         assert len(configs) < len(X)
         prep = harness._PreparedCorpus(corpus, harness._max_terms_cap(space))
-        live = [c for c in map(dict, configs) if prep.n_terms(c)]
-        fits = {(c["use_stemming"], prep.n_terms(c), c["nb_smoothing"]) for c in live}
+        live = [c for c in map(dict, configs) if prep.fit_key(c)]
+        fits = {prep.fit_key(c) for c in live}
         assert len(fits) < len(live)  # configurations that decode apart share fits
         assert fitted == Counter((prep.columns(use_stemming, n_terms)[0].tobytes(), smoothing)
                                  for use_stemming, n_terms, smoothing in fits)
@@ -629,18 +646,19 @@ class TestClassifierObjective:
         corpus = load_corpus(corpus_csv)
         prep = harness._PreparedCorpus(corpus, harness._max_terms_cap(space))
         base = {"min_doc_freq": 1, "max_terms": 2000, "use_stemming": True, "nb_smoothing": 0.5}
-        twin = dict(base, min_doc_freq=2, max_terms=prep.n_terms(base))
-        assert prep.n_terms(twin) == prep.n_terms(base) > 1
+        key = prep.fit_key(base)
+        twin = dict(base, min_doc_freq=2, max_terms=key[1])
+        assert prep.fit_key(twin) == key and key[1] > 1
         handed = []
         fit = harness._fit_score
         monkeypatch.setattr(harness, "_fit_score",
-                            lambda prep, configs: handed.extend(configs) or fit(prep, configs))
+                            lambda prep, keys: handed.extend(keys) or fit(prep, keys))
         obj = classifier_objective(corpus, space)
         first, second = obj.batch([space.encode(base), space.encode(twin)])
         assert first is second
         assert obj(space.encode(twin)) is first
-        assert handed == [base]
-        assert first.hex() == (1.0 - fit(prep, [twin])[0][1]).hex()
+        assert handed == [key]
+        assert first.hex() == (1.0 - fit(prep, [prep.fit_key(twin)])[0][1]).hex()
 
     def test_degenerate_configurations_run_no_kernel(self, graded_corpus_csv, monkeypatch):
         # every degenerate configuration shares one memo entry, and neither
@@ -680,8 +698,8 @@ class TestClassifierObjective:
         # stack holds.
         prep = prepared(graded_corpus_csv)
         whole = {"min_doc_freq": 1, "max_terms": 2000, "use_stemming": False}
-        per_stack = harness._STACK_ELEMENTS // prep.columns(False, prep.n_terms(
-            dict(whole, nb_smoothing=1.0)))[0].size
+        per_stack = harness._STACK_ELEMENTS // prep.columns(
+            *prep.fit_key(dict(whole, nb_smoothing=1.0))[:2])[0].size
         smoothing = st.sampled_from((-0.5, 0.0, 0.01, 1.0)) | st.floats(0.01, 5.0)
         mixed = st.lists(st.fixed_dictionaries({
             "min_doc_freq": st.integers(0, 8) | st.sampled_from((30, 91)),
@@ -692,8 +710,9 @@ class TestClassifierObjective:
             lambda ss: [dict(whole, nb_smoothing=s) for s in ss])
         configs = data.draw(st.tuples(mixed, stacked).flatmap(
             lambda parts: st.permutations(parts[0] + parts[1])))
-        got = harness._fit_score(prep, configs)
-        want = [harness._fit_score(prep, [c])[0] for c in configs]
+        keys = [prep.fit_key(c) for c in configs]
+        got = harness._fit_score(prep, keys)
+        want = [harness._fit_score(prep, [k])[0] for k in keys]
         assert [[v.hex() for v in s] for s in got] == [[v.hex() for v in s] for s in want]
 
     def test_repeated_point_returns_the_identical_float(self, corpus_csv):
@@ -728,9 +747,13 @@ class TestClassifierObjective:
                                  HyperparamDim("nb_smoothing", "continuous", -0.5, 5.0)))
         probe = harness._PreparedCorpus(corpus, harness._max_terms_cap(space))
 
+        def n_terms(params):
+            key = probe.fit_key(params)
+            return key[1] if key else 0
+
         def prefix(use_stemming, min_doc_freq):  # the number of terms with df >= min_doc_freq
-            return probe.n_terms({"min_doc_freq": min_doc_freq, "max_terms": 2000,
-                                  "use_stemming": use_stemming, "nb_smoothing": 1.0})
+            return n_terms({"min_doc_freq": min_doc_freq, "max_terms": 2000,
+                            "use_stemming": use_stemming, "nb_smoothing": 1.0})
 
         df = np.sort(probe.variants[False][3])[::-1]
         stemmed_terms = prefix(True, 1)  # a cut of the unstemmed terms as wide
@@ -748,8 +771,8 @@ class TestClassifierObjective:
         X = X[make_rng(6).permutation(len(X))]
         X = np.concatenate([X, X[::3]])  # repeats within the batch
         configs = [space.decode(x) for x in X]
-        assert any(probe.n_terms(c) == 1 for c in configs)
-        assert any(1 < probe.n_terms(c) < prefix(c["use_stemming"], c["min_doc_freq"])
+        assert any(n_terms(c) == 1 for c in configs)
+        assert any(1 < n_terms(c) < prefix(c["use_stemming"], c["min_doc_freq"])
                    for c in configs if c["min_doc_freq"] >= 1)
         whole = classifier_objective(corpus, space)
         early = whole.batch(X[::7])  # hits for the batch below
@@ -769,14 +792,39 @@ class TestClassifierObjective:
             first = obj(x) if i % 2 else obj.batch([x])[0]
             assert obj(x) is obj.batch([x])[0] is first
 
+    def test_a_row_is_decoded_and_keyed_once(self, corpus_csv, monkeypatch):
+        # fit_key is the one reader of a decoded configuration: every row a
+        # batch, a call or fit_score is handed is decoded once and keyed
+        # once, whether it misses, repeats within the batch or hits
+        calls = Counter()
+        for cls, name in ((HyperparamSpace, "decode"), (harness._PreparedCorpus, "fit_key")):
+            def counted(self, arg, _fn=getattr(cls, name), _name=name):
+                calls[_name] += 1
+                return _fn(self, arg)
+            monkeypatch.setattr(cls, name, counted)
+        space = default_tuning_space()
+        box = space.to_box()
+        obj = classifier_objective(load_corpus(corpus_csv), space)
+        X = make_rng(8).uniform(box.lower, box.upper, size=(30, box.dims))
+        X = np.concatenate([X, X[::2]])
+        rows = 0
+        for batch in (X[:20], X, X[5:]):
+            obj.batch(batch)
+            rows += len(batch)
+            assert calls == {"decode": rows, "fit_key": rows}
+        obj(X[0])
+        obj.fit_score(X[1])
+        assert calls == {"decode": rows + 2, "fit_key": rows + 2}
+
     def test_fit_score_is_pinned_over_a_grid(self, graded_corpus_csv):
         # 400 configurations on three classes, where the order of macro-F's
         # sum shows in the last bits; recorded before the objective changed
         prep = harness._PreparedCorpus(load_corpus(graded_corpus_csv), 2000)
         grid = itertools.product(range(1, 6), (1, 2, 3, 10, 30, 100, 400, 2000),
                                  (False, True), (0.01, 0.1, 0.5, 1, 5))
-        scores = [harness._fit_score(prep, [{"min_doc_freq": m, "max_terms": t,
-                                             "use_stemming": s, "nb_smoothing": a}])[0]
+        scores = [harness._fit_score(prep, [prep.fit_key({"min_doc_freq": m, "max_terms": t,
+                                                           "use_stemming": s,
+                                                           "nb_smoothing": a})])[0]
                   for m, t, s, a in grid]
         assert len(scores) == 400
         assert hashlib.sha256(repr(scores).encode()).hexdigest() == \
@@ -787,7 +835,8 @@ class TestClassifierObjective:
         prep = harness._PreparedCorpus(corpus, 2000)
         params = {"min_doc_freq": len(corpus.train_idx) + 1, "max_terms": 2000,
                   "use_stemming": False, "nb_smoothing": 1.0}
-        assert harness._fit_score(prep, [params])[0] == (0.0, 0.0)
+        assert prep.fit_key(params) is None
+        assert harness._fit_score(prep, [prep.fit_key(params)])[0] == (0.0, 0.0)
 
     @pytest.mark.parametrize("corpus_name", ["graded_corpus_csv", "lopsided_corpus_csv"])
     def test_fit_score_equals_two_matrix_reference(self, corpus_name, request, monkeypatch):
@@ -1019,7 +1068,8 @@ class TestClassifierObjective:
         for params, n_terms in grid:
             fresh = harness._PreparedCorpus(corpus, cap)
             config = dict(params, min_doc_freq=1, max_terms=n_terms)
-            want[tuple(params.items())] = fit_score(lambda: harness._fit_score(fresh, [config])[0])
+            want[tuple(params.items())] = fit_score(
+                lambda: harness._fit_score(fresh, [fresh.fit_key(config)])[0])
         assert len({tuple(scores) for scores, _ in want.values()}) > 3  # not one flat plateau
         obj = classifier_objective(corpus, space)
         for i in make_rng(21).permutation(2 * len(grid)):

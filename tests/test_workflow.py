@@ -1,7 +1,8 @@
 """The CI workflow runs the whole suite a second time with numpy's AVX-512
 kernels off: ``np.exp`` and ``np.log`` give other last bits under them, so a
-pin that passes on one kernel set may fail on the other. Its token may only
-read the repository."""
+pin that passes on one kernel set may fail on the other. One step runs the
+installed package, not the checkout's ``src/``. Its token may only read the
+repository."""
 
 import itertools
 from pathlib import Path
@@ -25,3 +26,14 @@ def test_the_token_may_only_read_the_repository():
     grants = list(itertools.takewhile(lambda line: line.startswith(" "), lines[at + 1:]))
     assert [g.strip() for g in grants] == ["contents: read"]
     assert sum(line.strip().startswith("permissions:") for line in lines) == 1
+
+
+def test_the_installed_package_runs_outside_the_checkout():
+    # after the install, from the runner's temporary directory and with no
+    # PYTHONPATH, so neither src/ nor the checkout's package data is reached
+    lines = [line.strip() for line in WORKFLOW.read_text(encoding="utf-8").splitlines()]
+    install = lines.index('run: python -m pip install ".[test]"')
+    run = lines.index("run: env -u PYTHONPATH opt bench --function sphere --dims 2 "
+                      "--pop-size 4 --iters 2")
+    assert install < run
+    assert lines[run - 1] == "working-directory: ${{ runner.temp }}"
