@@ -26,7 +26,7 @@ from .hraha import (
     OMNIDIRECTIONAL,
     LocalMoves,
     OptimizationResult,
-    flight_mask,
+    _set_mask,
     migrate_worst,
     move_closer_reproduce,
     step_toward,
@@ -72,32 +72,27 @@ def run_aha(obj, space: SearchSpace, pop_size: int, max_iters: int,
     pop = init_population(space, pop_size, rng, counted)
     history = []
     last_migration = 0
-    n = len(pop)
     for t in range(max_iters):
         # every candidate is built before any is accepted: candidate i reads
         # only slot i and best_pos, which no accept of this sweep changes.
-        # The draws stay per member: the flight kind, its mask, the scale b
-        # and the guided-or-territorial coin.
+        # The draws stay per member, in order: the flight kind u, its mask
+        # (into the member's row), the scale b and the guided-or-territorial coin.
         best_pos = pop.best.position
-        masks, b, guided = np.empty((n, space.dims)), np.empty((n, 1)), np.empty((n, 1), bool)
-        for i in range(n):
+        masks, b, guided = np.zeros((len(pop), space.dims)), [], []
+        for row in masks:
             u = rng.random()
-            if u < 1 / 3:
-                kind = OMNIDIRECTIONAL
-            elif u < 2 / 3:
-                kind = AXIAL
-            else:
-                kind = DIAGONAL
-            masks[i] = flight_mask(kind, space.dims, rng)
-            b[i] = rng.standard_normal()
-            guided[i] = rng.random() < 0.5
+            _set_mask(row, OMNIDIRECTIONAL if u < 1 / 3 else AXIAL if u < 2 / 3 else DIAGONAL,
+                      rng)
+            b.append(rng.standard_normal())
+            guided.append(rng.random() < 0.5)
         X = pop.positions()
         # guided foraging steps from the best food source, territorial
         # foraging from the member's own; either step is relative to the
         # guiding source, not the origin, to avoid center-of-domain bias on
         # symmetric benchmarks
-        source = np.where(guided, best_pos, X)
-        accept_rows(pop, clamp(source + b * masks * (X - best_pos), space), counted)
+        source = np.where(np.array(guided)[:, None], best_pos, X)
+        step = np.array(b)[:, None] * masks * (X - best_pos)
+        accept_rows(pop, clamp(source + step, space), counted)
         migrated, _ = migrate_worst(pop, space, rng, last_migration, t, M, counted)
         if migrated:
             last_migration = t

@@ -87,8 +87,8 @@ def _cmd_run(args) -> int:
     exp = parse_config(raw)
     if args.seed is not None:
         exp = exp.with_master_seed(args.seed)
+    os.makedirs(args.out, exist_ok=True)  # an unusable --out fails before any run
     report = run_experiment(exp)
-    os.makedirs(args.out, exist_ok=True)
     table = emit_report(report, "text-table")
     for name, body in [("report.csv", emit_report(report, "csv")),
                        ("report.json", emit_report(report, "json")), ("report.txt", table)]:

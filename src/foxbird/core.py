@@ -202,12 +202,12 @@ def accept_rows(pop: Population, cands, obj, slots=None) -> None:
     ``_counting(obj).batch``, then, in row order, store row ``k``, the array
     itself, in slot ``slots[k]`` (slot ``k`` by default) unless that worsens
     the slot's fitness (ties accept)."""
-    rows = list(cands)
+    rows, members = list(cands), pop.members
     if slots is None:
         slots = range(len(rows))
     for i, x, f in zip(slots, rows, _counting(obj).batch(rows), strict=True):
-        if f <= pop.members[i].fitness:
-            pop.members[i] = Individual(x, f)
+        if f <= members[i].fitness:
+            members[i] = Individual(x, f)
 
 
 def clamp(position: np.ndarray, space: SearchSpace) -> np.ndarray:

@@ -152,21 +152,26 @@ def select_flight(alpha: float) -> str:
 
 
 def flight_mask(kind: str, dims: int, rng) -> np.ndarray:
-    """0/1 direction mask: all axes, one axis, or a strict subset of axes."""
-    if kind == OMNIDIRECTIONAL:
-        return np.ones(dims)
-    if kind == AXIAL:
-        mask = np.zeros(dims)
-        mask[rng.integers(0, dims)] = 1.0
-        return mask
-    if kind == DIAGONAL:
-        if dims <= 2:
-            return np.ones(dims)
-        k = int(rng.integers(2, dims))  # subset size in 2..dims-1
-        mask = np.zeros(dims)
-        mask[rng.permutation(dims)[:k]] = 1.0
-        return mask
-    raise ValueError(f"unknown flight kind {kind!r}")
+    """0/1 direction mask: all axes, one axis, or a strict subset of axes,
+    written by ``_set_mask`` into a zero vector."""
+    mask = np.zeros(dims)
+    _set_mask(mask, kind, rng)
+    return mask
+
+
+def _set_mask(row: np.ndarray, kind: str, rng) -> None:
+    """Write ``kind``'s mask into the zero row ``row``, drawing what
+    ``flight_mask`` draws, in its order; an unknown kind raises before any draw."""
+    dims = len(row)
+    if kind == OMNIDIRECTIONAL or (kind == DIAGONAL and dims <= 2):
+        row[:] = 1.0
+    elif kind == AXIAL:
+        row[rng.integers(0, dims)] = 1.0
+    elif kind == DIAGONAL:
+        k = rng.integers(2, dims)  # subset size in 2..dims-1, drawn before the subset
+        row[rng.permutation(dims)[:k]] = 1.0
+    else:
+        raise ValueError(f"unknown flight kind {kind!r}")
 
 
 def step_toward(pop: Population, step: np.ndarray, space: SearchSpace, obj) -> None:
@@ -407,9 +412,8 @@ def run(obj, space: SearchSpace, pop_size: int, max_iters: int, rng) -> Optimiza
         counts[flight] += 1
         global_search_step(pop, alpha, flight, rng, space, counted)
 
-        deltas = rng.random(len(pop))
-        for i, delta in enumerate(deltas):
-            strat = strategy_for_delta(float(delta))
+        for i, delta in enumerate(rng.random(len(pop)).tolist()):
+            strat = strategy_for_delta(delta)
             counts[strat] += 1
             if strat == STRAT_STAY:
                 local.stay(i, rng)

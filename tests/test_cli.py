@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from foxbird import harness
 from foxbird.cli import EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 
 
@@ -101,15 +102,19 @@ class TestRun:
             (tmp_path / "b" / "report.csv").read_bytes()
 
     @pytest.mark.parametrize("where", ["existing file", "under a file"])
-    def test_output_that_cannot_be_written_is_runtime_failure(self, tmp_path, capsys, where):
+    def test_output_that_cannot_be_written_is_runtime_failure(self, tmp_path, capsys,
+                                                              monkeypatch, where):
         # an unwritable output is exit 3, as every tfidf --out is; exit 2 is
-        # for input
+        # for input. It fails before any optimizer runs.
+        runs = []
+        monkeypatch.setattr(harness, "run_method", lambda *a: runs.append(a))
         cfg = write_config(tmp_path / "cfg.json")
         taken = tmp_path / "taken"
         taken.write_text("")
         out = taken if where == "existing file" else taken / "sub"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_RUNTIME
         assert capsys.readouterr().err.startswith("runtime failure: ")
+        assert runs == []
 
     def test_invalid_json_config(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

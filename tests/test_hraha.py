@@ -192,6 +192,67 @@ class TestFlightMask:
             flight_mask("spiral", 3, make_rng(0))
 
 
+def frozen_flight_mask(kind, dims, rng):
+    # flight_mask as it was written before its row writer, kept as the
+    # reference of both: each kind builds its own array
+    if kind == OMNIDIRECTIONAL:
+        return np.ones(dims)
+    if kind == AXIAL:
+        mask = np.zeros(dims)
+        mask[rng.integers(0, dims)] = 1.0
+        return mask
+    if kind == DIAGONAL:
+        if dims <= 2:
+            return np.ones(dims)
+        k = int(rng.integers(2, dims))
+        mask = np.zeros(dims)
+        mask[rng.permutation(dims)[:k]] = 1.0
+        return mask
+    raise ValueError(f"unknown flight kind {kind!r}")
+
+
+MASK_CASES = dict(kind=st.sampled_from(FLIGHT_KINDS), dims=st.integers(1, 12),
+                  seed=st.integers(0, 2**64 - 1))
+
+
+class TestMaskWriter:
+    """``flight_mask`` and its row writer ``_set_mask`` give the frozen
+    rule's bytes and leave the generator in its state."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(**MASK_CASES)
+    def test_flight_mask_is_the_frozen_rule(self, kind, dims, seed):
+        rng, twin = make_rng(seed), make_rng(seed)
+        got, want = flight_mask(kind, dims, rng), frozen_flight_mask(kind, dims, twin)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @settings(max_examples=300, deadline=None)
+    @given(**MASK_CASES, n=st.integers(1, 6), data=st.data())
+    def test_writer_fills_its_row_alone(self, kind, dims, seed, n, data):
+        i = data.draw(st.integers(0, n - 1), label="row")
+        rng, twin = make_rng(seed), make_rng(seed)
+        masks = np.zeros((n, dims))
+        hraha._set_mask(masks[i], kind, rng)
+        assert masks[i].tobytes() == frozen_flight_mask(kind, dims, twin).tobytes()
+        assert not np.delete(masks, i, axis=0).any()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.text().filter(lambda k: k not in FLIGHT_KINDS), dims=st.integers(1, 12),
+           seed=st.integers(0, 2**64 - 1))
+    def test_unknown_kind_raises_before_any_draw(self, kind, dims, seed):
+        rng = make_rng(seed)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="unknown flight kind"):
+            flight_mask(kind, dims, rng)
+        row = np.zeros(dims)
+        with pytest.raises(ValueError, match="unknown flight kind"):
+            hraha._set_mask(row, kind, rng)
+        assert rng.bit_generator.state == before
+        assert not row.any()
+
+
 class TestGlobalSearchStep:
     def test_member_at_best_unchanged(self):
         space = SearchSpace([-5, -5], [5, 5])

@@ -3,7 +3,8 @@ search, keeps the result invariants when the objective returns non-finite
 values, gives the same run through an objective's ``batch`` as through its
 scalar calls, and every module attribute the benchmark's trace wraps exists
 and is looked up at call time. Every method but HRAHA also runs alike on a
-strictly increasing transform of the objective."""
+strictly increasing transform of the objective, and every method but HRAHA
+and RFO on a box scaled by powers of two."""
 
 import math
 from pathlib import Path
@@ -208,6 +209,52 @@ def test_run_is_invariant_under_a_strictly_increasing_transform(method, function
     assert moved.strategy_counts == base.strategy_counts
     assert [repr(h) for h in moved.history] == [repr(tf(h)) for h in base.history]
     assert repr(moved.best_fitness) == repr(tf(base.best_fitness))
+
+
+class Unscaled:
+    """A benchmark on the box scaled by ``K`` per coordinate: its value at
+    ``y`` is the benchmark's at ``y / K``."""
+
+    def __init__(self, bench, K):
+        self.bench, self.K = bench, K
+
+    def __call__(self, y) -> float:
+        return self.bench(np.asarray(y) / self.K)
+
+    def batch(self, Y):
+        return self.bench.batch(np.asarray(Y) / self.K)
+
+
+# Methods with an absolute or isotropic step scale, which no box scaling
+# carries: the stay radius SCALING_A * theta (at most 0.2 on every
+# coordinate, HRAHA and RFO), the territorial hop's one box_scale (0.3 times
+# the mean width, HRAHA) and the nomad cube of side sqrt(habitat_size) in
+# every coordinate (HRAHA and RFO).
+NOT_BOX_SCALE_COVARIANT = ("hraha", "rfo")
+
+
+@settings(max_examples=200, deadline=None)
+@given(method=st.sampled_from(tuple(m for m in harness.METHODS + ("random",)
+                                    if m not in NOT_BOX_SCALE_COVARIANT)),
+       function=st.sampled_from(sorted(BENCHMARKS)), dims=st.integers(1, 5),
+       pop_size=st.integers(4, 8), iterations=st.integers(1, 10),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_run_is_covariant_under_a_power_of_two_box_scaling(method, function, dims, pop_size,
+                                                           iterations, seed, data):
+    # On the box scaled by K = 2**e per coordinate, and the objective read at
+    # y / K, every point a covariant method visits is K times its unscaled
+    # point, exactly, so the values, the history and the count are the same
+    exponents = data.draw(st.lists(st.integers(-8, 8), min_size=dims, max_size=dims),
+                          label="exponents")
+    bench = BENCHMARKS[function]
+    space = bench.space(dims)
+    K = np.ldexp(1.0, exponents)
+    scaled = SearchSpace(K * space.lower, K * space.upper)
+    base = run(method, bench, space, pop_size, iterations, seed)
+    moved = run(method, Unscaled(bench, K), scaled, pop_size, iterations, seed)
+    assert np.array(moved.history).tobytes() == np.array(base.history).tobytes()
+    assert moved.evaluations == base.evaluations
+    assert moved.best_position.tobytes() == (K * base.best_position).tobytes()
 
 
 def read_only(fn):

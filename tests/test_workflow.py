@@ -1,8 +1,8 @@
 """The CI workflow runs the whole suite a second time with numpy's AVX-512
 kernels off: ``np.exp`` and ``np.log`` give other last bits under them, so a
-pin that passes on one kernel set may fail on the other. One step runs the
-installed package, not the checkout's ``src/``. Its token may only read the
-repository."""
+pin that passes on one kernel set may fail on the other. Both runs list
+their ten slowest tests. One step runs the installed package, not the
+checkout's ``src/``. Its token may only read the repository."""
 
 import itertools
 from pathlib import Path
@@ -16,6 +16,15 @@ def test_the_whole_suite_is_rerun_without_avx512():
                     if "python -m pytest" in line]
     assert "tests/" not in tier1
     assert rerun == f"NPY_DISABLE_CPU_FEATURES=X86_V4 {tier1}"
+
+
+def test_both_tier1_runs_list_their_slowest_tests():
+    # the log then shows how close the acceptance criteria run to their
+    # wall-clock gates
+    runs = [line.split() for line in WORKFLOW.read_text(encoding="utf-8").splitlines()
+            if "python -m pytest" in line]
+    assert len(runs) == 2
+    assert all("--durations=10" in run for run in runs)
 
 
 def test_the_token_may_only_read_the_repository():
