@@ -82,7 +82,7 @@ def _cmd_run(args) -> int:
     text = _read_text(args.config)
     try:
         raw = json.loads(text)
-    except ValueError as e:  # malformed JSON, or an integer past int's digit limit
+    except (ValueError, RecursionError) as e:  # bad JSON, too deep, or an int too long
         raise DataError(str(e)) from None
     exp = parse_config(raw)
     if args.seed is not None:

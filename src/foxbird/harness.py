@@ -116,7 +116,7 @@ def _parse_rows(path, fmt: str):
                 continue
             try:
                 obj = json.loads(line)
-            except ValueError as e:  # malformed JSON, or an integer past int's digit limit
+            except (ValueError, RecursionError) as e:  # bad JSON, too deep, or an int too long
                 raise DataError(f"malformed row at line {lineno}: {e}") from None
             if not isinstance(obj, dict):
                 raise DataError(f"malformed row at line {lineno}: expected an object")
@@ -316,13 +316,13 @@ class _PreparedCorpus:
     Per stemming variant this holds, over the ``max_terms_cap`` most
     document-frequent training terms (ties lexicographic), columns in
     lexicographic order and weighted by IDF (which depends on the column
-    alone): the training matrix and its per-class totals, the transposed
-    test matrix, the training document frequencies (the nonzero counts of
-    each column of the training count matrix), the column order by
-    (-df, term) and ``at_least``, whose item m is the number of terms with
-    df >= m. The terms with df >= ``min_doc_freq`` are a prefix of that
-    order, so an evaluation only selects columns: the same values, summed in
-    the same order, as building its own vocabulary and matrices would give.
+    alone): the per-class totals of the training matrix, and the one column
+    of it a one-term fit reads (the most frequent term's); the transposed
+    test matrix; the training document frequencies (each column's nonzero
+    count in the training count matrix); the column order by (-df, term);
+    and ``at_least``, whose item m is the number of terms with df >= m. The
+    terms with df >= ``min_doc_freq`` lead that order, so an evaluation only
+    selects columns, with the values and summing order of a build of its own.
 
     The train and test labels are held as class codes (indices into
     ``classes``), with the classes' ``repr`` order, in which
@@ -360,8 +360,8 @@ class _PreparedCorpus:
             train *= idf  # in place, to hold one matrix
             test_t = np.ascontiguousarray((textpipe.bow_vectorize(test_tokens, vocab) * idf).T)
             at_least = np.cumsum(np.bincount(df)[::-1])[::-1].tolist()
-            self.variants[stemmed] = (train, _class_totals(train, self.train_codes, n_classes),
-                                      test_t, df, order, at_least)
+            totals = _class_totals(train, self.train_codes, n_classes)
+            self.variants[stemmed] = train[:, order[:1]], totals, test_t, df, order, at_least
         self.log_prior = _log_prior(np.bincount(self.train_codes, minlength=n_classes), n_train)
         self.wholes = {}
 
@@ -388,14 +388,13 @@ class _PreparedCorpus:
         key = use_stemming, n_terms
         if key in self.wholes:
             return self.wholes[key]
-        train, totals, test_t, df, order, at_least = self.variants[use_stemming]
-        if 1 < n_terms == len(order):  # every column: the prepared arrays, uncopied
+        first, totals, test_t, df, order, at_least = self.variants[use_stemming]
+        if n_terms == len(order):  # every column: the prepared arrays, uncopied
             test = test_t.T
         else:
             cols = np.sort(order[:n_terms])
             if n_terms == 1:  # summed pairwise, see _class_totals
-                totals = _class_totals(np.take(train, cols, axis=1), self.train_codes,
-                                       len(self.classes))
+                totals = _class_totals(first, self.train_codes, len(self.classes))
             else:
                 totals = np.take(totals, cols, axis=1)
             # F-ordered, as test[:, cols] is: a matrix product may round by layout

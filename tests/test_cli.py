@@ -484,6 +484,30 @@ class TestTfidf:
                                            "expected an object\n")
 
 
+# JSON nested deeper than json.loads can recurse: it raises RecursionError,
+# not ValueError, and that is still input that is not valid JSON
+TOO_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("command", ["run", "tfidf"])
+def test_json_nested_too_deep_to_decode_is_data_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    if command == "run":
+        path = tmp_path / "deep.json"
+        path.write_text(TOO_DEEP)
+        argv, message = ["run", "--config", str(path)], "data error: "
+    else:  # after a valid first row
+        path = tmp_path / "deep.jsonl"
+        path.write_text('{"id": "d0", "text": "hello", "label": "a"}\n' + TOO_DEEP + "\n")
+        argv = ["tfidf", "--input", str(path), "--format", "jsonl"]
+        message = "data error: malformed row at line 2: "
+        with pytest.raises(harness.DataError, match="^malformed row at line 2: "):
+            harness.load_corpus(str(path), "jsonl")
+    assert main(argv + ["--out", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
 class TestMetrics:
     def test_perfect_pair(self, tmp_path, capsys):
         cand = tmp_path / "c.txt"

@@ -41,6 +41,7 @@ from foxbird.harness import (
 from foxbird.metrics import accuracy, f_score, macro_f1
 
 from test_metrics import f_score_reference
+from test_textpipe import doc_frequencies_reference
 
 
 def train_nb_reference(X, labels, classes, smoothing):
@@ -57,6 +58,13 @@ def train_nb_reference(X, labels, classes, smoothing):
         totals = rows.sum(axis=0)
         log_lik[k] = np.log(totals + smoothing) - math.log(totals.sum() + smoothing * n_feat)
     return log_prior, log_lik
+
+
+def predict_nb_reference(X, classes, log_prior, log_lik):
+    """The class at each row's argmax of ``X @ log_lik.T + log_prior``, ties
+    to the first class: a frozen copy of the prediction ``predict_nb`` and
+    the tuning objective make."""
+    return [classes[i] for i in np.argmax(X @ log_lik.T + log_prior, axis=1).tolist()]
 
 
 def nb_cases(seed: int, n: int, n_feats=(1, 2, 3, 8, 9, 40, 300)):
@@ -857,7 +865,7 @@ class TestClassifierObjective:
             train = [tokens[i] for i in corpus.train_idx]
             test = [tokens[i] for i in corpus.test_idx]
             vocab = textpipe.build_vocabulary(train)
-            df = textpipe.doc_frequencies(train, vocab)
+            df = doc_frequencies_reference(train, vocab)
             matrices[use_stemming] = (textpipe.bow_vectorize(train, vocab),
                                       textpipe.bow_vectorize(test, vocab), df,
                                       np.lexsort((np.arange(len(vocab)), -df)))
@@ -873,7 +881,7 @@ class TestClassifierObjective:
             X_train, X_test = train[:, cols] * idf, test[:, cols] * idf
             log_prior, log_lik = train_nb_reference(X_train, train_labels, classes,
                                                     params["nb_smoothing"])
-            pred = predict_nb(X_test, classes, log_prior, log_lik)
+            pred = predict_nb_reference(X_test, classes, log_prior, log_lik)
             return ((class_sums(X_train, train_labels, classes), X_test, log_prior, log_lik),
                     (accuracy(pred, test_labels), f_score_reference(pred, test_labels)))
 
@@ -971,13 +979,13 @@ class TestClassifierObjective:
                 return 0.0, 0.0
             if len(vocab) == 0:
                 return 0.0, 0.0
-            n_w = textpipe.doc_frequencies(train, vocab)
+            n_w = doc_frequencies_reference(train, vocab)
             idf = np.log(len(train) / np.maximum(n_w, 1))
             X_train = textpipe.bow_vectorize(train, vocab) * idf
             X_test = textpipe.bow_vectorize(test, vocab) * idf
-            log_prior, log_lik = train_nb(X_train, train_labels, classes,
-                                          params["nb_smoothing"])
-            pred = predict_nb(X_test, classes, log_prior, log_lik)
+            log_prior, log_lik = train_nb_reference(X_train, train_labels, classes,
+                                                    params["nb_smoothing"])
+            pred = predict_nb_reference(X_test, classes, log_prior, log_lik)
             return accuracy(pred, test_labels), f_score(pred, test_labels)
 
         default = default_tuning_space()
@@ -1016,19 +1024,28 @@ class TestClassifierObjective:
                             distinct.add(got)
         assert len(distinct) > 20  # the grid is not one flat plateau
 
-    @pytest.mark.parametrize("corpus_name", ["graded_corpus_csv", "lopsided_corpus_csv"])
-    def test_one_objective_scores_as_a_fresh_preparation_per_point(self, corpus_name, request,
+    @pytest.mark.parametrize("corpus_name, max_terms_hi", [
+        ("graded_corpus_csv", 2000), ("lopsided_corpus_csv", 2000),
+        ("graded_corpus_csv", 1.4), ("lopsided_corpus_csv", 1.4),
+    ], ids=["graded_corpus_csv", "lopsided_corpus_csv",
+            "graded_corpus_csv-one-term", "lopsided_corpus_csv-one-term"])
+    def test_one_objective_scores_as_a_fresh_preparation_per_point(self, corpus_name,
+                                                                   max_terms_hi, request,
                                                                    monkeypatch):
         # One objective scores a grid, every point twice, in a shuffled order:
         # each (use_stemming, min_doc_freq) prefix comes back after other
         # prefixes, with max_terms below, at and above its term count and with
         # other smoothings. Every score, and every array the NB kernel and the
         # class-code scorer get (bits and layout), must be those of a
-        # preparation made for that point alone, asked for the same n terms
-        # as min_doc_freq 1 and max_terms n: the terms with df >= min_doc_freq
-        # are a prefix of the order by df. On the lopsided corpus, a
-        # min_doc_freq above every document frequency but alpha's leaves a
-        # one-term prefix, summed pairwise, while max_terms does not bind.
+        # preparation of every term made for that point alone, asked for the
+        # same n terms as min_doc_freq 1 and max_terms n: the terms with
+        # df >= min_doc_freq are a prefix of the order by df. On the lopsided
+        # corpus, a min_doc_freq above every document frequency but alpha's
+        # leaves a one-term prefix, summed pairwise, while max_terms does not
+        # bind. A max_terms of at most 1.4, which decodes to 1 alone, prepares
+        # a one-term vocabulary, whose totals are read whole where the fresh
+        # preparation sums its one held training column. Each variant holds
+        # that column alone of the training matrix.
         seen = []
         kernel, scorer = harness._nb_log_lik, harness._nb_codes
         monkeypatch.setattr(harness, "_nb_log_lik",
@@ -1044,16 +1061,20 @@ class TestClassifierObjective:
         corpus = load_corpus(request.getfixturevalue(corpus_name))
         default = default_tuning_space()
         space = HyperparamSpace((HyperparamDim("min_doc_freq", "integer", 1, 80),
-                                 HyperparamDim("max_terms", "integer", 1, 2000))
+                                 HyperparamDim("max_terms", "integer", 1, max_terms_hi))
                                 + default.dims[2:])
         cap = harness._max_terms_cap(space)
         probe = harness._PreparedCorpus(corpus, cap)
+        widths = [len(probe.variants[s][4]) for s in (False, True)]
+        assert widths == [1, 1] if cap == 1 else min(widths) > 1
+        assert [probe.variants[s][0].shape for s in (False, True)] == \
+            [(len(corpus.train_idx), 1)] * 2
         grid = []
         one_term_prefixes = 0
         for use_stemming in (False, True):
             df = np.sort(probe.variants[use_stemming][3])[::-1]
             min_doc_freqs = {1, 2, 3, 5, int(df[0]) + 1}
-            if df[0] > df[1]:
+            if len(df) > 1 and df[0] > df[1]:
                 min_doc_freqs.add(int(df[1]) + 1)  # alpha alone
             for min_doc_freq in sorted(min_doc_freqs):
                 count = int(np.count_nonzero(df >= min_doc_freq))
@@ -1062,15 +1083,19 @@ class TestClassifierObjective:
                 grid += [({"min_doc_freq": min_doc_freq, "max_terms": n,
                            "use_stemming": use_stemming, "nb_smoothing": a}, min(count, n))
                          for n in sorted(max_terms) for a in (0.01, 0.5, 5.0)]
-        if corpus_name == "lopsided_corpus_csv":
+        if corpus_name == "lopsided_corpus_csv" and cap > 1:
             assert one_term_prefixes == 2
         want = {}
         for params, n_terms in grid:
-            fresh = harness._PreparedCorpus(corpus, cap)
+            fresh = harness._PreparedCorpus(corpus, None)
             config = dict(params, min_doc_freq=1, max_terms=n_terms)
             want[tuple(params.items())] = fit_score(
                 lambda: harness._fit_score(fresh, [fresh.fit_key(config)])[0])
-        assert len({tuple(scores) for scores, _ in want.values()}) > 3  # not one flat plateau
+        # not one flat plateau, but where every fit has one term: its log
+        # likelihoods are log(t + a) - log(t + a), 0 up to the last bit, so
+        # the priors pick the class, and the scores are that fit's and 0's
+        distinct = len({tuple(scores) for scores, _ in want.values()})
+        assert distinct == 2 if cap == 1 else distinct > 3
         obj = classifier_objective(corpus, space)
         for i in make_rng(21).permutation(2 * len(grid)):
             params = grid[i % len(grid)][0]

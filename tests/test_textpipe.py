@@ -23,6 +23,22 @@ from foxbird.textpipe import (
 )
 
 
+def doc_frequencies_reference(corpus, vocab):
+    """The number of documents holding each vocabulary term, as floats,
+    counted one document at a time: a frozen copy of
+    ``textpipe.doc_frequencies``, an independent reference for the document
+    frequencies ``tf_idf`` and the tuning objective take from count
+    matrices."""
+    index = {t: j for j, t in enumerate(vocab)}
+    n_w = np.zeros(len(vocab))
+    for tokens in corpus:
+        for t in set(tokens):
+            j = index.get(t)
+            if j is not None:
+                n_w[j] += 1
+    return n_w
+
+
 def tf_idf_oracle(corpus, terms):
     """Brute-force TF-IDF with explicit loops, natural-log IDF."""
     n = len(corpus)
@@ -510,7 +526,7 @@ class TestBowTfIdf:
             vocab = build_vocabulary(corpus, int(rng.integers(1, 4)),
                                      int(rng.integers(1, 40)) if rng.random() < 0.5 else None)
             want = bow_vectorize(corpus, vocab) * np.log(
-                len(corpus) / textpipe.doc_frequencies(corpus, vocab))
+                len(corpus) / doc_frequencies_reference(corpus, vocab))
             assert tf_idf(corpus, vocab).tobytes() == want.tobytes()
 
     def test_unseen_vocab_term_rejected(self):

@@ -1,7 +1,8 @@
 """The CI workflow runs the whole suite a second time with numpy's AVX-512
 kernels off: ``np.exp`` and ``np.log`` give other last bits under them, so a
 pin that passes on one kernel set may fail on the other. Both runs list
-their ten slowest tests. One step runs the installed package, not the
+their ten slowest tests. Each leg logs its numpy version and SIMD kernels
+before any test runs. One step runs the installed package, not the
 checkout's ``src/``. Its token may only read the repository."""
 
 import itertools
@@ -46,3 +47,17 @@ def test_the_installed_package_runs_outside_the_checkout():
                       "--pop-size 4 --iters 2")
     assert install < run
     assert lines[run - 1] == "working-directory: ${{ runner.temp }}"
+
+
+def test_each_leg_logs_numpy_and_its_kernels_before_the_tests():
+    # a byte pin's bits follow the numpy build and the SIMD kernels it picks,
+    # so the log of every leg names them, after the install and before the
+    # first pytest command
+    lines = [line.strip() for line in WORKFLOW.read_text(encoding="utf-8").splitlines()]
+    install = lines.index('run: python -m pip install ".[test]"')
+    runtime = lines.index('run: python -c "import numpy; numpy.show_runtime()"')
+    first_pytest = next(i for i, line in enumerate(lines) if "python -m pytest" in line)
+    assert install < runtime < first_pytest
+    # a step of its own, with no condition, so both matrix legs run it
+    step = lines[lines.index("- name: Numpy version and SIMD kernels"):runtime]
+    assert not any(line.startswith("if:") for line in step)
