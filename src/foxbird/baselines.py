@@ -77,7 +77,8 @@ def run_aha(obj, space: SearchSpace, pop_size: int, max_iters: int,
         # only slot i and best_pos, which no accept of this sweep changes.
         # The draws stay per member, in order: the flight kind u, its mask
         # (into the member's row), the scale b and the guided-or-territorial coin.
-        best_pos = pop.best.position
+        X = pop.positions
+        best_pos = X[pop.best_index]
         masks, b, guided = np.zeros((len(pop), space.dims)), [], []
         for row in masks:
             u = rng.random()
@@ -85,7 +86,6 @@ def run_aha(obj, space: SearchSpace, pop_size: int, max_iters: int,
                       rng)
             b.append(rng.standard_normal())
             guided.append(rng.random() < 0.5)
-        X = pop.positions()
         # guided foraging steps from the best food source, territorial
         # foraging from the member's own; either step is relative to the
         # guiding source, not the origin, to avoid center-of-domain bias on
@@ -107,11 +107,10 @@ def run_pso(obj, space: SearchSpace, pop_size: int, max_iters: int,
     rng = make_rng(rng)
     counted = CountingObjective(obj)
     pop = init_population(space, pop_size, rng, counted)
-    X = pop.positions()
-    F = pop.fitnesses()
+    X = pop.positions
     V = np.zeros_like(X)
     pbest_X = X.copy()
-    pbest_F = F.copy()
+    pbest_F = pop.fitnesses.copy()
     history = []
     for _ in range(max_iters):
         r1 = rng.random(X.shape)

@@ -1,10 +1,12 @@
 """Shared optimization substrate: search spaces, populations, seeded RNG.
 
 All optimizers in this package minimize. A population is born evaluated:
-``init_population`` scores every member, so each ``Individual`` carries a
-fitness from the start. Members are immutable ``(position, fitness)`` values
-and no code writes a stored position array in place, so a member kept past
-later steps needs no copy: an accept puts a new value in the slot.
+``init_population`` scores every member, so every slot holds a fitness from
+the start. A population is one ``(n, d)`` position array and one ``(n,)``
+fitness array; ``Population.store`` is the one writer, copying one point into
+one row, and every reader reads the arrays. A point a caller holds (the
+counter's ``best_x`` included) is never a view of that storage, so no later
+write changes it.
 
 Evaluation is ask-and-tell. A sweep that builds every candidate before
 scoring any (the initial population, the global step, AHA's foraging, the
@@ -21,8 +23,8 @@ on the rows, as the benchmarks and the tuning objective
 in order.
 
 The counter also keeps the one best-so-far rule, by evaluation order and not
-by slot, and every runner and random search report it. ``Population.best``
-(the lowest slot among ties) is only a step's target.
+by slot, and every runner and random search report it.
+``Population.best_index`` (the lowest slot among ties) is only a step's target.
 
 The project-wide random number generator is numpy's PCG64 (via
 ``numpy.random.Generator``): the same seed produces the same draw stream on
@@ -32,7 +34,7 @@ every platform, which the whole test suite relies on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -92,33 +94,65 @@ class SearchSpace:
 
 
 class Individual(NamedTuple):
-    """Position vector plus its fitness; an immutable value."""
+    """Position vector plus its fitness: one member as ``Population.members``
+    shows it."""
 
     position: np.ndarray
     fitness: float
 
 
-@dataclass
 class Population:
-    members: list[Individual] = field(default_factory=list)
+    """``n`` members as the rows of two arrays: ``positions`` ``(n, d)`` and
+    ``fitnesses`` ``(n,)``, copied from ``(position, fitness)`` pairs.
+    ``store`` is the one writer."""
+
+    def __init__(self, members):
+        members = list(members)
+        self.positions = np.array([x for x, _ in members], dtype=float)
+        self.fitnesses = np.array([f for _, f in members], dtype=float)
+        self._view: list[Individual] | None = None
+        self._stale: set[int] = set()
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.fitnesses)
 
-    def fitnesses(self) -> np.ndarray:
-        return np.array([m.fitness for m in self.members], dtype=float)
+    def store(self, i: int, x, f: float) -> None:
+        """Copy position ``x`` and fitness ``f`` into slot ``i``."""
+        self.positions[i] = x
+        self.fitnesses[i] = f
+        if self._view is not None:
+            self._stale.add(i)
 
-    def positions(self) -> np.ndarray:
-        return np.array([m.position for m in self.members], dtype=float)
+    @property
+    def members(self) -> tuple[Individual, ...]:
+        """A read-only view for code that tells written slots by object
+        identity; nothing in the package reads it but ``best``. One
+        ``Individual`` per slot, holding read-only copies, rebuilt only for a
+        slot written since the last read: an unwritten slot keeps its object,
+        and a written one (by a tie with the same bits too) gets a new one."""
+        if self._view is None:
+            self._view = [None] * len(self)
+            self._stale = set(range(len(self)))
+        for i in self._stale:
+            x = self.positions[i].copy()
+            x.flags.writeable = False
+            self._view[i] = Individual(x, float(self.fitnesses[i]))
+        self._stale.clear()
+        return tuple(self._view)
+
+    @property
+    def best_index(self) -> int:
+        # ties break toward the lowest index (np.argmin already does)
+        return int(np.argmin(self.fitnesses))
 
     @property
     def best(self) -> Individual:
-        # ties break toward the lowest index (np.argmin already does)
-        return self.members[int(np.argmin(self.fitnesses()))]
+        """The best member, as ``members`` shows it."""
+        return self.members[self.best_index]
 
     @property
     def worst_index(self) -> int:
-        return int(np.argmax(self.fitnesses()))
+        return int(np.argmax(self.fitnesses))
 
 
 def _width_overflow(lower, upper) -> int | None:
@@ -146,10 +180,8 @@ def init_population(space: SearchSpace, size: int, rng, obj) -> Population:
     j = _width_overflow(space.lower, space.upper)
     if j is not None:
         raise ValueError(f"the squared widths (hi - lo)**2 sum past the largest float at j={j}")
-    rng = make_rng(rng)
-    rows = list(rng.uniform(space.lower, space.upper, size=(size, space.dims)))
-    return Population([Individual(x, f)
-                       for x, f in zip(rows, _counting(obj).batch(rows))])
+    rows = make_rng(rng).uniform(space.lower, space.upper, size=(size, space.dims))
+    return Population(zip(rows, _counting(obj).batch(rows)))
 
 
 class CountingObjective:
@@ -199,15 +231,16 @@ def _counting(obj) -> CountingObjective:
 
 def accept_rows(pop: Population, cands, obj, slots=None) -> None:
     """The greedy accept: score every row of ``cands`` first, as one
-    ``_counting(obj).batch``, then, in row order, store row ``k``, the array
-    itself, in slot ``slots[k]`` (slot ``k`` by default) unless that worsens
-    the slot's fitness (ties accept)."""
-    rows, members = list(cands), pop.members
+    ``_counting(obj).batch``, then, in row order, store row ``k`` in slot
+    ``slots[k]`` (slot ``k`` by default) unless that worsens the slot's
+    fitness (ties accept): a repeated slot competes with the row stored
+    before."""
+    fits = _counting(obj).batch(cands)
     if slots is None:
-        slots = range(len(rows))
-    for i, x, f in zip(slots, rows, _counting(obj).batch(rows), strict=True):
-        if f <= members[i].fitness:
-            members[i] = Individual(x, f)
+        slots = range(len(fits))
+    for k, (i, f) in enumerate(zip(slots, fits, strict=True)):
+        if f <= pop.fitnesses[i]:
+            pop.store(i, cands[k], f)
 
 
 def clamp(position: np.ndarray, space: SearchSpace) -> np.ndarray:

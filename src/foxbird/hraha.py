@@ -17,7 +17,9 @@ member unconditionally. HRAHA is elitist by construction: greedy accepts
 never worsen a slot, migration rewrites the worst slot (the best only when all
 members tie) and, while ``WORST_FRACTION < 1``, move-closer never rewrites the
 first-ranked member. So no step raises the population's best fitness. Every
-writer scores through ``CountingObjective``: a stored fitness is finite or +inf.
+step reads the population's position and fitness arrays, and every writer
+scores through ``CountingObjective`` and stores through ``Population.store``:
+a stored fitness is finite or +inf.
 
 The stay and territorial moves of a sweep are queued and scored in batches
 (``LocalMoves``). Each draws only uniforms and reads and writes only its own
@@ -45,7 +47,6 @@ import numpy as np
 
 from .core import (
     CountingObjective,
-    Individual,
     Population,
     SearchSpace,
     _counting,
@@ -124,7 +125,7 @@ def compute_alpha(pop: Population, t: int, T: int) -> float:
     overflows, the spread is taken on them divided by a power of two near
     their largest magnitude, which scales both exactly (barring subnormals)."""
     # members stored at +inf (or NaN or -inf) take no part
-    fits = np.array([m.fitness for m in pop.members if math.isfinite(m.fitness)], dtype=float)
+    fits = pop.fitnesses[np.isfinite(pop.fitnesses)]
     spread = 0.0  # ... and with no finite member only the schedule counts
     if fits.size:
         f_best, f_worst = fits.min(), fits.max()
@@ -181,8 +182,8 @@ def step_toward(pop: Population, step: np.ndarray, space: SearchSpace, obj) -> N
     The candidates are one clamped matrix (``step`` broadcasts against the
     ``(n, d)`` positions), evaluated as one batch and accepted in member
     order: the move of the global step and of RFO's guided move."""
-    P = pop.positions()
-    accept_rows(pop, clamp(P + step * (pop.best.position - P), space), obj)
+    P = pop.positions
+    accept_rows(pop, clamp(P + step * (P[pop.best_index] - P), space), obj)
 
 
 def global_search_step(pop: Population, alpha: float, flight: str, rng,
@@ -295,7 +296,7 @@ class LocalMoves:
         slots, kinds, draws = zip(*self.queue)
         self.queue.clear()
         stay = np.array(kinds)
-        cands = np.array([pop.members[i].position for i in slots])
+        cands = pop.positions[list(slots)]
         if any(kinds):
             U = np.array([u for u, s in zip(draws, kinds) if s])
             cands[stay] = stay_and_disguise(cands[stay], SCALING_A * U[:, 0],
@@ -323,7 +324,7 @@ def migrate_worst(pop: Population, space: SearchSpace, rng, last_migration: int,
     w = pop.worst_index
     r = rng.random(space.dims)
     pos = space.lower + r * (space.upper - space.lower)
-    pop.members[w] = Individual(pos, _counting(obj)(pos))
+    pop.store(w, pos, _counting(obj)(pos))
     return True, r
 
 
@@ -367,11 +368,12 @@ def move_closer_reproduce(pop: Population, rng, space: SearchSpace, obj) -> None
     ``lo + (hi - lo) * rng.random(d)`` (``rng.uniform``'s stream); ``lo`` if zero-width."""
     if len(pop) < 4:
         raise ValueError("population size must be >= 4")
-    order = np.argsort(pop.fitnesses(), kind="stable")
-    p1, p2 = pop.members[order[0]].position, pop.members[order[1]].position
+    P = pop.positions
+    order = np.argsort(pop.fitnesses, kind="stable")
+    p1, p2 = P[order[:2]]  # copies: a write to the couple's slots leaves them
     C = habitat_center(p1, p2)
     k = max(1, int(math.floor(WORST_FRACTION * len(pop))))
-    for w in order[len(pop) - k:]:
+    for w in order[len(pop) - k:].tolist():
         if rng.random() < NOMAD_PROBABILITY:
             s = math.sqrt(habitat_size(p1, p2, C))
             lo = np.maximum(space.lower, C - s / 2)
@@ -382,11 +384,10 @@ def move_closer_reproduce(pop: Population, rng, space: SearchSpace, obj) -> None
             p, q = rng.choice(len(non_alpha), size=2, replace=False)
             r1 = float(rng.random())
             r2 = float(rng.random())
-            child = crossover(pop.members[non_alpha[p]].position,
-                              pop.members[non_alpha[q]].position, r1)
+            child = crossover(P[non_alpha[p]], P[non_alpha[q]], r1)
             pos = mutate(child, C, r2)
         pos = clamp(pos, space)
-        pop.members[w] = Individual(pos, _counting(obj)(pos))
+        pop.store(w, pos, _counting(obj)(pos))
 
 
 # ---------------------------------------------------------------------------

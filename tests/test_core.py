@@ -22,6 +22,10 @@ def sphere(x):
     return float(np.dot(x, x))
 
 
+def bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
 class TestSearchSpace:
     def test_unit_cube(self):
         space = SearchSpace([0, 0, 0], [1, 1, 1])
@@ -78,7 +82,7 @@ class TestInitPopulation:
         lower, upper = [-1.0, 0.0, 2.0], [1.0, 5.0, 3.0]
         pop = init_population(SearchSpace(lower, upper), 9, make_rng(7), sphere)
         expected = make_rng(7).uniform(lower, upper, size=(9, 3))
-        assert pop.positions().tobytes() == expected.tobytes()
+        assert pop.positions.tobytes() == expected.tobytes()
 
     def test_one_call_per_row_in_order(self):
         seen = []
@@ -90,13 +94,13 @@ class TestInitPopulation:
         counted = CountingObjective(record)
         pop = init_population(SearchSpace([0, 0], [1, 1]), 6, make_rng(3), counted)
         assert counted.count == 6
-        assert all(x is m.position for x, m in zip(seen, pop.members, strict=True))
+        assert [x.tobytes() for x in seen] == [row.tobytes() for row in pop.positions]
 
     def test_determinism(self):
         space = SearchSpace([0, 0, 0], [1, 1, 1])
         p1 = init_population(space, 30, make_rng(7), sphere)
         p2 = init_population(space, 30, make_rng(7), sphere)
-        assert np.array_equal(p1.positions(), p2.positions())
+        assert np.array_equal(p1.positions, p2.positions)
 
     def test_too_small(self):
         space = SearchSpace([0], [1])
@@ -291,8 +295,8 @@ class TestAcceptRows:
         accept_rows(pop, cands, obj)
         assert len(obj.batches) == 1 and obj.scalar_calls == 0
         rows = obj.batches[0]
-        assert pop.members[0].position is rows[0] and pop.members[0].fitness == 0.5
-        assert pop.members[1].position is rows[1] and pop.members[1].fitness == 1.0
+        assert bits(pop.members[0].position) == bits(rows[0]) and pop.members[0].fitness == 0.5
+        assert bits(pop.members[1].position) == bits(rows[1]) and pop.members[1].fitness == 1.0
         assert pop.members[2] is rejected
         assert all(type(m.fitness) is float for m in pop.members)
 
@@ -307,7 +311,59 @@ class TestAcceptRows:
             return 0.0
 
         accept_rows(pop, np.ones((2, 2)), obj)
-        assert all(m.position is x for m, x in zip(pop.members, seen, strict=True))
+        assert [bits(m.position) for m in pop.members] == [bits(x) for x in seen]
+
+    def test_a_repeated_slot_competes_with_the_row_kept_before(self):
+        # rows are kept in row order: the second row into slot 1 is measured
+        # against the first row's 0.5, not the slot's 1.0 before the sweep
+        for values, keep in (([0.5, 0.7], 0), ([0.7, 0.5], 1), ([0.5, 0.5], 1)):
+            pop = self.population(1.0, 1.0, 1.0)
+            cands = np.array([[5.0, 5.0], [6.0, 6.0]])
+            accept_rows(pop, cands, Batched(np.array(values)), [1, 1])
+            assert [m.fitness for m in pop.members] == [1.0, min(values), 1.0]
+            assert bits(pop.members[1].position) == bits(cands[keep])
+
+
+class TestStorage:
+    """A population is two arrays written only by ``Population.store``; no
+    point a caller holds is a view of them."""
+
+    def test_nothing_aliases_the_storage(self):
+        space = SearchSpace([-1.0] * 3, [1.0] * 3)
+        counted = CountingObjective(sphere)
+        pop = init_population(space, 6, make_rng(0), counted)
+        held = [counted.best_x, pop.best.position, pop.members[3].position]
+        want = [bits(x) for x in held]
+        stored = bits(pop.positions)
+        # every writer, every slot: a sweep that improves each member, a
+        # migration and move-closer
+        accept_rows(pop, 0.5 * pop.positions, counted)
+        hraha.migrate_worst(pop, space, make_rng(1), 0, 12, 12, counted)
+        hraha.move_closer_reproduce(pop, make_rng(2), space, counted)
+        assert bits(pop.positions) != stored
+        assert [bits(x) for x in held] == want
+        assert not any(np.shares_memory(x, pop.positions) for x in held + [counted.best_x])
+
+    def test_view_keeps_unwritten_members_and_renews_written_ones(self):
+        pop = TestAcceptRows.population(1.0, 1.0, 1.0)
+        before = pop.members
+        # a tie into slot 0 stores the same bits, and is still a write
+        accept_rows(pop, np.array([[0.0, 0.0], [9.0, 9.0]]), lambda x: 1.0, [0, 2])
+        after = pop.members
+        assert after[1] is before[1]
+        assert after[0] is not before[0] and after[2] is not before[2]
+        assert bits(after[0].position) == bits(before[0].position)
+        assert bits(after[2].position) == bits([9.0, 9.0])
+        assert pop.members[2] is after[2]  # a read alone renews nothing
+
+    def test_view_is_read_only(self):
+        pop = TestAcceptRows.population(1.0, 2.0)
+        m = pop.members[0]
+        with pytest.raises(TypeError):
+            pop.members[0] = m
+        with pytest.raises(ValueError, match="read-only"):
+            m.position[0] = 7.0
+        assert bits(pop.positions[0]) == bits([0.0, 0.0])
 
 
 class TestAcceptIfBetter:
@@ -319,7 +375,7 @@ class TestAcceptIfBetter:
     def two_members(fitness=1.0):
         return Population([Individual(np.full(2, 7.0), 0.0), Individual(np.zeros(2), fitness)])
 
-    def test_takes_the_candidate_array_itself(self):
+    def test_stores_the_candidate_bits(self):
         # one evaluation; a member a caller kept is a value and stays as it was
         calls = []
         pop = self.two_members()
@@ -327,7 +383,7 @@ class TestAcceptIfBetter:
         cand = np.ones(2)
         accept_rows(pop, [cand], lambda x: calls.append(x) or np.float64(0.5), [1])
         assert len(calls) == 1 and calls[0] is cand
-        assert pop.members[1].position is cand and pop.members[1].fitness == 0.5
+        assert bits(pop.members[1].position) == bits(cand) and pop.members[1].fitness == 0.5
         assert type(pop.members[1].fitness) is float
         assert kept.fitness == 1.0 and np.array_equal(kept.position, np.zeros(2))
         assert pop.members[0].fitness == 0.0
@@ -336,7 +392,7 @@ class TestAcceptIfBetter:
         pop = self.two_members()
         cand = np.ones(2)
         accept_rows(pop, [cand], lambda x: 1.0, [1])
-        assert pop.members[1].position is cand
+        assert bits(pop.members[1].position) == bits(cand)
 
     def test_worse_rejected(self):
         pop = self.two_members()
@@ -350,7 +406,7 @@ class TestAcceptIfBetter:
         pop = self.two_members(math.inf)
         cand = np.ones(2)
         accept_rows(pop, [cand], CountingObjective(lambda x: float("nan")), [1])
-        assert pop.members[1].position is cand and pop.members[1].fitness == math.inf
+        assert bits(pop.members[1].position) == bits(cand) and pop.members[1].fitness == math.inf
 
     def test_slots_are_scored_in_the_given_order(self):
         # rows are scored in row order and row k goes to slots[k]
@@ -360,7 +416,8 @@ class TestAcceptIfBetter:
         accept_rows(pop, cands, lambda x: seen.append(x) or float(x[0]), [3, 0, 2])
         assert len(seen) == 3 and all(x is c for x, c in zip(seen, cands))
         assert [m.fitness for m in pop.members] == [1.0, 9.0, 2.0, 0.0]
-        assert pop.members[3].position is cands[0] and pop.members[0].position is cands[1]
+        assert bits(pop.members[3].position) == bits(cands[0])
+        assert bits(pop.members[0].position) == bits(cands[1])
 
     def test_member_cannot_change_in_place(self):
         m = Individual(np.zeros(2), 1.0)
